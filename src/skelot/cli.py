@@ -173,7 +173,13 @@ def run(config_path: str, seed_override=None,
                                      tol=cfg.tol, method=cfg.method,
                                      damping=cfg.damping)
     if not result.converged and not allow_nonconverged:
-        raise SolverNotConverged(f"gap {result.gap} above tolerance")
+        if result.plan is None:
+            raise SolverNotConverged(
+                f"method {cfg.method!r} produced no plan to certify; use "
+                "'auto' or 'exact', or pass --allow-nonconverged")
+        raise SolverNotConverged(
+            f"gap {result.gap} above tolerance "
+            f"{tp.gap_tolerance(cfg.tol, result.value)}")
 
     assertions = [
         _assertion("gap_nonnegative", ">= -1e-9", result.gap, 1e-9,
@@ -235,20 +241,39 @@ def run(config_path: str, seed_override=None,
 # -- other subcommands ----------------------------------------------------------------
 
 
+def _independence_spec(path: str) -> tuple:
+    """Sections, face and coefficients of a check-independence file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read sections file: {exc}")
+    try:
+        secs = []
+        for s in spec["sections"]:
+            terms = tuple(tr.MonomialTerm(tuple(t["exponent"]),
+                                          int(t.get("t_order", 0)),
+                                          t["coeff_id"]) for t in s["terms"])
+            secs.append(tr.TropicalSection(terms, level=int(s.get("level", 1))))
+        face_spec = spec["face"]
+        face = Face(tuple(tuple(F(c) for c in v)
+                          for v in face_spec["vertices"]),
+                    multiplicities=tuple(face_spec["multiplicities"])
+                    if face_spec.get("multiplicities") else None)
+        coeffs = {k: tuple(F(c) for c in v)
+                  for k, v in spec["coefficients"].items()}
+        missing = {t.coeff_id for s in secs for t in s.terms} - set(coeffs)
+    except KeyError as exc:
+        raise ConfigError(f"sections file is missing {exc}")
+    except (TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+        raise ConfigError(f"sections file invalid: {exc}")
+    if missing:
+        raise ConfigError(f"no coefficients for {sorted(map(str, missing))}")
+    return secs, face, coeffs
+
+
 def check_independence(path: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    secs = []
-    for s in spec["sections"]:
-        terms = tuple(tr.MonomialTerm(tuple(t["exponent"]), int(t.get("t_order", 0)),
-                                      t["coeff_id"]) for t in s["terms"])
-        secs.append(tr.TropicalSection(terms, level=int(s.get("level", 1))))
-    face_spec = spec["face"]
-    face = Face(tuple(tuple(F(c) for c in v) for v in face_spec["vertices"]),
-                multiplicities=tuple(face_spec["multiplicities"])
-                if face_spec.get("multiplicities") else None)
-    coeffs = {k: tuple(F(c) for c in v)
-              for k, v in spec["coefficients"].items()}
+    secs, face, coeffs = _independence_spec(path)
     verdict = tr.check_valuative_independence(secs, face, coeffs)
     payload = {"independent": verdict.independent}
     if verdict.witness is not None:

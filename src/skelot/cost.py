@@ -4,14 +4,20 @@ Three constructions ship: the ambient bilinear pairing between polar-dual
 boundary complexes, the level-normalized limit of theta valuations, and the
 closed-form periodic theta cost (level-homogeneous, so the level-1 value
 already equals the limit).
+
+The pairing and theta costs also build whole matrices exactly: on grids in
+(1/l)Z^d every entry is an integer K[i, j] over one common denominator D, so
+a matrix is one integer array and D instead of a Fraction per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, MissingLevel, WindowNotConverged
 from .polyhedral import IntegralPolyhedralComplex, Point, as_point
@@ -28,6 +34,8 @@ class CostFunction:
     lipschitz_x: float
     convex_in_p: bool = False
     metadata: dict = field(default_factory=dict)
+    # (source_points, target_points) -> (K, D) with entries c = K[i, j] / D
+    exact_matrix: Optional[Callable] = None
 
     def __call__(self, x: Sequence, p: Sequence):
         return self.evaluator(x, p)
@@ -49,12 +57,52 @@ class CostFunction:
     def transpose(self) -> "CostFunction":
         """Swapped-role cost c^T(p, x) = c(x, p)."""
         ev = self.evaluator
+        build = self.exact_matrix
+
+        def build_t(ps, xs):
+            K, D = build(xs, ps)
+            return K.T, D
+
         return CostFunction(
             source=self.target, target=self.source,
             evaluator=lambda p, x: ev(x, p),
             lipschitz_x=self.lipschitz_x,
             convex_in_p=False,
-            metadata={**self.metadata, "transposed": True})
+            metadata={**self.metadata, "transposed": True},
+            exact_matrix=None if build is None else build_t)
+
+
+# -- exact integer matrices --------------------------------------------------------
+
+# bound below which every intermediate of a kernel fits int64 with room to spare
+_INT64_SAFE = 2 ** 62
+
+
+def _lattice(points: Sequence, name: str) -> tuple[list[Point], int, int]:
+    """Exact points, their common dimension and the lcm of their denominators."""
+    pts = [as_point(p) for p in points]
+    dims = {len(p) for p in pts}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"{name} points of mixed dimension {sorted(dims)}")
+    den = 1
+    for p in pts:
+        for c in p:
+            den = lcm(den, c.denominator)
+    return pts, dims.pop() if dims else 0, den
+
+
+def _int_dtype(bound: int):
+    """int64 when `bound` proves the kernel cannot overflow, else Python ints."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def matrix_floats(K: np.ndarray, D: int) -> np.ndarray:
+    """K / D rounded to nearest, entry by entry equal to float(Fraction(k, D))."""
+    limit = 2 ** 53  # int64 -> float64 is exact below this; then one division
+    if K.dtype != object and D < limit and (K.size == 0 or
+                                            int(np.abs(K).max()) < limit):
+        return K / D
+    return np.array([[k / D for k in row] for row in K.tolist()], dtype=float)
 
 
 def pairing_cost(source: IntegralPolyhedralComplex,
@@ -71,7 +119,23 @@ def pairing_cost(source: IntegralPolyhedralComplex,
         float(sum(F(c) * F(c) for c in v)) ** 0.5
         for f in target.faces for v in f.vertices)
     return CostFunction(source, target, ev, lipschitz_x=lip,
-                        convex_in_p=True, metadata={"kind": "pairing"})
+                        convex_in_p=True, metadata={"kind": "pairing"},
+                        exact_matrix=pairing_matrix)
+
+
+def pairing_matrix(xs: Sequence, ps: Sequence) -> tuple[np.ndarray, int]:
+    """<x, p> over the grids as (K, D): one integer product of numerators."""
+    xs, dx, lx = _lattice(xs, "source")
+    ps, dp, lp = _lattice(ps, "target")
+    d = min(dx, dp)  # the evaluator zips, so extra coordinates drop out
+    X = [[c.numerator * (lx // c.denominator) for c in x[:d]] for x in xs]
+    P = [[c.numerator * (lp // c.denominator) for c in p[:d]] for p in ps]
+    mx = max((abs(c) for r in X for c in r), default=0)
+    mp = max((abs(c) for r in P for c in r), default=0)
+    dtype = _int_dtype(d * mx * mp)
+    X = np.array(X, dtype=dtype).reshape(len(xs), d)
+    P = np.array(P, dtype=dtype).reshape(len(ps), d)
+    return X @ P.T, lx * lp
 
 
 # -- Mumford data and the periodic theta cost -----------------------------------
@@ -153,8 +217,11 @@ class MumfordData:
         return defect
 
 
+_MAX_RADIUS = 4096
+
+
 def _axis_argmin(axis: PhiAxis, x: Fraction, p: Fraction,
-                 max_radius: int = 4096) -> tuple[Fraction, int]:
+                 max_radius: int = _MAX_RADIUS) -> tuple[Fraction, int]:
     """min over k of x*(p + g*k) + Phi(p + g*k); certified by convexity."""
     g = axis.period
     radius = 4
@@ -184,6 +251,56 @@ def abelian_theta_cost(data: MumfordData, x: Sequence, p: Sequence) -> Fraction:
     return -total
 
 
+def theta_matrix(data: MumfordData, xs: Sequence,
+                 ps: Sequence) -> tuple[np.ndarray, int]:
+    """abelian_theta_cost over the grids as (K, D), in integer arithmetic.
+
+    With L the common denominator and X, P the reduced numerators in
+    [0, g*L), an axis value times L^2 at q = Q/L, j = floor(q), is
+    X*Q + L^2*Phi(j) + L*slope(j)*(Q - j*L), where Phi(j) = base*j +
+    quad*j(j-1)/2.  x*q + Phi(q) falls up to j0, the first integer whose
+    slope x + base + quad*j0 is >= 0, and rises after it, so the minimum
+    over q in p + gZ sits at the last lattice point <= j0 or the next one.
+    """
+    xs, dx, lx = _lattice(xs, "source")
+    ps, dp, lp = _lattice(ps, "target")
+    L = lcm(lx, lp)
+    axes = data.axes[:min(dx, dp)]
+    # |j0| <= g + |b| + 1, so |q| <= J at both candidates, and each term of
+    # an axis value is at most L^2 (g + |b| + quad) (J + 2)^2
+    bound = 0
+    for a in axes:
+        g, b = a.period, abs(a.base_slope)
+        J = g * (2 * g + b + 4)
+        bound += 2 * L * L * (g + b + a.quad) * (J + 2) ** 2
+    dtype = _int_dtype(bound)
+    K = np.zeros((len(xs), len(ps)), dtype=dtype)
+    for k, a in enumerate(axes):
+        b, quad, gL = a.base_slope, a.quad, a.period * L
+        X = np.array([x[k].numerator * (L // x[k].denominator) % gL
+                      for x in xs], dtype=dtype).reshape(len(xs), 1)
+        P = np.array([p[k].numerator * (L // p[k].denominator) % gL
+                      for p in ps], dtype=dtype).reshape(1, len(ps))
+        j0 = -((X + b * L) // (quad * L))
+        k_lo = (j0 * L - P) // gL
+
+        def scaled_value(kk):
+            Q = P + gL * kk
+            j = Q // L
+            return (X * Q + L * L * (b * j + quad * (j * (j - 1) // 2))
+                    + L * (b + quad * j) * (Q - j * L))
+
+        lo, hi = scaled_value(k_lo), scaled_value(k_lo + 1)
+        up = hi < lo  # ties keep the lower shift, as _axis_argmin does
+        kbest = np.where(up, k_lo + 1, k_lo)
+        if kbest.size and int(np.abs(kbest).max()) >= _MAX_RADIUS:
+            raise WindowNotConverged(
+                "theta window did not certify an interior minimum")
+        best = np.where(up, hi, lo)
+        K = K - best
+    return K, L * L
+
+
 def abelian_cost(data: MumfordData,
                  source: Optional[IntegralPolyhedralComplex] = None,
                  target: Optional[IntegralPolyhedralComplex] = None) -> CostFunction:
@@ -192,7 +309,8 @@ def abelian_cost(data: MumfordData,
     return CostFunction(source, target,
                         lambda x, p: abelian_theta_cost(data, x, p),
                         lipschitz_x=lip, convex_in_p=True,
-                        metadata={"kind": "abelian", "exact": True})
+                        metadata={"kind": "abelian", "exact": True},
+                        exact_matrix=lambda xs, ps: theta_matrix(data, xs, ps))
 
 
 def theta_section(data: MumfordData, level: int, label: Sequence,

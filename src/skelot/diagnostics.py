@@ -66,13 +66,6 @@ class MAResidualField:
         return max(vals) if vals else 0.0
 
 
-def _axis_grid(points) -> dict:
-    index = {}
-    for k, p in enumerate(points):
-        index[tuple(p)] = k
-    return index
-
-
 def ma_residual(phi: PotentialField, h) -> MAResidualField:
     """Discrete Monge-Ampere density on interior cells vs its mean.
 

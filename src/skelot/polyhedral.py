@@ -8,7 +8,6 @@ a multiplicity vector b when the face sits in the normalized form
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -169,9 +168,6 @@ class DiscreteMeasure:
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    def point_array(self) -> np.ndarray:
-        return np.array([[float(c) for c in p] for p in self.points], dtype=float)
-
     def normalized(self) -> "DiscreteMeasure":
         s = sum(self.weights)
         if s <= 0:
@@ -243,11 +239,6 @@ def build_complex(spec: dict) -> IntegralPolyhedralComplex:
                 raise InconsistentGluing(
                     f"gluing {g.source}->{g.target} maps a vertex off the target face")
     return cx
-
-
-def load_complex(path: str) -> IntegralPolyhedralComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_complex(json.load(fh))
 
 
 # -- rational point enumeration ----------------------------------------------

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _flow, _simplex
-from .cost import CostFunction, ThetaFamily
+from .cost import CostFunction, ThetaFamily, matrix_floats
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
 from .tropical import val_at
@@ -45,10 +45,6 @@ class PotentialField:
         if len(self.points) != len(self.values):
             raise GridMismatch("points and values differ in length")
 
-    @property
-    def sup_bound(self) -> float:
-        return float(max(abs(v) for v in self.values))
-
     def as_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
 
@@ -57,12 +53,59 @@ class PotentialField:
         return PotentialField(self.points, tuple(v + a for v in self.values))
 
 
-def _cost_entry(cost, x, p, direction: str) -> Fraction:
-    if direction == "source_to_target":
-        return F(cost(x, p))
-    if direction == "target_to_source":
-        return F(cost(p, x))
-    raise ValueError(f"unknown direction {direction!r}")
+def _float(q: Fraction) -> float:
+    """Nearest float, saturating to an infinity where float() overflows."""
+    try:
+        return float(q)
+    except OverflowError:
+        return inf if q > 0 else -inf
+
+
+def _exact_argmax(C: np.ndarray, entry: Callable, values: Sequence) -> tuple:
+    """Per column j, max over i of entry(i, j) - values[i], exactly.
+
+    C[i, j] is entry(i, j) rounded to nearest.  Each float score
+    C[i, j] - float(values[i]) takes three roundings of relative size
+    2^-53, so it lies within e = 2^-50 (max|C| + max|values|) (plus the
+    smallest normal float, for underflow) of the exact score.  An index
+    whose score is more than 2e below its column's float maximum is
+    therefore strictly worse than the exact maximum; the rest are compared
+    exactly in ascending index with strict >, so ties go to the lowest
+    index.  Floats never decide: if a score is not finite, every index is
+    a candidate.  Returns the exact maxima and their indices.
+    """
+    phi = np.array([_float(v) for v in values])
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = C - phi[:, None]
+        if np.isfinite(S).all():
+            e = 2.0 ** -50 * (np.abs(C).max() + np.abs(phi).max()) \
+                + np.finfo(float).tiny
+            keep = S >= S.max(axis=0) - 2 * e
+        else:
+            keep = np.ones(S.shape, dtype=bool)
+    best = [None] * S.shape[1]
+    arg = [-1] * S.shape[1]
+    cols, rows = np.nonzero(keep.T)  # by column, rows ascending
+    for j, i in zip(cols.tolist(), rows.tolist()):
+        v = entry(i, j) - values[i]
+        if best[j] is None or v > best[j]:
+            best[j], arg[j] = v, i
+    return tuple(best), tuple(arg)
+
+
+def _cost_matrix(cost, rows: Sequence, cols: Sequence) -> tuple:
+    """Floats of cost(rows[i], cols[j]) and its exact entry(i, j)."""
+    build = getattr(cost, "exact_matrix", None)
+    if build is not None:
+        K, D = build(rows, cols)
+        return matrix_floats(K, D), _ratio_entry(K, D)
+    exact = [[F(cost(x, p)) for p in cols] for x in rows]
+    floats = np.array([[_float(c) for c in row] for row in exact])
+    return floats, lambda i, j: exact[i][j]
+
+
+def _ratio_entry(K: np.ndarray, D: int) -> Callable:
+    return lambda i, j: F(int(K[i, j]), D)
 
 
 def c_transform(f: PotentialField, cost, grid: Sequence,
@@ -72,22 +115,18 @@ def c_transform(f: PotentialField, cost, grid: Sequence,
     cost may be a CostFunction or any callable taking exact coordinates;
     ties go to the lowest index and the argmax indices are retained.
     """
-    if not f.points or not list(grid):
+    grid = tuple(as_point(y) for y in grid)
+    if not f.points or not grid:
         raise EmptyGrid("c-transform needs nonempty grids on both sides")
-    out_vals = []
-    out_arg = []
-    for y in grid:
-        yp = as_point(y)
-        best = None
-        bi = -1
-        for i, (z, fz) in enumerate(zip(f.points, f.values)):
-            v = _cost_entry(cost, z, yp, direction) - fz
-            if best is None or v > best:
-                best, bi = v, i
-        out_vals.append(best)
-        out_arg.append(bi)
-    return PotentialField(tuple(as_point(y) for y in grid), tuple(out_vals),
-                          argmax=tuple(out_arg))
+    if direction == "source_to_target":
+        C, entry = _cost_matrix(cost, f.points, grid)
+    elif direction == "target_to_source":
+        C, entry_t = _cost_matrix(cost, grid, f.points)
+        C, entry = C.T, lambda i, j: entry_t(j, i)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    vals, args = _exact_argmax(C, entry, f.values)
+    return PotentialField(grid, vals, argmax=args)
 
 
 def project_Pc(f: PotentialField, cost, opposite_grid: Sequence,
@@ -120,39 +159,53 @@ class TransportProblem:
             raise InfeasibleMarginals("weighted target mass must be 1")
         self._exact_cost = None
         self._cost_array = None
+        self._integer_cost = None
+
+    def _integer(self) -> Optional[tuple]:
+        """(K, D) with cost = K / D, built on first use; None for costs
+        without an exact matrix builder."""
+        build = getattr(self.cost, "exact_matrix", None)
+        if build is not None and self._integer_cost is None:
+            self._integer_cost = build(self.mu0.points, self.nu0.points)
+        return self._integer_cost
 
     @property
     def exact_cost(self) -> list:
         if self._exact_cost is None:
-            self._exact_cost = [
-                [F(self.cost(x, p)) for p in self.nu0.points]
-                for x in self.mu0.points]
+            kd = self._integer()
+            if kd is None:
+                self._exact_cost = [
+                    [F(self.cost(x, p)) for p in self.nu0.points]
+                    for x in self.mu0.points]
+            else:
+                K, D = kd
+                self._exact_cost = [[F(k, D) for k in row.tolist()]
+                                    for row in K]
         return self._exact_cost
 
     @property
     def cost_array(self) -> np.ndarray:
         if self._cost_array is None:
-            self._cost_array = np.array(
-                [[float(c) for c in row] for row in self.exact_cost])
+            kd = self._integer()
+            if kd is None:
+                self._cost_array = np.array(
+                    [[float(c) for c in row] for row in self.exact_cost])
+            else:
+                self._cost_array = matrix_floats(*kd)
         return self._cost_array
 
     def transform(self, phi: PotentialField) -> PotentialField:
         """Exact phi^c on the target grid using the cached cost matrix."""
         if phi.points != self.mu0.points:
             raise GridMismatch("potential not on the source grid")
-        mat = self.exact_cost
-        vals = []
-        args = []
-        for j in range(len(self.nu0.points)):
-            best = None
-            bi = -1
-            for i, fv in enumerate(phi.values):
-                v = mat[i][j] - fv
-                if best is None or v > best:
-                    best, bi = v, i
-            vals.append(best)
-            args.append(bi)
-        return PotentialField(self.nu0.points, tuple(vals), argmax=tuple(args))
+        kd = self._integer()
+        if kd is None:
+            mat = self.exact_cost
+            entry = lambda i, j: mat[i][j]
+        else:
+            entry = _ratio_entry(*kd)
+        vals, args = _exact_argmax(self.cost_array, entry, phi.values)
+        return PotentialField(self.nu0.points, vals, argmax=args)
 
 
 @dataclass(frozen=True)
@@ -182,6 +235,11 @@ def _mean_zero(problem: TransportProblem, values) -> tuple:
     vals = [F(v) for v in values]
     mean = sum(F(w) * v for w, v in zip(problem.mu0.weights, vals))
     return tuple(v - mean for v in vals)
+
+
+def gap_tolerance(tol: float, value: float) -> float:
+    """Largest duality gap a plan of the given value is certified with."""
+    return max(tol, 1e-7 * (1.0 + abs(value)))
 
 
 def minimize_kontorovich(problem: TransportProblem, max_iter: int = 60,
@@ -234,7 +292,7 @@ def minimize_kontorovich(problem: TransportProblem, max_iter: int = 60,
     gap = 0.0
     if plan is not None:
         gap = value - float((C * plan).sum())
-        converged = converged and gap <= max(tol, 1e-7 * (1.0 + abs(value)))
+        converged = converged and gap <= gap_tolerance(tol, value)
     if not want_plan:
         plan = None
     return TransportResult(phi_field, psi_field, value, plan, gap, iters,

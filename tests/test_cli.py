@@ -113,13 +113,15 @@ def test_rerun_byte_identical(tmp_path):
         assert open(os.path.join(out, name), "rb").read() == blob
 
 
-def test_nonconverged_exit_code(tmp_path):
+def test_nonconverged_exit_code(tmp_path, capsys):
     cfg = dict(ABELIAN_CFG)
     cfg["solver"] = {"method": "ascent", "max_iter": 1, "tol": 1e-15}
     cfg["oracle"] = False
     cfg["diagnostics"] = {}
     code, _ = run_cfg(tmp_path, cfg)
     assert code == 3
+    err = capsys.readouterr().err
+    assert "no plan to certify" in err and "gap" not in err
     code, out = run_cfg(tmp_path, cfg, extra=["--allow-nonconverged"])
     assert code == 0
     result = json.loads(open(os.path.join(out, "result.json")).read())
@@ -192,6 +194,30 @@ def test_check_independence(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["independent"] is False
     assert verdict["witness"]["class_sections"] == [0, 1]
+
+
+INDEPENDENCE_SPEC = {
+    "sections": [{"terms": [{"exponent": [0], "coeff_id": "f0"}]}],
+    "face": {"vertices": [[0], [1]]},
+    "coefficients": {"f0": [1, 0]},
+}
+
+
+@pytest.mark.parametrize("text", [
+    None,                                                    # missing file
+    "{not json",                                             # bad JSON
+    json.dumps({k: v for k, v in INDEPENDENCE_SPEC.items() if k != "face"}),
+    json.dumps({**INDEPENDENCE_SPEC, "coefficients": {}}),   # unknown coeff_id
+    json.dumps({**INDEPENDENCE_SPEC, "face": {"vertices": [["1/x"], [1]]}}),
+    json.dumps({**INDEPENDENCE_SPEC, "coefficients": {"f0": ["1/0", 0]}}),
+    json.dumps([INDEPENDENCE_SPEC]),                         # not an object
+])
+def test_check_independence_bad_input_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "sections.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["check-independence", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_hybrid_command(tmp_path, capsys):

@@ -1,0 +1,214 @@
+"""Exact integer cost matrices and the filtered exact argmax.
+
+The per-entry evaluators (`CostFunction.__call__`) and a plain double loop
+over Fractions serve as the references.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skelot import cost as co
+from skelot import families as fm
+from skelot import transport as tp
+from skelot.errors import WindowNotConverged
+from skelot.polyhedral import DiscreteMeasure, polygon_boundary_complex
+
+F = Fraction
+
+TRI = polygon_boundary_complex([(1, 0), (0, 1), (-1, -1)])
+
+
+def fractions(lo, hi, dens=(1, 2, 3, 4, 5, 7, 8, 12)):
+    return st.builds(lambda k, d: F(k, d), st.integers(lo * 12, hi * 12),
+                     st.sampled_from(dens))
+
+
+def points(dim, lo=-4, hi=4):
+    return st.lists(st.tuples(*[fractions(lo, hi)] * dim), min_size=1,
+                    max_size=6)
+
+
+def assert_matches_evaluator(cost, xs, ps):
+    K, D = cost.exact_matrix(xs, ps)
+    assert K.shape == (len(xs), len(ps)) and D > 0
+    for i, x in enumerate(xs):
+        for j, p in enumerate(ps):
+            assert F(int(K[i, j]), D) == cost(x, p)
+    return K, D
+
+
+def naive_transform(mat, values):
+    """The double loop: max_i mat[i][j] - values[i], lowest index on ties."""
+    vals, args = [], []
+    for j in range(len(mat[0])):
+        best, bi = None, -1
+        for i, fv in enumerate(values):
+            v = mat[i][j] - fv
+            if best is None or v > best:
+                best, bi = v, i
+        vals.append(best)
+        args.append(bi)
+    return tuple(vals), tuple(args)
+
+
+# -- pairing kernel -----------------------------------------------------------------
+
+
+@given(points(2), points(2))
+@settings(deadline=None, max_examples=60)
+def test_pairing_matrix_matches_evaluator(xs, ps):
+    cost = co.pairing_cost(TRI, TRI)
+    K, _ = assert_matches_evaluator(cost, xs, ps)
+    assert K.dtype == np.int64
+
+
+def test_pairing_matrix_large_coordinates_use_python_ints():
+    cost = co.pairing_cost(TRI, TRI)
+    xs = [(F(10 ** 12 + 1, 10 ** 9 + 7), F(3)), (F(1, 3), F(-2))]
+    ps = [(F(5, 999983), F(10 ** 15)), (F(-1), F(1, 2))]
+    K, D = assert_matches_evaluator(cost, xs, ps)
+    assert K.dtype == object
+    assert co.matrix_floats(K, D).tobytes() == np.array(
+        [[float(cost(x, p)) for p in ps] for x in xs]).tobytes()
+
+
+def test_transpose_carries_the_transposed_matrix():
+    cost = co.pairing_cost(TRI, TRI)
+    xs = [(F(1, 2), F(0)), (F(-1, 3), F(1))]
+    ps = [(F(1), F(1, 5)), (F(0), F(-2)), (F(3, 4), F(1, 4))]
+    K, D = cost.exact_matrix(xs, ps)
+    Kt, Dt = cost.transpose().exact_matrix(ps, xs)
+    assert Dt == D and (Kt == K.T).all()
+    assert_matches_evaluator(cost.transpose(), ps, xs)
+
+
+# -- theta kernel -------------------------------------------------------------------
+
+
+axes = st.builds(co.PhiAxis, st.integers(-5, 5), st.integers(1, 4),
+                 st.integers(1, 3))
+
+
+@given(st.lists(axes, min_size=1, max_size=2).flatmap(
+    lambda ax: st.tuples(st.just(co.MumfordData(tuple(ax))),
+                         points(len(ax), -7, 7), points(len(ax), -7, 7))))
+@settings(deadline=None, max_examples=60)
+def test_theta_matrix_matches_evaluator(case):
+    data, xs, ps = case
+    assert_matches_evaluator(co.abelian_cost(data), xs, ps)
+
+
+def test_theta_matrix_large_denominators_use_python_ints():
+    data = co.MumfordData((co.PhiAxis(2, 3, 2),))
+    xs = [(F(10 ** 12 + 1, 10 ** 9 + 7),), (F(1, 3),)]
+    ps = [(F(5, 999983),), (F(-7, 11),)]
+    K, _ = assert_matches_evaluator(co.abelian_cost(data), xs, ps)
+    assert K.dtype == object
+
+
+def test_theta_matrix_refuses_minima_outside_the_window():
+    data = co.MumfordData((co.PhiAxis(base_slope=-10 ** 4),))
+    with pytest.raises(WindowNotConverged):
+        co.theta_matrix(data, [(F(0),)], [(F(1, 2),)])
+
+
+# -- float view ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fm.toric_pair([(-1, -1), (2, -1), (-1, 2)], resolution=F(1, 8))[1],
+    lambda: fm.mumford_family(co.MumfordData((co.PhiAxis(), co.PhiAxis())),
+                              [1], resolution=F(1, 4))[1],
+    lambda: fm.mumford_family(co.MumfordData((co.PhiAxis(2, 3, 3),)),
+                              [1], resolution=F(1, 7))[1],
+])
+def test_cost_array_is_bit_equal_to_fraction_floats(make):
+    problem = make()
+    want = np.array([[float(c) for c in row] for row in problem.exact_cost])
+    assert make().cost_array.tobytes() == want.tobytes()
+    assert problem.exact_cost == [
+        [problem.cost(x, p) for p in problem.nu0.points]
+        for x in problem.mu0.points]
+
+
+# -- filtered exact argmax ------------------------------------------------------------
+
+
+def table_problem(table, values):
+    n, m = len(table), len(table[0])
+    src = tuple((F(i),) for i in range(n))
+    tgt = tuple((F(j),) for j in range(m))
+    cost = co.CostFunction(None, None,
+                           lambda x, p: table[int(x[0])][int(p[0])],
+                           lipschitz_x=1.0)
+    mu = DiscreteMeasure(src, (1 / n,) * n, (0,) * n, 1.0)
+    nu = DiscreteMeasure(tgt, (1 / m,) * m, (0,) * m, 1.0)
+    return tp.TransportProblem(cost, mu, nu), tp.PotentialField(src, values)
+
+
+tables = st.integers(1, 5).flatmap(lambda n: st.integers(1, 5).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.lists(fractions(-2, 2, dens=(1, 2, 3)), min_size=m,
+                          max_size=m), min_size=n, max_size=n),
+        st.lists(st.tuples(fractions(-2, 2, dens=(1, 3)),
+                           st.integers(-3, 3)), min_size=n, max_size=n))))
+
+
+@given(tables, st.sampled_from([0, 1, 10 ** 6]))
+@settings(deadline=None, max_examples=80)
+def test_filtered_transform_equals_double_loop(case, scale):
+    """Exact ties and potentials apart by about 2^-60 relative."""
+    table, base = case
+    table = [[c * scale for c in row] for row in table] if scale else table
+    values = tuple(v + k * F(1 + abs(v), 2 ** 60) for v, k in base)
+    want = naive_transform(table, values)
+    problem, phi = table_problem(table, values)
+    got = problem.transform(phi)
+    assert (got.values, got.argmax) == want
+    via_c = tp.c_transform(phi, problem.cost, problem.nu0.points)
+    assert (via_c.values, via_c.argmax) == want
+
+
+def test_filtered_transform_breaks_sub_float_ties_exactly():
+    # every float score of a column is equal; only exact arithmetic decides
+    eps = F(1, 2 ** 70)
+    table = [[F(1, 3), F(0)], [F(1, 3) + eps, F(0)], [F(1, 3) + eps, -eps]]
+    values = (F(0), F(0), F(0))
+    problem, phi = table_problem(table, values)
+    got = problem.transform(phi)
+    assert got.argmax == (1, 0)
+    assert (got.values, got.argmax) == naive_transform(table, values)
+
+
+def test_kernel_transform_equals_double_loop_both_directions():
+    _, problem = fm.toric_pair([(-1, -1), (2, -1), (-1, 2)], resolution=F(1, 4))
+    mat = problem.exact_cost
+    values = tuple(F(i % 3, 7) + F(i, 2 ** 61) for i in range(len(mat)))
+    phi = tp.PotentialField(problem.mu0.points, values)
+    want = naive_transform(mat, values)
+    got = problem.transform(phi)
+    assert (got.values, got.argmax) == want
+    psi = tp.c_transform(phi, problem.cost, problem.nu0.points)
+    assert (psi.values, psi.argmax) == want
+    back = tp.c_transform(psi, problem.cost, problem.mu0.points,
+                          direction="target_to_source")
+    cols = [list(r) for r in zip(*mat)]
+    assert (back.values, back.argmax) == naive_transform(cols, psi.values)
+
+
+def test_non_finite_scores_fall_back_to_exact_comparison():
+    big = F(10 ** 400)
+    table = [[big, F(1)], [big + 1, F(2)]]
+    values = (big, F(1))  # inf - inf: a NaN score
+    problem, phi = table_problem(table, values)
+    got = tp.c_transform(phi, problem.cost, problem.nu0.points)
+    assert (got.values, got.argmax) == naive_transform(table, values)
+    table = [[F(1), F(2)], [F(1), F(3)], [F(0), F(2)]]
+    values = (big, -big, -big - 1)
+    problem, phi = table_problem(table, values)
+    got = problem.transform(phi)
+    assert (got.values, got.argmax) == naive_transform(table, values)
