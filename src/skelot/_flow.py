@@ -8,8 +8,6 @@ instead of using a heap.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -59,36 +57,30 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
             prev_s[better] = j
 
 
-def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    phi0: Optional[np.ndarray] = None,
-                    psi0: Optional[np.ndarray] = None):
-    """Optimal plan and dual potentials for max <C, plan>.
+def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Optimal plan and dual potentials for max <C, plan>, from a cold start.
 
-    (phi0, psi0) may warm-start the potentials; they must satisfy the
-    covering constraint phi0[i] + psi0[j] >= C[i, j].  Returns
-    (plan, phi, psi, n_augmentations) with phi[i] + psi[j] >= C[i, j]
-    everywhere and equality on the support of the plan (up to round-off).
+    Returns (plan, phi, psi, n_augmentations, unshipped) with
+    phi[i] + psi[j] >= C[i, j] everywhere and equality on the support of the
+    plan (up to round-off).  unshipped is 0.0 once the remaining supply or
+    demand is below the dust threshold n*m*eps; if the loop stops earlier
+    (augmentation budget, a zero-mass path, or an unreachable target) it is
+    the mass min(supply left, demand left) that the plan does not carry.
     """
     C = np.asarray(C, dtype=float)
     n, m = C.shape
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     W = -C
-    if phi0 is not None and psi0 is not None:
-        pu = np.asarray(phi0, dtype=float).copy()
-        pv = -np.asarray(psi0, dtype=float)
-        slack = (W + pu[:, None] - pv[None, :]).min()
-        if slack < 0:
-            pv = pv + slack  # restore covering if the start drifted
-    else:
-        pu = np.zeros(n)
-        pv = W.min(axis=0)
+    pu = np.zeros(n)
+    pv = W.min(axis=0)
     flow = np.zeros((n, m))
     total = float(a.sum())
     eps = 1e-15 * max(total, 1.0)
+    dust = n * m * eps
     max_aug = 60 * (n + m) + 2000
     aug = 0
-    while b.sum() > n * m * eps and a.sum() > n * m * eps:
+    while b.sum() > dust and a.sum() > dust:
         if aug >= max_aug:
             break
         ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, flow, a, b, eps)
@@ -122,5 +114,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
         pu += np.minimum(ds, D)
         pv += np.minimum(dt, D)
         aug += 1
+    left = min(a.sum(), b.sum())
+    unshipped = float(left) if left > dust else 0.0
     # duals for the covering problem: phi + psi >= C
-    return flow, pu.copy(), -pv, aug
+    return flow, pu.copy(), -pv, aug, unshipped

@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import inf
 from typing import Optional
 
 from . import cost as co
@@ -47,6 +48,13 @@ def _fraction(value, name: str) -> Fraction:
         raise ConfigError(f"{name} must be an exact rational like '1/8'")
 
 
+def _number(value, kind, name: str):
+    try:
+        return kind(value)
+    except (ValueError, TypeError, OverflowError):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
+
+
 class ExperimentConfig:
     """Validated view of one experiment description."""
 
@@ -58,19 +66,22 @@ class ExperimentConfig:
         if not isinstance(self.family, dict) or "kind" not in self.family:
             raise ConfigError("config needs a family block with a kind")
         solver = raw.get("solver", {})
-        self.method = solver.get("method", "auto")
-        if self.method not in ("auto", "ascent", "exact"):
-            raise ConfigError(f"unknown solver method {self.method!r}")
-        self.tol = float(solver.get("tol", 1e-9))
-        self.max_iter = int(solver.get("max_iter", 60))
-        self.damping = float(solver.get("damping", 0.5))
-        if self.tol <= 0 or self.max_iter <= 0 or not 0 < self.damping <= 1:
-            raise ConfigError("solver tolerances must be positive")
+        if not isinstance(solver, dict):
+            raise ConfigError("solver must be a JSON object")
+        unknown = set(solver) - {"method", "tol"}
+        if unknown:
+            raise ConfigError(f"unknown solver keys {sorted(unknown)}")
+        # both spellings run the one flow finisher
+        if solver.get("method", "auto") not in ("auto", "exact"):
+            raise ConfigError(f"unknown solver method {solver['method']!r}")
+        self.tol = _number(solver.get("tol", 1e-9), float, "solver tol")
+        if not 0 < self.tol < inf:
+            raise ConfigError("solver tol must be positive and finite")
         self.oracle = bool(raw.get("oracle", False))
         self.diagnostics = raw.get("diagnostics", {})
         self.output_dir = raw.get("output_dir", "run")
-        self.seed = int(seed_override if seed_override is not None
-                        else raw.get("seed", 0))
+        self.seed = _number(seed_override if seed_override is not None
+                            else raw.get("seed", 0), int, "seed")
 
     def resolution(self) -> Fraction:
         return _fraction(self.family.get("resolution", "1/8"), "resolution")
@@ -169,14 +180,11 @@ def run(config_path: str, seed_override=None,
         allow_nonconverged: bool = False) -> int:
     cfg = load_config(config_path, seed_override)
     problem, extras = build_problem(cfg)
-    result = tp.minimize_kontorovich(problem, max_iter=cfg.max_iter,
-                                     tol=cfg.tol, method=cfg.method,
-                                     damping=cfg.damping)
+    result = tp.minimize_kontorovich(problem, tol=cfg.tol)
     if not result.converged and not allow_nonconverged:
-        if result.plan is None:
+        if result.unshipped:
             raise SolverNotConverged(
-                f"method {cfg.method!r} produced no plan to certify; use "
-                "'auto' or 'exact', or pass --allow-nonconverged")
+                f"flow finisher left mass {result.unshipped} unshipped")
         raise SolverNotConverged(
             f"gap {result.gap} above tolerance "
             f"{tp.gap_tolerance(cfg.tol, result.value)}")
@@ -228,8 +236,7 @@ def run(config_path: str, seed_override=None,
     })
     _write_field_csv(os.path.join(out, "phi.csv"), result.phi)
     _write_field_csv(os.path.join(out, "phic.csv"), result.psi)
-    if result.plan is not None:
-        _write_plan_csv(os.path.join(out, "plan.csv"), result.plan)
+    _write_plan_csv(os.path.join(out, "plan.csv"), result.plan)
     _write_json(os.path.join(out, "diagnostics.json"), {
         "assertions": assertions, "diagnostics": diag_out, "seed": cfg.seed})
 
@@ -362,12 +369,10 @@ def diagnose_duality(run_dir: str) -> int:
         raise IncompleteRun("config.json missing")
     cfg = load_config(config_path)
     problem, _ = build_problem(cfg)
-    result = tp.minimize_kontorovich(problem, max_iter=cfg.max_iter,
-                                     tol=cfg.tol, method=cfg.method)
+    result = tp.minimize_kontorovich(problem, tol=cfg.tol)
     dual = tp.TransportProblem(problem.cost.transpose(), problem.nu0,
                                problem.mu0, ln_norm=problem.ln_norm)
-    dual_result = tp.minimize_kontorovich(dual, max_iter=cfg.max_iter,
-                                          tol=cfg.tol, method=cfg.method)
+    dual_result = tp.minimize_kontorovich(dual, tol=cfg.tol)
     out = dg.duality_check(problem, dual, result, dual_result)
     _write_json(os.path.join(run_dir, "duality.json"), out)
     print(json.dumps(out, sort_keys=True))

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import MumfordData, PhiAxis  # re-exported: the data feeding hybrid checks
+from .cost import MumfordData, PhiAxis
 from .errors import GridMismatch, NoPlanAvailable, TruncationInsufficient
 from .transport import (
     PotentialField,
@@ -21,7 +21,7 @@ from .transport import (
 )
 
 __all__ = [
-    "MumfordData", "PhiAxis", "MAResidualField",
+    "MAResidualField",
     "pushforward_residual", "ma_residual", "duality_check",
     "hybrid_potential_curve",
 ]

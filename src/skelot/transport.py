@@ -215,8 +215,9 @@ class TransportResult:
     value: float
     plan: Optional[np.ndarray]
     gap: float
-    iterations: int
+    iterations: int  # flow augmentations
     converged: bool = True
+    unshipped: float = 0.0  # mass the plan leaves unshipped
 
 
 def kontorovich_value(problem: TransportProblem, phi: PotentialField) -> float:
@@ -242,61 +243,28 @@ def gap_tolerance(tol: float, value: float) -> float:
     return max(tol, 1e-7 * (1.0 + abs(value)))
 
 
-def minimize_kontorovich(problem: TransportProblem, max_iter: int = 60,
-                         tol: float = 1e-9, method: str = "auto",
-                         damping: float = 0.5,
-                         initial: Optional[PotentialField] = None,
-                         want_plan: bool = True) -> TransportResult:
+def minimize_kontorovich(problem: TransportProblem,
+                         tol: float = 1e-9) -> TransportResult:
     """Minimize F over P_c; result normalized to mean zero against mu0.
 
-    method "ascent" runs only the damped double-transform descent, which can
-    stall above the optimum; "exact" runs only the flow finisher; "auto"
-    (default) uses the descent as a warm start and finishes exactly.
+    The flow finisher solves the discrete problem from a cold start; phi is
+    then shifted to mean zero and psi = phi^c is recomputed exactly.  The
+    result is converged when the plan ships all the mass and its duality
+    gap is within gap_tolerance(tol, value).
     """
     C = problem.cost_array
-    n, m = C.shape
     a = np.array(problem.mu0.weights, dtype=float)
     b = np.array(problem.target_mass, dtype=float)
-    phi = (initial.as_array() if initial is not None else np.zeros(n))
-    iters = 0
-
-    if method in ("auto", "ascent"):
-        best = np.inf
-        for it in range(max_iter):
-            # under-relaxed projection onto P_c; F never increases
-            psi = (C - phi[:, None]).max(axis=0)
-            proj = (C - psi[None, :]).max(axis=1)
-            new = (1.0 - damping) * phi + damping * proj
-            psi_new = (C - new[:, None]).max(axis=0)
-            val = float(a @ new + b @ psi_new)
-            iters += 1
-            if best - val < tol:
-                phi = new
-                break
-            best = val
-            phi = new
-
-    plan = None
-    converged = method == "exact"
-    if method in ("auto", "exact"):
-        psi0 = (C - phi[:, None]).max(axis=0)
-        plan, phi, psi_d, aug = _flow.solve_transport(C, a, b,
-                                                      phi0=phi, psi0=psi0)
-        iters += aug
-        converged = True
+    plan, phi, _, aug, unshipped = _flow.solve_transport(C, a, b)
 
     phi_field = PotentialField(problem.mu0.points, _mean_zero(problem, phi))
     psi_field = problem.transform(phi_field)
     value = float(
         a @ phi_field.as_array() + b @ psi_field.as_array())
-    gap = 0.0
-    if plan is not None:
-        gap = value - float((C * plan).sum())
-        converged = converged and gap <= gap_tolerance(tol, value)
-    if not want_plan:
-        plan = None
-    return TransportResult(phi_field, psi_field, value, plan, gap, iters,
-                           converged=converged)
+    gap = value - float((C * plan).sum())
+    converged = unshipped == 0 and gap <= gap_tolerance(tol, value)
+    return TransportResult(phi_field, psi_field, value, plan, gap, aug,
+                           converged=converged, unshipped=unshipped)
 
 
 @dataclass(frozen=True)

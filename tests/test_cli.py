@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from skelot import cli
+from skelot import _flow, cli
 
 ABELIAN_CFG = {
     "family": {"kind": "abelian", "axes": [{}], "levels": [1, 2],
@@ -48,13 +48,21 @@ def test_unknown_family_kind(tmp_path):
     assert code == 2
 
 
-def test_bad_solver_settings(tmp_path):
-    cfg = {"family": {"kind": "zero"}, "solver": {"tol": -1}}
-    code, _ = run_cfg(tmp_path, cfg)
+@pytest.mark.parametrize("fields", [
+    pytest.param({"solver": {"tol": -1}}, id="tol-negative"),
+    pytest.param({"solver": {"method": "magic"}}, id="method-unknown"),
+    pytest.param({"solver": {"method": "ascent"}}, id="method-ascent"),
+    pytest.param({"solver": "fast"}, id="solver-not-object"),
+    pytest.param({"solver": {"tol": "abc"}}, id="tol-string"),
+    pytest.param({"solver": {"tol": None}}, id="tol-null"),
+    pytest.param({"solver": {"max_iter": 60}}, id="key-max_iter"),
+    pytest.param({"solver": {"damping": 0.5}}, id="key-damping"),
+    pytest.param({"seed": "x"}, id="seed-string"),
+])
+def test_bad_solver_settings(tmp_path, capsys, fields):
+    code, _ = run_cfg(tmp_path, {"family": {"kind": "zero"}, **fields})
     assert code == 2
-    cfg = {"family": {"kind": "zero"}, "solver": {"method": "magic"}}
-    code, _ = run_cfg(tmp_path, cfg)
-    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_resolution(tmp_path):
@@ -113,15 +121,17 @@ def test_rerun_byte_identical(tmp_path):
         assert open(os.path.join(out, name), "rb").read() == blob
 
 
-def test_nonconverged_exit_code(tmp_path, capsys):
-    cfg = dict(ABELIAN_CFG)
-    cfg["solver"] = {"method": "ascent", "max_iter": 1, "tol": 1e-15}
-    cfg["oracle"] = False
-    cfg["diagnostics"] = {}
+def test_nonconverged_exit_code(tmp_path, capsys, monkeypatch):
+    dijkstra = _flow._dijkstra
+
+    def unreachable(*args):
+        return dijkstra(*args)[:4] + (-1,)
+
+    monkeypatch.setattr(_flow, "_dijkstra", unreachable)
+    cfg = {"family": {"kind": "zero"}}
     code, _ = run_cfg(tmp_path, cfg)
     assert code == 3
-    err = capsys.readouterr().err
-    assert "no plan to certify" in err and "gap" not in err
+    assert "mass 1.0 unshipped" in capsys.readouterr().err
     code, out = run_cfg(tmp_path, cfg, extra=["--allow-nonconverged"])
     assert code == 0
     result = json.loads(open(os.path.join(out, "result.json")).read())
