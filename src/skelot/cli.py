@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import inf
 from typing import Optional
@@ -28,6 +29,7 @@ from .errors import (
     AssertionFailed,
     ConfigError,
     IncompleteRun,
+    SeriesDepthExceeded,
     SkelotError,
     SolverNotConverged,
 )
@@ -55,6 +57,12 @@ def _number(value, kind, name: str):
         raise ConfigError(f"{name} must be a number, not {value!r}")
 
 
+def _numbers(values, kind, name: str) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list, not {values!r}")
+    return [_number(v, kind, name) for v in values]
+
+
 class ExperimentConfig:
     """Validated view of one experiment description."""
 
@@ -79,6 +87,11 @@ class ExperimentConfig:
             raise ConfigError("solver tol must be positive and finite")
         self.oracle = bool(raw.get("oracle", False))
         self.diagnostics = raw.get("diagnostics", {})
+        if not isinstance(self.diagnostics, dict):
+            raise ConfigError("diagnostics must be a JSON object")
+        self.cost_bound_samples = _number(
+            self.diagnostics.get("cost_bound_samples", 200), int,
+            "cost_bound_samples")
         self.output_dir = raw.get("output_dir", "run")
         self.seed = _number(seed_override if seed_override is not None
                             else raw.get("seed", 0), int, "seed")
@@ -96,34 +109,52 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
     return ExperimentConfig(raw, seed_override)
 
 
+@contextmanager
+def _family_block():
+    """Report a malformed family block as a config error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"family block is missing {exc}")
+    except (SkelotError, ValueError) as exc:
+        raise ConfigError(f"family block invalid: {exc}")
+
+
 def _mumford_data(block: dict) -> co.MumfordData:
     axes = block.get("axes", [{}])
+    if not isinstance(axes, list) or not all(isinstance(a, dict) for a in axes):
+        raise ConfigError("family axes must be a list of objects")
     return co.MumfordData(tuple(
-        co.PhiAxis(base_slope=int(a.get("base_slope", 1)),
-                   quad=int(a.get("quad", 1)),
-                   period=int(a.get("period", 1)))
+        co.PhiAxis(base_slope=_number(a.get("base_slope", 1), int, "base_slope"),
+                   quad=_number(a.get("quad", 1), int, "quad"),
+                   period=_number(a.get("period", 1), int, "period"))
         for a in axes))
+
+
+def _intermediate_data(block: dict) -> fm.IntermediateData:
+    return fm.IntermediateData(
+        n=_number(block["n"], int, "n"), m=_number(block["m"], int, "m"),
+        d=tuple(_numbers(block["d"], int, "d")),
+        hilbert_M=tuple(_numbers(block["hilbert_M"], int, "hilbert_M")),
+        ln_norm=_number(block.get("ln_norm", 1.0), float, "ln_norm"))
 
 
 def build_problem(cfg: ExperimentConfig):
     """TransportProblem plus family-specific extras from the config block."""
     blk = cfg.family
     kind = blk["kind"]
-    try:
+    with _family_block():
         if kind == "toric":
             pair, problem = fm.toric_pair(blk["delta"], resolution=cfg.resolution(),
                                           ln_norm=blk.get("ln_norm"))
             return problem, {"pair": pair}
         if kind == "intermediate":
-            data = fm.IntermediateData(
-                n=int(blk["n"]), m=int(blk["m"]), d=tuple(blk["d"]),
-                hilbert_M=tuple(blk["hilbert_M"]),
-                ln_norm=float(blk.get("ln_norm", 1.0)))
+            data = _intermediate_data(blk)
             return fm.intermediate_family(data, resolution=cfg.resolution()), \
                 {"data": data}
         if kind == "abelian":
             data = _mumford_data(blk)
-            levels = [int(l) for l in blk.get("levels", [1, 2])]
+            levels = _numbers(blk.get("levels", [1, 2]), int, "levels")
             family, problem = fm.mumford_family(data, levels,
                                                 resolution=cfg.resolution())
             return problem, {"data": data, "family": family, "levels": levels}
@@ -132,10 +163,6 @@ def build_problem(cfg: ExperimentConfig):
             mu = DiscreteMeasure(pts, (0.5, 0.5), (0, 0), 1.0)
             zero = co.CostFunction(None, None, lambda x, p: F(0), lipschitz_x=0.0)
             return tp.TransportProblem(zero, mu, mu), {}
-    except KeyError as exc:
-        raise ConfigError(f"family block is missing {exc}")
-    except (SkelotError, ValueError) as exc:
-        raise ConfigError(f"family block invalid: {exc}")
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -210,7 +237,7 @@ def run(config_path: str, seed_override=None,
         family = extras["family"]
         levels = extras["levels"]
         samples = []
-        for _ in range(int(cfg.diagnostics.get("cost_bound_samples", 200))):
+        for _ in range(cfg.cost_bound_samples):
             l = rng.choice(levels)
             x = rng.choice(problem.mu0.points)
             p = rng.choice(family.labels(l))
@@ -296,13 +323,16 @@ def count_sections(config_path: str) -> int:
     blk = cfg.family
     if blk["kind"] != "intermediate":
         raise ConfigError("count-sections needs an intermediate family")
-    data = fm.IntermediateData(n=int(blk["n"]), m=int(blk["m"]),
-                               d=tuple(blk["d"]),
-                               hilbert_M=tuple(blk["hilbert_M"]))
+    with _family_block():
+        data = _intermediate_data(blk)
     rows = {}
     ok = True
-    for l in cfg.raw.get("levels", list(range(9))):
-        counts = fm.section_count(data, int(l))
+    for l in _numbers(cfg.raw.get("levels", list(range(9))), int, "levels"):
+        try:
+            counts = fm.section_count(data, l)
+        except SeriesDepthExceeded as exc:
+            # a level the configured series does not reach
+            raise ConfigError(f"level {l}: {exc}")
         rows[str(l)] = counts
         ok = ok and counts["enumerated"] == counts["series"]
     print(json.dumps(rows, sort_keys=True))
@@ -316,10 +346,18 @@ def hybrid(config_path: str) -> int:
     blk = cfg.family
     if blk["kind"] != "abelian":
         raise ConfigError("hybrid needs an abelian family")
-    data = _mumford_data(blk)
-    level = int(cfg.raw.get("level", 1))
-    schedule = [float(t) for t in cfg.raw.get("t_schedule", [1e-2, 1e-4, 1e-8])]
-    steps = int(cfg.raw.get("grid_steps", 16))
+    with _family_block():
+        data = _mumford_data(blk)
+    if data.rank != 1:
+        raise ConfigError("hybrid needs a rank-1 abelian family")
+    level = _number(cfg.raw.get("level", 1), int, "level")
+    steps = _number(cfg.raw.get("grid_steps", 16), int, "grid_steps")
+    if level < 1 or steps < 1:
+        raise ConfigError("level and grid_steps must be positive")
+    schedule = _numbers(cfg.raw.get("t_schedule", [1e-2, 1e-4, 1e-8]), float,
+                        "t_schedule")
+    if not all(0 < t < 1 for t in schedule):
+        raise ConfigError("t_schedule entries must lie in (0, 1)")
     grid = [(F(j, steps),) for j in range(steps)]
     labels = [(F(j, level),) for j in range(level * data.axes[0].period)]
     out = dg.hybrid_potential_curve(data, level, schedule, grid, labels)

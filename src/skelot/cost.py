@@ -32,27 +32,12 @@ class CostFunction:
     target: Optional[IntegralPolyhedralComplex]
     evaluator: Callable[[Sequence, Sequence], Fraction]
     lipschitz_x: float
-    convex_in_p: bool = False
     metadata: dict = field(default_factory=dict)
     # (source_points, target_points) -> (K, D) with entries c = K[i, j] / D
     exact_matrix: Optional[Callable] = None
 
     def __call__(self, x: Sequence, p: Sequence):
         return self.evaluator(x, p)
-
-    def boundary_face(self, p: Sequence) -> Optional[int]:
-        """Incident top face with the largest index (evaluation convention
-        for non-interior target points); records a boundary flag."""
-        if self.target is None:
-            return None
-        incident = self.target.top_faces_containing(p)
-        if not incident:
-            return None
-        lam = self.target.faces[incident[-1]].barycentric(as_point(p))
-        if len(incident) != 1 or lam is None or any(v <= 0 for v in lam):
-            self.metadata["boundary_evaluations"] = \
-                self.metadata.get("boundary_evaluations", 0) + 1
-        return incident[-1]
 
     def transpose(self) -> "CostFunction":
         """Swapped-role cost c^T(p, x) = c(x, p)."""
@@ -67,8 +52,7 @@ class CostFunction:
             source=self.target, target=self.source,
             evaluator=lambda p, x: ev(x, p),
             lipschitz_x=self.lipschitz_x,
-            convex_in_p=False,
-            metadata={**self.metadata, "transposed": True},
+            metadata=dict(self.metadata),
             exact_matrix=None if build is None else build_t)
 
 
@@ -119,7 +103,7 @@ def pairing_cost(source: IntegralPolyhedralComplex,
         float(sum(F(c) * F(c) for c in v)) ** 0.5
         for f in target.faces for v in f.vertices)
     return CostFunction(source, target, ev, lipschitz_x=lip,
-                        convex_in_p=True, metadata={"kind": "pairing"},
+                        metadata={"kind": "pairing"},
                         exact_matrix=pairing_matrix)
 
 
@@ -202,19 +186,6 @@ class MumfordData:
             g = a.period
             out.append(c - g * floor(c / g))
         return tuple(out)
-
-    def periodicity_defect(self, m: Sequence, gamma: Sequence[int]) -> Fraction:
-        """Phi(m+gamma) - Phi(m) minus its affine model; zero for valid data."""
-        pt = as_point(m)
-        defect = F(0)
-        for a, c, gk in zip(self.axes, pt, gamma):
-            g = gk * a.period
-            # affine model evaluated from the slope recursion at two points
-            d0 = a.value(F(g)) - a.value(F(0))
-            d1 = a.value(F(g) + 1) - a.value(F(1))
-            affine = d0 + (d1 - d0) * c
-            defect += a.value(c + g) - a.value(c) - affine
-        return defect
 
 
 _MAX_RADIUS = 4096
@@ -308,9 +279,24 @@ def abelian_cost(data: MumfordData,
     lip = float(sum((8 * a.period) ** 2 for a in data.axes)) ** 0.5
     return CostFunction(source, target,
                         lambda x, p: abelian_theta_cost(data, x, p),
-                        lipschitz_x=lip, convex_in_p=True,
+                        lipschitz_x=lip,
                         metadata={"kind": "abelian", "exact": True},
                         exact_matrix=lambda xs, ps: theta_matrix(data, xs, ps))
+
+
+def certified_window(data: MumfordData, level: int) -> int:
+    """Window radius whose argmin stays interior for all fundamental-domain
+    evaluations; the per-axis argmin is monotone in x, so the endpoints
+    certify everything in between."""
+    radius = 4
+    for axis in data.axes:
+        g = axis.period
+        for p_num in range(level * g):
+            p = F(p_num, level)
+            for x in (F(0), F(g)):
+                _, k = _axis_argmin(axis, x, p)
+                radius = max(radius, abs(k) + 2)
+    return radius
 
 
 def theta_section(data: MumfordData, level: int, label: Sequence,
@@ -381,25 +367,6 @@ class ThetaFamily:
         if self.multiplicity is None:
             return 1
         return self.multiplicity.get((level, tuple(label)), 1)
-
-
-def fekete_cost_estimate(family: ThetaFamily, x: Sequence, p: Sequence,
-                         level_schedule: Sequence[int]) -> dict:
-    """Level-normalized valuations -val/l along a schedule of levels.
-
-    The supremum over levels is a certified lower bound for the limit cost;
-    the last level is reported as the running estimate.
-    """
-    per_level = []
-    for l in level_schedule:
-        label = family.nearest_label(l, p)
-        sec = family.section_at(l, label)
-        per_level.append(-F(val_at(sec, x)) / l)
-    return {
-        "per_level": per_level,
-        "estimate": per_level[-1],
-        "lower_bound": max(per_level),
-    }
 
 
 # -- bound verification ------------------------------------------------------------

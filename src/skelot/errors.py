@@ -39,10 +39,6 @@ class TieOnRegion(SkelotError):
     pass
 
 
-class TruncationExhausted(SkelotError):
-    pass
-
-
 # -- cost ------------------------------------------------------------------
 
 class DimensionMismatch(SkelotError):

@@ -16,13 +16,12 @@ from typing import Optional, Sequence
 
 from . import _linalg
 from .cost import (
-    CostFunction,
     MumfordData,
     ThetaFamily,
     abelian_cost,
+    certified_window,
     pairing_cost,
     theta_section,
-    _axis_argmin,
 )
 from .errors import (
     InvariantViolation,
@@ -265,21 +264,6 @@ def _torus_unit() -> IntegralPolyhedralComplex:
     return IntegralPolyhedralComplex(faces, gluings)
 
 
-def _certified_window(data: MumfordData, level: int) -> int:
-    """Window radius whose argmin stays interior for all fundamental-domain
-    evaluations; the per-axis argmin is monotone in x, so the endpoints
-    certify everything in between."""
-    radius = 4
-    for axis in data.axes:
-        g = axis.period
-        for p_num in range(level * g):
-            p = F(p_num, level)
-            for x in (F(0), F(g)):
-                _, k = _axis_argmin(axis, x, p)
-                radius = max(radius, abs(k) + 2)
-    return radius
-
-
 def _level_labels(data: MumfordData, level: int) -> list[Point]:
     labels: list[tuple] = [()]
     for axis in data.axes:
@@ -295,7 +279,7 @@ def mumford_family(data: MumfordData, levels: Sequence[int],
     Uniform measures on the quotient circle (rank 1) or unit torus (rank 2,
     unit periods); the cost is the closed-form periodic theta cost.
     """
-    window = _certified_window(data, max(levels))
+    window = certified_window(data, max(levels))
     fam = ThetaFamily({
         l: tuple(theta_section(data, l, lab, window=window)
                  for lab in _level_labels(data, l))

@@ -8,9 +8,9 @@ a multiplicity vector b when the face sits in the normalized form
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -191,9 +191,6 @@ class IntegralPolyhedralComplex:
 
     def top_faces(self) -> list[int]:
         return [i for i, f in enumerate(self.faces) if f.dim == self.dim]
-
-    def top_faces_containing(self, point: Sequence) -> list[int]:
-        return [i for i in self.top_faces() if self.faces[i].contains(point)]
 
     def canonical_point(self, point: Sequence) -> Point:
         """Smallest representative of the gluing orbit of a point."""

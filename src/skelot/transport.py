@@ -129,14 +129,6 @@ def c_transform(f: PotentialField, cost, grid: Sequence,
     return PotentialField(grid, vals, argmax=args)
 
 
-def project_Pc(f: PotentialField, cost, opposite_grid: Sequence,
-               direction: str = "source_to_target") -> PotentialField:
-    """(f^c)^c on f's own grid; <= f pointwise and idempotent."""
-    back = "target_to_source" if direction == "source_to_target" else "source_to_target"
-    fc = c_transform(f, cost, opposite_grid, direction)
-    return c_transform(fc, cost, f.points, back)
-
-
 class TransportProblem:
     """Cost + marginals + weight + normalization: one variational instance."""
 

@@ -2,19 +2,16 @@
 
 A section is a finite set of monomial terms; its valuation at a point x of a
 face is min over terms of <x, alpha> + t_order.  Wall detection, equivalence
-classes of exponents and the independence verdict are exact (Fraction); only
-the Lipschitz bound uses floats.
+classes of exponents and the independence verdict are exact (Fraction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .errors import PointOffFace, TieOnRegion, TruncationExhausted
+from .errors import PointOffFace, TieOnRegion
 from .polyhedral import Face, Point, as_point
 
 
@@ -237,175 +234,3 @@ def check_valuative_independence(
                     witness=IndependenceWitness(tuple(members), tuple(ker),
                                                 region.sample))
     return IndependenceVerdict(independent=True)
-
-
-# -- truncated series row reduction --------------------------------------------
-
-
-@dataclass(frozen=True)
-class TSeries:
-    """Truncated Laurent series in t with exact rational coefficients."""
-
-    coeffs: tuple[tuple[int, Fraction], ...]  # sorted, nonzero
-    truncation: int
-
-    @staticmethod
-    def make(data, truncation: int) -> "TSeries":
-        if isinstance(data, dict):
-            items = data.items()
-        else:  # polynomial coefficient list starting at t^0
-            items = enumerate(data)
-        coeffs = tuple(sorted((int(k), Fraction(v)) for k, v in items
-                              if Fraction(v) != 0 and int(k) < truncation))
-        return TSeries(coeffs, int(truncation))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def constant(self) -> Fraction:
-        for k, v in self.coeffs:
-            if k == 0:
-                return v
-        return Fraction(0)
-
-    def valuation(self) -> Optional[int]:
-        return self.coeffs[0][0] if self.coeffs else None
-
-    def add(self, other: "TSeries") -> "TSeries":
-        trunc = min(self.truncation, other.truncation)
-        acc: dict[int, Fraction] = dict(self.coeffs)
-        for k, v in other.coeffs:
-            acc[k] = acc.get(k, Fraction(0)) + v
-        return TSeries.make(acc, trunc)
-
-    def scale(self, c) -> "TSeries":
-        c = Fraction(c)
-        return TSeries.make({k: c * v for k, v in self.coeffs}, self.truncation)
-
-    def shift(self, n: int) -> "TSeries":
-        return TSeries(tuple((k + n, v) for k, v in self.coeffs),
-                       self.truncation + n)
-
-    def mul(self, other: "TSeries") -> "TSeries":
-        lo_s = self.coeffs[0][0] if self.coeffs else 0
-        lo_o = other.coeffs[0][0] if other.coeffs else 0
-        trunc = min(self.truncation + lo_o, other.truncation + lo_s)
-        acc: dict[int, Fraction] = {}
-        for k1, v1 in self.coeffs:
-            for k2, v2 in other.coeffs:
-                if k1 + k2 < trunc:
-                    acc[k1 + k2] = acc.get(k1 + k2, Fraction(0)) + v1 * v2
-        return TSeries.make(acc, trunc)
-
-
-@dataclass(frozen=True)
-class SeriesMatrix:
-    entries: tuple[tuple[TSeries, ...], ...]
-    truncation_order: int = 16
-
-    @staticmethod
-    def make(rows, truncation_order: int = 16) -> "SeriesMatrix":
-        out = []
-        for row in rows:
-            out.append(tuple(e if isinstance(e, TSeries)
-                             else TSeries.make(e, truncation_order) for e in row))
-        return SeriesMatrix(tuple(out), truncation_order)
-
-    def matmul(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        n = len(other.entries[0])
-        rows = []
-        for row in self.entries:
-            out_row = []
-            for j in range(n):
-                acc = TSeries((), self.truncation_order)
-                for k, e in enumerate(row):
-                    acc = acc.add(e.mul(other.entries[k][j]))
-                out_row.append(acc)
-            rows.append(tuple(out_row))
-        return SeriesMatrix(tuple(rows), self.truncation_order)
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    transform: SeriesMatrix
-    reduced: SeriesMatrix
-    pivot_count: int
-    mu_shifted: tuple
-    row_order: tuple[int, ...]
-
-
-def series_row_reduce(system: SeriesMatrix, mu: Sequence) -> ReducedSystem:
-    """Row reduction over truncated series by constant-term elimination.
-
-    Rows are processed in order of decreasing mu; eliminating a row's constant
-    terms against the pivot rows either exposes a new pivot or makes the row
-    divisible by t, in which case it is divided and its exponent shifted up by
-    one.  The accumulated transform is invertible (permutation, unit constant
-    eliminations, and t-shifts).
-    """
-    nrows = len(system.entries)
-    ncols = len(system.entries[0]) if nrows else 0
-    order = sorted(range(nrows), key=lambda i: (-Fraction(mu[i]), i))
-    rows = [list(system.entries[i]) for i in order]
-    mu_s = [Fraction(mu[i]) for i in order]
-    trunc = system.truncation_order
-    ident = [[TSeries.make({0: 1} if i == j else {}, trunc) for j in range(nrows)]
-             for i in range(nrows)]
-    transform = [list(ident[i]) for i in range(nrows)]
-
-    pivots: list[int] = []  # row indices that hold pivots
-
-    def const_vec(r: int) -> list[Fraction]:
-        return [e.constant() for e in rows[r]]
-
-    for r in range(nrows):
-        shifts = 0
-        while True:
-            # eliminate against existing pivots on constant terms
-            for p in pivots:
-                pc = const_vec(p)
-                rc = const_vec(r)
-                lead = next((j for j, v in enumerate(pc) if v != 0), None)
-                if lead is not None and rc[lead] != 0:
-                    lam = rc[lead] / pc[lead]
-                    rows[r] = [a.add(bb.scale(-lam)) for a, bb in zip(rows[r], rows[p])]
-                    transform[r] = [a.add(bb.scale(-lam))
-                                    for a, bb in zip(transform[r], transform[p])]
-            rc = const_vec(r)
-            if any(v != 0 for v in rc):
-                pivots.append(r)
-                break
-            if all(e.is_zero() for e in rows[r]):
-                break  # genuinely zero row: dropped, not a pivot
-            shifts += 1
-            if shifts > trunc:
-                raise TruncationExhausted("row reduction needs more t-depth")
-            rows[r] = [e.shift(-1) for e in rows[r]]
-            transform[r] = [e.shift(-1) for e in transform[r]]
-            mu_s[r] += 1
-
-    # normalize pivot rows so pivot constants lead with nonzero entries first
-    reduced = SeriesMatrix(tuple(tuple(row) for row in rows), trunc)
-    tmat = SeriesMatrix(tuple(tuple(row) for row in transform), trunc)
-    return ReducedSystem(transform=tmat, reduced=reduced,
-                         pivot_count=len(pivots),
-                         mu_shifted=tuple(mu_s), row_order=tuple(order))
-
-
-# -- Lipschitz bound -------------------------------------------------------------
-
-
-def lipschitz_bound(section: TropicalSection, face: Face) -> float:
-    """Upper Lipschitz constant of level-normalized val_at on the face.
-
-    Chart: ambient-Euclidean (the face's lattice basis orthonormalized by QR).
-    """
-    if face.dim == 0:
-        return 0.0
-    basis = np.array(face.lattice_basis, dtype=float).T  # ambient x m
-    q, _ = np.linalg.qr(basis)
-    best = 0.0
-    for t in section.terms:
-        grad = q.T @ np.array(t.exponent, dtype=float)
-        best = max(best, float(np.linalg.norm(grad)))
-    return best / section.level

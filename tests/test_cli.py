@@ -103,6 +103,24 @@ def test_solve_abelian_with_oracle(tmp_path):
     assert os.path.exists(os.path.join(out, "plan.csv"))
 
 
+def test_solve_intermediate_with_oracle(tmp_path):
+    cfg = {
+        "family": {"kind": "intermediate", "n": 3, "m": 1, "d": [2, 2],
+                   "hilbert_M": [1, 4, 10, 20, 35, 56, 84, 120, 165],
+                   "resolution": "1/8"},
+        "oracle": True,
+        "diagnostics": {"pushforward": True},
+    }
+    code, out = run_cfg(tmp_path, cfg)
+    assert code == 0
+    result = json.loads(open(os.path.join(out, "result.json")).read())
+    assert result["converged"] is True
+    assert abs(result["value"] - result["lp_value"]) <= 1e-9
+    diag = json.loads(open(os.path.join(out, "diagnostics.json")).read())
+    duality = [a for a in diag["assertions"] if a["name"] == "strong_duality"]
+    assert len(duality) == 1 and duality[0]["pass"]
+
+
 def test_solve_seed_override_recorded(tmp_path):
     code, out = run_cfg(tmp_path, ABELIAN_CFG, extra=["--seed", "99"])
     assert code == 0
@@ -241,6 +259,44 @@ def test_hybrid_command(tmp_path, capsys):
 def test_hybrid_wrong_family(tmp_path):
     cfg = {"family": {"kind": "zero"}}
     assert cli.main(["hybrid", write_cfg(tmp_path, cfg)]) == 2
+
+
+INTERMEDIATE = {"kind": "intermediate", "n": 3, "m": 1, "d": [2, 2],
+                "hilbert_M": [1, 4, 10]}
+CIRCLE = {"kind": "abelian", "axes": [{}], "resolution": "1/4"}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("count-sections", {"family": {"kind": "intermediate"}},
+                 id="count-missing-n"),
+    pytest.param("count-sections", {"family": INTERMEDIATE, "levels": ["x"]},
+                 id="count-level-string"),
+    pytest.param("count-sections", {"family": INTERMEDIATE, "levels": [5]},
+                 id="count-level-beyond-series"),
+    pytest.param("hybrid", {"family": CIRCLE, "level": "x"},
+                 id="hybrid-level-string"),
+    pytest.param("hybrid", {"family": CIRCLE, "level": 0},
+                 id="hybrid-level-zero"),
+    pytest.param("hybrid", {"family": CIRCLE, "t_schedule": ["x"]},
+                 id="hybrid-t-string"),
+    pytest.param("hybrid", {"family": CIRCLE, "t_schedule": [2]},
+                 id="hybrid-t-above-one"),
+    pytest.param("hybrid", {"family": {**CIRCLE, "axes": [{"quad": "x"}]}},
+                 id="hybrid-quad-string"),
+    pytest.param("hybrid", {"family": {**CIRCLE, "axes": "x"}},
+                 id="hybrid-axes-not-list"),
+    pytest.param("hybrid", {"family": {**CIRCLE, "axes": [{}, {}]}},
+                 id="hybrid-rank-2"),
+    pytest.param("solve", {"family": CIRCLE, "diagnostics": {
+        "cost_bounds": True, "cost_bound_samples": "x"}},
+                 id="solve-samples-string"),
+    pytest.param("solve", {"family": CIRCLE, "diagnostics": "x"},
+                 id="solve-diagnostics-not-object"),
+])
+def test_malformed_config_exit_code(tmp_path, capsys, command, cfg):
+    cfg = {**cfg, "output_dir": str(tmp_path / "run")}
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_diagnose_ma(tmp_path, capsys):

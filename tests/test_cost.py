@@ -1,4 +1,4 @@
-"""Pairing cost, periodic theta cost, Fekete estimates, bound checks."""
+"""Pairing cost, periodic theta cost, theta families, bound checks."""
 
 from fractions import Fraction
 
@@ -37,7 +37,6 @@ def test_pairing_values():
     c = co.pairing_cost(tri, tri)
     assert c((1, 0), (2, -1)) == 2
     assert c((1, 0), (-1, -1)) == -1
-    assert c.convex_in_p
 
 
 def test_pairing_transpose_swaps_roles():
@@ -52,16 +51,6 @@ def test_pairing_dimension_mismatch():
                         polygon_boundary_complex([(1, 0), (0, 1), (-1, -1)]))
 
 
-def test_boundary_face_picks_largest_index():
-    seg = segment_complex(0, 1)
-    c = co.pairing_cost(seg, seg)
-    interior = c.boundary_face((F(1, 2),))
-    assert interior is not None
-    assert "boundary_evaluations" not in c.metadata
-    c.boundary_face((F(1),))
-    assert c.metadata["boundary_evaluations"] == 1
-
-
 # -- convex PL data ---------------------------------------------------------------
 
 
@@ -70,12 +59,6 @@ def test_phi_default_values():
         assert RANK1.phi((k,)) == F(k * (k + 1), 2)
     assert RANK1.phi((F(1, 2),)) == F(1, 2)
     assert RANK1.phi((F(3, 2),)) == 2
-
-
-@given(num=st.integers(-40, 40), den=st.integers(1, 12), gk=st.integers(-3, 3))
-@settings(deadline=None, max_examples=80)
-def test_phi_periodicity_defect_zero(num, den, gk):
-    assert RANK1.periodicity_defect((F(num, den),), (gk,)) == 0
 
 
 def test_reduce_canonical_lift():
@@ -176,29 +159,6 @@ def test_nearest_label_lex_tiebreak():
     fam = rank1_family([4])
     # 3/8 is equidistant from 1/4 and 1/2; the lexicographically smaller wins
     assert fam.nearest_label(4, (F(3, 8),)) == (F(1, 4),)
-
-
-def test_fekete_constant_on_homogeneous_family():
-    fam = rank1_family([1, 2, 4, 8])
-    x, p = (F(1, 4),), (F(1, 2),)
-    out = co.fekete_cost_estimate(fam, x, p, [2, 4, 8])
-    want = co.abelian_theta_cost(RANK1, x, p)
-    assert out["per_level"] == [want, want, want]
-    assert out["estimate"] == want
-    assert out["lower_bound"] == want
-
-
-def test_fekete_monotone_synthetic():
-    # -val = l + 1 everywhere gives per-level estimates 1 + 1/l
-    from skelot.tropical import MonomialTerm, TropicalSection
-    levels = {l: (TropicalSection((MonomialTerm((0,), -(l + 1), "s"),),
-                                  level=l, label=(F(0),)),)
-              for l in (1, 2, 4)}
-    fam = co.ThetaFamily(levels)
-    out = co.fekete_cost_estimate(fam, (F(0),), (F(0),), [1, 2, 4])
-    assert out["per_level"] == [F(2), F(3, 2), F(5, 4)]
-    assert out["lower_bound"] == F(2)
-    assert out["estimate"] == F(5, 4)
 
 
 def test_family_multiplicity_default_and_override():

@@ -39,7 +39,7 @@ def grid1d(lo, hi, steps):
 
 PAIR = co.CostFunction(None, None,
                        lambda x, p: sum(F(a) * F(b) for a, b in zip(x, p)),
-                       lipschitz_x=1.0, convex_in_p=True)
+                       lipschitz_x=1.0)
 
 
 def field(points, values):
@@ -109,9 +109,11 @@ def test_triple_transform_bit_exact(vals):
 def test_double_transform_below_and_idempotent(vals):
     grid = grid1d(-1, 1, len(vals) - 1)
     f = field(grid, vals)
-    proj = tp.project_Pc(f, PAIR, grid)
+    proj = tp.c_transform(tp.c_transform(f, PAIR, grid), PAIR, grid,
+                          "target_to_source")
     assert all(p <= v for p, v in zip(proj.values, f.values))
-    again = tp.project_Pc(proj, PAIR, grid)
+    again = tp.c_transform(tp.c_transform(proj, PAIR, grid), PAIR, grid,
+                           "target_to_source")
     assert again.values == proj.values
 
 

@@ -1,4 +1,4 @@
-"""Valuations, walls, exponent classes, independence, series reduction."""
+"""Valuations, walls, exponent classes, independence."""
 
 from fractions import Fraction
 
@@ -189,70 +189,3 @@ def test_independence_matches_brute_force_oracle():
     assert not oracle_says_independent(bad)
     assert tr.check_valuative_independence(indep, EDGE_FACE, good).independent
     assert not tr.check_valuative_independence(indep, EDGE_FACE, bad).independent
-
-
-# -- series row reduction --------------------------------------------------------
-
-
-def entries_equal(a, b):
-    trunc = min(a.truncation, b.truncation)
-    da = {k: v for k, v in a.coeffs if k < trunc}
-    db = {k: v for k, v in b.coeffs if k < trunc}
-    return da == db
-
-
-def assert_transform_consistent(system, result):
-    reordered = tr.SeriesMatrix(
-        tuple(system.entries[i] for i in result.row_order), system.truncation_order)
-    prod = result.transform.matmul(reordered)
-    for prow, rrow in zip(prod.entries, result.reduced.entries):
-        for pe, re in zip(prow, rrow):
-            assert entries_equal(pe, re)
-
-
-def test_series_reduce_dependent_rows():
-    system = tr.SeriesMatrix.make([[{0: 1}, {1: 1}], [{1: 1}, {2: 1}]])
-    result = tr.series_row_reduce(system, [0, 0])
-    assert result.pivot_count == 1
-    assert_transform_consistent(system, result)
-
-
-def test_series_reduce_identity():
-    system = tr.SeriesMatrix.make([[{0: 1}, {}], [{}, {0: 1}]])
-    result = tr.series_row_reduce(system, [0, 0])
-    assert result.pivot_count == 2
-    assert result.mu_shifted == (0, 0)
-    assert_transform_consistent(system, result)
-
-
-def test_series_reduce_proportional_after_division():
-    system = tr.SeriesMatrix.make([[{1: 1}, {1: 1}], [{0: 1}, {0: 1}]])
-    result = tr.series_row_reduce(system, [1, 0])
-    assert result.pivot_count == 1
-    # the shifted exponent moved up by an integer
-    assert all(m2 - m1 in (0, 1, 2) for m1, m2 in zip([1, 0], result.mu_shifted))
-    assert_transform_consistent(system, result)
-
-
-# -- lipschitz bound ---------------------------------------------------------------
-
-
-def test_lipschitz_single_linear_form():
-    s = section(((1, 0), 0, "a"))
-    got = tr.lipschitz_bound(s, EDGE_FACE)
-    assert abs(got - 2 ** -0.5) < 1e-12
-
-
-def test_lipschitz_level_homogeneous():
-    s1 = section(((3, -1), 0, "a"), level=1)
-    s5 = section(((15, -5), 0, "a"), level=5)
-    assert abs(tr.lipschitz_bound(s1, EDGE_FACE) -
-               tr.lipschitz_bound(s5, EDGE_FACE)) < 1e-12
-
-
-def test_lipschitz_two_terms_max():
-    a = section(((1, 0), 0, "a"))
-    b = section(((0, 3), 0, "b"))
-    both = section(((1, 0), 0, "a"), ((0, 3), 0, "b"))
-    assert tr.lipschitz_bound(both, EDGE_FACE) == max(
-        tr.lipschitz_bound(a, EDGE_FACE), tr.lipschitz_bound(b, EDGE_FACE))
