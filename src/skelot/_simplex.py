@@ -2,9 +2,12 @@
 
 Independent of the flow-based solver on purpose: the two routes cross-check
 each other.  Flows are exact rationals on a lexicographically perturbed
-problem, so no basis is ever degenerate and pivoting cannot cycle; pivot
-pricing uses floats for speed.  The returned flows are re-solved on the
-final basis tree with the unperturbed marginals, hence exact.
+problem, so no basis is ever degenerate and pivoting cannot cycle.  Floats
+only shortlist the entering cell: when float pricing finds none, the exact
+reduced costs of every cell are computed, and the solver stops only when
+none is positive, so the returned duals are exactly feasible.  The returned
+flows are re-solved on the final basis tree with the unperturbed marginals,
+hence exact.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cost import matrix_floats, over_lcm
 from .errors import InfeasibleMarginals, NotConverged
 
 F = Fraction
@@ -149,6 +153,24 @@ def _resolve_on_tree(basis, a, b, n, m):
     return flows
 
 
+def _exact_entering(basis, C_exact, K, D, n, m):
+    """Cell of largest positive exact reduced cost C[i][j] - u_i - v_j,
+    lowest index on ties, or None when the exact duals are feasible.
+
+    C = K / D, and tree duals are sums of +-C entries, so u_i D and v_j D
+    are integers and the reduced costs are compared as integers.
+    """
+    u, v = _tree_duals(basis, C_exact, n, m, F(0))
+    V = np.array([int(y * D) for y in v], dtype=object)
+    best, enter = 0, None
+    for i, ui in enumerate(u):
+        r = K[i] - (int(ui * D) + V)  # one row at a time keeps memory flat
+        j = int(np.argmax(r))
+        if r[j] > best:
+            best, enter = r[j], (i, j)
+    return enter
+
+
 def solve_exact(C_exact: Sequence[Sequence[Fraction]],
                 a: Sequence[Fraction], b: Sequence[Fraction]):
     """max sum C*x over transportation plans; exact marginals required.
@@ -165,7 +187,8 @@ def solve_exact(C_exact: Sequence[Sequence[Fraction]],
     bp[-1] = (F(b[-1]), F(n))
     basis = _northwest_corner(ap, bp)
 
-    Cf = np.array([[float(c) for c in row] for row in C_exact])
+    K, D = over_lcm(C_exact, m)
+    Cf = matrix_floats(K, D)
     scale = 1.0 + float(np.abs(Cf).max()) if Cf.size else 1.0
     stop_tol = 1e-11 * scale
     max_pivots = 60 * (n + m) + 2000
@@ -176,11 +199,14 @@ def solve_exact(C_exact: Sequence[Sequence[Fraction]],
         for (i, j) in basis:
             red[i, j] = -np.inf
         ei, ej = np.unravel_index(int(np.argmax(red)), red.shape)
+        enter = (int(ei), int(ej))
         if red[ei, ej] <= stop_tol:
-            break
+            enter = _exact_entering(basis, C_exact, K, D, n, m)
+            if enter is None:
+                break
         if pivot == max_pivots:
             raise NotConverged("pivot budget exhausted in the exact solver")
-        cells = _find_cycle(basis, (int(ei), int(ej)), n, m)
+        cells = _find_cycle(basis, enter, n, m)
         minus = cells[1::2]
         theta = min(basis[c] for c in minus)
         leave = min(c for c in minus if basis[c] == theta)
@@ -191,7 +217,7 @@ def solve_exact(C_exact: Sequence[Sequence[Fraction]],
             elif cell in cells[0::2]:
                 fl = _pv_add(fl, theta)
             newb[cell] = fl
-        newb[(int(ei), int(ej))] = theta
+        newb[enter] = theta
         del newb[leave]
         basis = newb
 

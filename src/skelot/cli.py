@@ -116,7 +116,7 @@ def _family_block():
         yield
     except KeyError as exc:
         raise ConfigError(f"family block is missing {exc}")
-    except (SkelotError, ValueError) as exc:
+    except (SkelotError, TypeError, ValueError) as exc:
         raise ConfigError(f"family block invalid: {exc}")
 
 

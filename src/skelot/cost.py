@@ -5,16 +5,17 @@ boundary complexes, the level-normalized limit of theta valuations, and the
 closed-form periodic theta cost (level-homogeneous, so the level-1 value
 already equals the limit).
 
-The pairing and theta costs also build whole matrices exactly: on grids in
-(1/l)Z^d every entry is an integer K[i, j] over one common denominator D, so
-a matrix is one integer array and D instead of a Fraction per entry.
+Every cost builds whole matrices exactly, as one integer array K and one
+common denominator D with entries c = K[i, j] / D.  The pairing and theta
+costs have closed-form builders (on grids in (1/l)Z^d); any other cost gets
+an entrywise builder that calls the cost once per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, inf, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,11 +34,20 @@ class CostFunction:
     evaluator: Callable[[Sequence, Sequence], Fraction]
     lipschitz_x: float
     metadata: dict = field(default_factory=dict)
-    # (source_points, target_points) -> (K, D) with entries c = K[i, j] / D
+    # (source_points, target_points) -> (K, D) with entries c = K[i, j] / D;
+    # None means the entrywise builder
     exact_matrix: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.exact_matrix is None:
+            self.exact_matrix = self._entrywise_matrix
 
     def __call__(self, x: Sequence, p: Sequence):
         return self.evaluator(x, p)
+
+    def _entrywise_matrix(self, xs: Sequence, ps: Sequence) -> tuple:
+        """(K, D) from one call per pair."""
+        return over_lcm([[F(self(x, p)) for p in ps] for x in xs], len(ps))
 
     def transpose(self) -> "CostFunction":
         """Swapped-role cost c^T(p, x) = c(x, p)."""
@@ -53,7 +63,7 @@ class CostFunction:
             evaluator=lambda p, x: ev(x, p),
             lipschitz_x=self.lipschitz_x,
             metadata=dict(self.metadata),
-            exact_matrix=None if build is None else build_t)
+            exact_matrix=build_t)
 
 
 # -- exact integer matrices --------------------------------------------------------
@@ -80,13 +90,34 @@ def _int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
+def over_lcm(rows: Sequence[Sequence[Fraction]],
+             width: int) -> tuple[np.ndarray, int]:
+    """A Fraction matrix of `width` columns as (K, D), D the lcm of its
+    denominators."""
+    D = lcm(*(c.denominator for row in rows for c in row))
+    K = [[c.numerator * (D // c.denominator) for c in row] for row in rows]
+    bound = max((abs(k) for row in K for k in row), default=0)
+    return np.array(K, dtype=_int_dtype(bound)).reshape(len(rows), width), D
+
+
+def ratio_float(k: int, d: int) -> float:
+    """k / d (d > 0) rounded to nearest, saturating to an infinity where the
+    quotient is beyond the float range."""
+    try:
+        return k / d
+    except OverflowError:
+        return inf if k > 0 else -inf
+
+
 def matrix_floats(K: np.ndarray, D: int) -> np.ndarray:
-    """K / D rounded to nearest, entry by entry equal to float(Fraction(k, D))."""
+    """K / D rounded to nearest, entry by entry equal to float(Fraction(k, D))
+    where that is finite, and the infinity of its sign where it overflows."""
     limit = 2 ** 53  # int64 -> float64 is exact below this; then one division
     if K.dtype != object and D < limit and (K.size == 0 or
                                             int(np.abs(K).max()) < limit):
         return K / D
-    return np.array([[k / D for k in row] for row in K.tolist()], dtype=float)
+    return np.array([[ratio_float(k, D) for k in row] for row in K.tolist()],
+                    dtype=float)
 
 
 def pairing_cost(source: IntegralPolyhedralComplex,

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import _linalg
 from .errors import (
     InconsistentGluing,
@@ -111,17 +109,6 @@ class Face:
             v0 + sum(Fraction(b[i]) * tk for b, tk in zip(self.lattice_basis, t))
             for i, v0 in enumerate(self.vertices[0]))
 
-    def lattice_volume(self) -> Fraction:
-        """Volume of the simplex in lattice-chart coordinates."""
-        if self.dim == 0:
-            return Fraction(0)
-        charts = [self.chart(v) for v in self.vertices]
-        mat = [[b - a for a, b in zip(charts[0], c)] for c in charts[1:]]
-        vol = abs(_linalg.det(mat))
-        for k in range(2, self.dim + 1):
-            vol /= k
-        return vol
-
 
 @dataclass(frozen=True)
 class Gluing:
@@ -161,12 +148,6 @@ class DiscreteMeasure:
             raise ValueError("negative weight in measure")
         if abs(sum(w) - self.total_mass) > 1e-12 * max(1.0, abs(self.total_mass)):
             raise ValueError("weights do not sum to the declared total mass")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
 
     def normalized(self) -> "DiscreteMeasure":
         s = sum(self.weights)
@@ -317,16 +298,6 @@ def rational_points(complex: IntegralPolyhedralComplex, l: int) -> list[Point]:
 
 
 # -- measures ------------------------------------------------------------------
-
-def face_measure(face: Face, face_weight, allow_point_mass: bool = False) -> Fraction:
-    """Total mass of the Lebesgue density (lattice chart) scaled by face_weight."""
-    w = Fraction(face_weight)
-    if face.dim == 0:
-        if not allow_point_mass:
-            raise ZeroDimensionalFace("point masses must be requested explicitly")
-        return w
-    return face.lattice_volume() * w
-
 
 def _level_from_resolution(h) -> int:
     hf = Fraction(h) if not isinstance(h, float) else Fraction(h).limit_denominator(10**9)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _flow, _simplex
-from .cost import CostFunction, ThetaFamily, matrix_floats
+from .cost import CostFunction, ThetaFamily, matrix_floats, ratio_float
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
 from .tropical import val_at
@@ -53,28 +53,21 @@ class PotentialField:
         return PotentialField(self.points, tuple(v + a for v in self.values))
 
 
-def _float(q: Fraction) -> float:
-    """Nearest float, saturating to an infinity where float() overflows."""
-    try:
-        return float(q)
-    except OverflowError:
-        return inf if q > 0 else -inf
+def _exact_argmax(K: np.ndarray, D: int, C: np.ndarray,
+                  values: Sequence) -> tuple:
+    """Per column j, max over i of K[i, j] / D - values[i], exactly.
 
-
-def _exact_argmax(C: np.ndarray, entry: Callable, values: Sequence) -> tuple:
-    """Per column j, max over i of entry(i, j) - values[i], exactly.
-
-    C[i, j] is entry(i, j) rounded to nearest.  Each float score
-    C[i, j] - float(values[i]) takes three roundings of relative size
-    2^-53, so it lies within e = 2^-50 (max|C| + max|values|) (plus the
-    smallest normal float, for underflow) of the exact score.  An index
-    whose score is more than 2e below its column's float maximum is
-    therefore strictly worse than the exact maximum; the rest are compared
-    exactly in ascending index with strict >, so ties go to the lowest
-    index.  Floats never decide: if a score is not finite, every index is
-    a candidate.  Returns the exact maxima and their indices.
+    C is matrix_floats(K, D).  Each float score C[i, j] - float(values[i])
+    takes three roundings of relative size 2^-53, so it lies within
+    e = 2^-50 (max|C| + max|values|) (plus the smallest normal float, for
+    underflow) of the exact score.  An index whose score is more than 2e
+    below its column's float maximum is therefore strictly worse than the
+    exact maximum; the rest are compared exactly in ascending index with
+    strict >, so ties go to the lowest index.  Floats never decide: if a
+    score is not finite, every index is a candidate.  Returns the exact
+    maxima and their indices.
     """
-    phi = np.array([_float(v) for v in values])
+    phi = np.array([ratio_float(v.numerator, v.denominator) for v in values])
     with np.errstate(over="ignore", invalid="ignore"):
         S = C - phi[:, None]
         if np.isfinite(S).all():
@@ -87,45 +80,29 @@ def _exact_argmax(C: np.ndarray, entry: Callable, values: Sequence) -> tuple:
     arg = [-1] * S.shape[1]
     cols, rows = np.nonzero(keep.T)  # by column, rows ascending
     for j, i in zip(cols.tolist(), rows.tolist()):
-        v = entry(i, j) - values[i]
+        v = F(int(K[i, j]), D) - values[i]
         if best[j] is None or v > best[j]:
             best[j], arg[j] = v, i
     return tuple(best), tuple(arg)
 
 
-def _cost_matrix(cost, rows: Sequence, cols: Sequence) -> tuple:
-    """Floats of cost(rows[i], cols[j]) and its exact entry(i, j)."""
-    build = getattr(cost, "exact_matrix", None)
-    if build is not None:
-        K, D = build(rows, cols)
-        return matrix_floats(K, D), _ratio_entry(K, D)
-    exact = [[F(cost(x, p)) for p in cols] for x in rows]
-    floats = np.array([[_float(c) for c in row] for row in exact])
-    return floats, lambda i, j: exact[i][j]
-
-
-def _ratio_entry(K: np.ndarray, D: int) -> Callable:
-    return lambda i, j: F(int(K[i, j]), D)
-
-
-def c_transform(f: PotentialField, cost, grid: Sequence,
+def c_transform(f: PotentialField, cost: CostFunction, grid: Sequence,
                 direction: str = "source_to_target") -> PotentialField:
     """f^c(y) = max over the grid of f of c(.,.) - f, exactly.
 
-    cost may be a CostFunction or any callable taking exact coordinates;
-    ties go to the lowest index and the argmax indices are retained.
+    Ties go to the lowest index and the argmax indices are retained.
     """
     grid = tuple(as_point(y) for y in grid)
     if not f.points or not grid:
         raise EmptyGrid("c-transform needs nonempty grids on both sides")
     if direction == "source_to_target":
-        C, entry = _cost_matrix(cost, f.points, grid)
+        K, D = cost.exact_matrix(f.points, grid)
     elif direction == "target_to_source":
-        C, entry_t = _cost_matrix(cost, grid, f.points)
-        C, entry = C.T, lambda i, j: entry_t(j, i)
+        K, D = cost.exact_matrix(grid, f.points)
+        K = K.T
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    vals, args = _exact_argmax(C, entry, f.values)
+    vals, args = _exact_argmax(K, D, matrix_floats(K, D), f.values)
     return PotentialField(grid, vals, argmax=args)
 
 
@@ -153,50 +130,32 @@ class TransportProblem:
         self._cost_array = None
         self._integer_cost = None
 
-    def _integer(self) -> Optional[tuple]:
-        """(K, D) with cost = K / D, built on first use; None for costs
-        without an exact matrix builder."""
-        build = getattr(self.cost, "exact_matrix", None)
-        if build is not None and self._integer_cost is None:
-            self._integer_cost = build(self.mu0.points, self.nu0.points)
+    def _integer(self) -> tuple:
+        """(K, D) with cost = K / D, built on first use."""
+        if self._integer_cost is None:
+            self._integer_cost = self.cost.exact_matrix(self.mu0.points,
+                                                        self.nu0.points)
         return self._integer_cost
 
     @property
     def exact_cost(self) -> list:
         if self._exact_cost is None:
-            kd = self._integer()
-            if kd is None:
-                self._exact_cost = [
-                    [F(self.cost(x, p)) for p in self.nu0.points]
-                    for x in self.mu0.points]
-            else:
-                K, D = kd
-                self._exact_cost = [[F(k, D) for k in row.tolist()]
-                                    for row in K]
+            K, D = self._integer()
+            self._exact_cost = [[F(k, D) for k in row.tolist()] for row in K]
         return self._exact_cost
 
     @property
     def cost_array(self) -> np.ndarray:
         if self._cost_array is None:
-            kd = self._integer()
-            if kd is None:
-                self._cost_array = np.array(
-                    [[float(c) for c in row] for row in self.exact_cost])
-            else:
-                self._cost_array = matrix_floats(*kd)
+            self._cost_array = matrix_floats(*self._integer())
         return self._cost_array
 
     def transform(self, phi: PotentialField) -> PotentialField:
         """Exact phi^c on the target grid using the cached cost matrix."""
         if phi.points != self.mu0.points:
             raise GridMismatch("potential not on the source grid")
-        kd = self._integer()
-        if kd is None:
-            mat = self.exact_cost
-            entry = lambda i, j: mat[i][j]
-        else:
-            entry = _ratio_entry(*kd)
-        vals, args = _exact_argmax(self.cost_array, entry, phi.values)
+        vals, args = _exact_argmax(*self._integer(), self.cost_array,
+                                   phi.values)
         return PotentialField(self.nu0.points, vals, argmax=args)
 
 

@@ -264,6 +264,8 @@ def test_hybrid_wrong_family(tmp_path):
 INTERMEDIATE = {"kind": "intermediate", "n": 3, "m": 1, "d": [2, 2],
                 "hilbert_M": [1, 4, 10]}
 CIRCLE = {"kind": "abelian", "axes": [{}], "resolution": "1/4"}
+TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
+            "resolution": "1/4"}
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -292,6 +294,12 @@ CIRCLE = {"kind": "abelian", "axes": [{}], "resolution": "1/4"}
                  id="solve-samples-string"),
     pytest.param("solve", {"family": CIRCLE, "diagnostics": "x"},
                  id="solve-diagnostics-not-object"),
+    pytest.param("solve", {"family": {**TRIANGLE, "delta": None}},
+                 id="solve-delta-null"),
+    pytest.param("solve", {"family": {**TRIANGLE, "delta": [1, 2]}},
+                 id="solve-delta-not-points"),
+    pytest.param("solve", {"family": {**TRIANGLE, "ln_norm": []}},
+                 id="solve-ln-norm-list"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, command, cfg):
     cfg = {**cfg, "output_dir": str(tmp_path / "run")}

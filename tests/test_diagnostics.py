@@ -146,6 +146,17 @@ def test_duality_check_reports_asymmetry():
     dres = tp.minimize_kontorovich(skew)
     out = dg.duality_check(prob, skew, res, dres)
     assert out["precondition_residual"] == pytest.approx(1.0)
+    assert out["sampled_pairs"] == len(prob.mu0.points) * len(prob.nu0.points)
+
+
+def test_duality_check_needs_both_grids_swapped():
+    prob, dual = mirror_pair(F(1, 8))
+    res = tp.minimize_kontorovich(prob)
+    dres = tp.minimize_kontorovich(dual)
+    coarse = tp.TransportProblem(prob.cost.transpose(), prob.nu0,
+                                 mirror_pair(F(1, 4))[0].mu0)
+    with pytest.raises(GridMismatch):
+        dg.duality_check(prob, coarse, res, dres)
 
 
 def test_duality_functional_identity_bilinear():

@@ -125,6 +125,10 @@ def test_theta_matrix_refuses_minima_outside_the_window():
                               [1], resolution=F(1, 4))[1],
     lambda: fm.mumford_family(co.MumfordData((co.PhiAxis(2, 3, 3),)),
                               [1], resolution=F(1, 7))[1],
+    # entrywise builder, with an lcm beyond int64
+    lambda: table_problem([[F(1, 3), F(-2, 7), F(5)],
+                           [F(10 ** 20, 3), F(1, 2 ** 60), F(0)]],
+                          (F(0), F(0)))[0],
 ])
 def test_cost_array_is_bit_equal_to_fraction_floats(make):
     problem = make()
@@ -205,8 +209,12 @@ def test_non_finite_scores_fall_back_to_exact_comparison():
     table = [[big, F(1)], [big + 1, F(2)]]
     values = (big, F(1))  # inf - inf: a NaN score
     problem, phi = table_problem(table, values)
+    want = naive_transform(table, values)
     got = tp.c_transform(phi, problem.cost, problem.nu0.points)
-    assert (got.values, got.argmax) == naive_transform(table, values)
+    assert (got.values, got.argmax) == want
+    got = problem.transform(phi)
+    assert (got.values, got.argmax) == want
+    assert problem.cost_array[0, 0] == np.inf
     table = [[F(1), F(2)], [F(1), F(3)], [F(0), F(2)]]
     values = (big, -big, -big - 1)
     problem, phi = table_problem(table, values)

@@ -11,7 +11,6 @@ from skelot.errors import (
     InconsistentGluing,
     NonRationalVertex,
     ResolutionTooCoarse,
-    ZeroDimensionalFace,
 )
 
 F = Fraction
@@ -106,19 +105,6 @@ def test_rational_points_nesting(l, k):
     assert coarse <= fine
 
 
-def test_face_measure_values():
-    seg = ph.Face(((F(0),), (F(1),)))
-    assert ph.face_measure(seg, 1) == 1
-    simplex = ph.simplex_complex(2)
-    top = simplex.faces[simplex.top_faces()[0]]
-    assert ph.face_measure(top, 1) == F(1, 2)
-    long_edge = ph.Face((( F(-1), F(-1)), (F(2), F(-1))))
-    assert ph.face_measure(long_edge, 1) == 3  # lattice length, not euclidean
-    with pytest.raises(ZeroDimensionalFace):
-        ph.face_measure(ph.Face(((F(0),),)), 1)
-    assert ph.face_measure(ph.Face(((F(0),),)), 2, allow_point_mass=True) == 2
-
-
 def test_face_weight_normalization():
     faces = (ph.Face(((F(0),), (F(1),)), weight=F(2)),
              ph.Face(((F(1),), (F(2),)), weight=F(1)))
@@ -134,21 +120,21 @@ def test_face_weight_normalization():
 def test_quadrature_segment_trapezoid():
     seg = ph.segment_complex(0, 1)
     q = ph.quadrature(seg, F(1, 4))
-    assert len(q) == 5
+    assert len(q.points) == 5
     assert [round(w, 12) for w in q.weights] == [0.125, 0.25, 0.25, 0.25, 0.125]
 
 
 def test_quadrature_circle_uniform():
     circ = ph.circle_complex()
     q = ph.quadrature(circ, F(1, 4))
-    assert len(q) == 4
+    assert len(q.points) == 4
     assert all(abs(w - 0.25) < 1e-15 for w in q.weights)
 
 
 def test_quadrature_2_simplex():
     cx = ph.simplex_complex(2)
     q = ph.quadrature(cx, F(1, 2))
-    assert len(q) == 6
+    assert len(q.points) == 6
     assert abs(sum(q.weights) - 0.5) < 1e-12
 
 

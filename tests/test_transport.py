@@ -1,5 +1,6 @@
 """c-transforms, dual minimization, the exact LP route, energy sums."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelot import _simplex
 from skelot import cost as co
 from skelot import transport as tp
 from skelot.errors import (
@@ -152,7 +154,7 @@ def test_kontorovich_single_point_value():
 
 def test_kontorovich_constant_invariance_and_mismatch():
     prob = abelian_problem(8, 8)
-    phi = field(prob.mu0.points, [F(k, 11) for k in range(len(prob.mu0))])
+    phi = field(prob.mu0.points, [F(k, 11) for k in range(len(prob.mu0.points))])
     v1 = tp.kontorovich_value(prob, phi)
     v2 = tp.kontorovich_value(prob, phi.shifted(F(9, 4)))
     assert v1 == pytest.approx(v2, abs=1e-12)
@@ -215,7 +217,7 @@ def test_lp_two_by_two_antidiagonal():
 def test_lp_plan_marginals_exactly_feasible():
     prob = abelian_problem(8, 12)
     lp = tp.lp_oracle(prob)
-    assert np.allclose(lp.plan.sum(axis=1), prob.mu0.weight_array(), atol=1e-15)
+    assert np.allclose(lp.plan.sum(axis=1), np.asarray(prob.mu0.weights), atol=1e-15)
     assert np.allclose(lp.plan.sum(axis=0), np.array(prob.target_mass), atol=1e-15)
 
 
@@ -242,12 +244,43 @@ def test_lp_duals_cover_cost():
                for i in range(len(u)) for j in range(len(v)))
 
 
+def assert_certified(C, a, b):
+    """solve_exact's duals are exactly feasible and its value is their bound."""
+    _, u, v, value, pivots = _simplex.solve_exact(C, a, b)
+    assert all(C[i][j] <= u[i] + v[j]
+               for i in range(len(a)) for j in range(len(b)))
+    assert value == sum(x * y for x, y in zip(a, u)) + \
+        sum(x * y for x, y in zip(b, v))
+    return value, pivots
+
+
+def test_simplex_exact_pricing_on_wide_range_costs():
+    # float pricing stops here with duals violated by 200
+    C = [[F(0), F(100)], [F(100), F(0)], [F(10 ** 15), F(0)]]
+    value, pivots = assert_certified(C, [F(1, 3)] * 3, [F(1, 2)] * 2)
+    assert value == F(1000000000000150, 3)
+    assert pivots == 3
+
+
+def test_simplex_certified_on_random_wide_range_costs():
+    rng = random.Random(7)
+    for _ in range(60):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        C = [[F(rng.randint(-100, 100), rng.randint(1, 9))
+              * (10 ** 12 if rng.random() < 0.1 else 1)
+              for _ in range(m)] for _ in range(n)]
+        a = [F(rng.randint(1, 9)) for _ in range(n)]
+        b = [F(rng.randint(1, 9)) for _ in range(m)]
+        b = [y * sum(a) / sum(b) for y in b]
+        assert_certified(C, a, b)
+
+
 # -- energy and relative volume ------------------------------------------------------
 
 
 def test_ma_energy_shift_rule():
     prob = abelian_problem(8, 12)
-    phi = field(prob.mu0.points, [F(k, 13) for k in range(len(prob.mu0))])
+    phi = field(prob.mu0.points, [F(k, 13) for k in range(len(prob.mu0.points))])
     a = F(7, 5)
     d = tp.ma_energy(prob, phi.shifted(a)) - tp.ma_energy(prob, phi)
     assert d == pytest.approx(prob.ln_norm * float(a), abs=1e-12)
@@ -270,7 +303,7 @@ def rank1_family(levels):
 def test_relative_volume_zero_for_equal_potentials():
     prob = abelian_problem(8, 8)
     fam = rank1_family([4])
-    phi = field(prob.mu0.points, [F(k, 9) for k in range(len(prob.mu0))])
+    phi = field(prob.mu0.points, [F(k, 9) for k in range(len(prob.mu0.points))])
     out = tp.relative_volume_sum(phi, phi, fam, 4)
     assert out["vol"] == 0.0 and out["scaled"] == 0.0
 
@@ -278,7 +311,7 @@ def test_relative_volume_zero_for_equal_potentials():
 def test_relative_volume_missing_level():
     prob = abelian_problem(8, 8)
     fam = rank1_family([4])
-    phi = field(prob.mu0.points, [0] * len(prob.mu0))
+    phi = field(prob.mu0.points, [0] * len(prob.mu0.points))
     with pytest.raises(MissingLevel):
         tp.relative_volume_sum(phi, phi, fam, 8)
 
@@ -287,7 +320,7 @@ def test_relative_volume_constant_shift_approaches_shift():
     # scaled(phi + a, phi) -> ln_norm * a as the level grows
     prob = abelian_problem(16, 16)
     fam = rank1_family([4, 8, 16, 32])
-    phi = field(prob.mu0.points, [0] * len(prob.mu0))
+    phi = field(prob.mu0.points, [0] * len(prob.mu0.points))
     a = F(3, 4)
     errs = []
     for l in (4, 8, 16, 32):
