@@ -1,179 +1,77 @@
-"""Exact transportation simplex (dual / MODI pivoting).
+"""Exact transportation simplex (dual / MODI pivoting) on an integer matrix.
 
 Independent of the flow-based solver on purpose: the two routes cross-check
-each other.  Flows are exact rationals on a lexicographically perturbed
-problem, so no basis is ever degenerate and pivoting cannot cycle.  Floats
-only shortlist the entering cell: when float pricing finds none, the exact
-reduced costs of every cell are computed, and the solver stops only when
-none is positive, so the returned duals are exactly feasible.  The returned
-flows are re-solved on the final basis tree with the unperturbed marginals,
-hence exact.
+each other.  The cost is C = K / D with K integral.  The marginals are scaled
+by the lcm Q of their denominators, and each flow is an integer pair
+(main, eps) on a lexicographically perturbed problem (+1 on every supply,
++n on the last demand), so no basis is ever degenerate and pivoting cannot
+cycle.  The basic duals lie in (1/D)Z, so every pivot prices every cell
+exactly as the integer K - U - V with U = u D and V = v D, and the solver
+stops only when no reduced cost is positive: the returned duals are exactly
+feasible.  Tree flows are linear in the marginals, so main / Q is the exact
+flow of the unperturbed problem.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .cost import matrix_floats, over_lcm
 from .errors import InfeasibleMarginals, NotConverged
 
 F = Fraction
 
-# perturbed quantity: (main, eps) compared lexicographically
-PVal = tuple
 
-
-def _pv_add(x: PVal, y: PVal) -> PVal:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _pv_sub(x: PVal, y: PVal) -> PVal:
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _northwest_corner(ap: list, bp: list):
-    n, m = len(ap), len(bp)
-    rem_a = list(ap)
-    rem_b = list(bp)
+def _northwest_corner(ap: list, bp: list) -> dict:
+    """Initial basis.  With the perturbation a supply and a demand run out
+    together only at the last cell, so the basis has n + m - 1 cells."""
+    rem_a, rem_b = list(ap), list(bp)
     basis = {}
     i = j = 0
-    while i < n and j < m:
-        take = min(rem_a[i], rem_b[j])
-        basis[(i, j)] = take
-        rem_a[i] = _pv_sub(rem_a[i], take)
-        rem_b[j] = _pv_sub(rem_b[j], take)
-        if rem_a[i] == (0, 0) and i < n - 1:
+    while i < len(ap) and j < len(bp):
+        take = basis[(i, j)] = min(rem_a[i], rem_b[j])
+        rem_a[i] = (rem_a[i][0] - take[0], rem_a[i][1] - take[1])
+        rem_b[j] = (rem_b[j][0] - take[0], rem_b[j][1] - take[1])
+        if rem_a[i] == (0, 0):
             i += 1
-        elif rem_b[j] == (0, 0) and j < m - 1:
-            j += 1
         else:
-            if rem_a[i] == (0, 0) and rem_b[j] == (0, 0):
-                break
-            if rem_a[i] == (0, 0):
-                i += 1
-            else:
-                j += 1
+            j += 1
     return basis
 
 
-def _adjacency(basis, n, m):
-    adj = [[] for _ in range(n + m)]
-    for (i, j) in basis:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    return adj
+def _cell(x: int, y: int, n: int) -> tuple:
+    """Basis cell of the tree edge between nodes x and y."""
+    return (x, y - n) if x < n else (y, x - n)
 
 
-def _tree_duals(basis, C, n, m, zero):
-    """Solve u_i + v_j = C[i][j] on the basis tree, u_0 = 0."""
-    adj = _adjacency(basis, n, m)
-    u = [None] * n
-    v = [None] * m
-    u[0] = zero
+def _walk(adj: list, K: list, n: int) -> tuple:
+    """Parent, depth and integer duals of the basis tree rooted at source 0.
+
+    Nodes 0..n-1 are sources, n.. targets; W[x] is u_x D for a source and
+    v_j D for target n + j, with W[0] = 0 and W[i] + W[n + j] = K[i][j] on
+    every basic cell.
+    """
+    parent = [None] * len(adj)
+    depth = [0] * len(adj)
+    W = [0] * len(adj)
+    parent[0] = 0
     stack = [0]
     while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if node < n:
-                i, j = node, nb - n
-                if v[j] is None:
-                    v[j] = C[i][j] - u[i]
-                    stack.append(nb)
-            else:
-                i, j = nb, node - n
-                if u[i] is None:
-                    u[i] = C[i][j] - v[j]
-                    stack.append(nb)
-    return u, v
+        x = stack.pop()
+        for y in adj[x]:
+            if parent[y] is None:
+                i, j = _cell(x, y, n)
+                parent[y], depth[y], W[y] = x, depth[x] + 1, K[i][j] - W[x]
+                stack.append(y)
+    return parent, depth, W
 
 
-def _find_cycle(basis, enter, n, m):
-    """Unique alternating cycle created by the entering cell."""
-    ei, ej = enter
-    adj = _adjacency(basis, n, m)
-    # path from target ej back to source ei through the tree
-    prev = {n + ej: None}
-    stack = [n + ej]
-    while stack:
-        node = stack.pop()
-        if node == ei:
-            break
-        for nb in adj[node]:
-            if nb not in prev:
-                prev[nb] = node
-                stack.append(nb)
-    path = []
-    node = ei
-    while node is not None:
-        path.append(node)
-        node = prev[node]
-    # cells along the path, alternating source/target nodes
-    cells = [enter]
-    for kk in range(len(path) - 1):
-        x, y = path[kk], path[kk + 1]
-        cells.append((x, y - n) if x < n else (y, x - n))
-    return cells  # signs alternate +,-,+,- starting at the entering cell
-
-
-def _resolve_on_tree(basis, a, b, n, m):
-    """Exact flows on the basis tree for the unperturbed marginals."""
-    rem = list(a) + list(b)
-    deg = {}
-    incident = [[] for _ in range(n + m)]
-    for cell in basis:
-        i, j = cell
-        incident[i].append(cell)
-        incident[n + j].append(cell)
-    for node in range(n + m):
-        deg[node] = len(incident[node])
-    flows = {}
-    order = [node for node in range(n + m) if deg[node] == 1]
-    alive = {cell: True for cell in basis}
-    while order:
-        node = order.pop()
-        live = [c for c in incident[node] if alive[c] and c not in flows]
-        if not live:
-            continue
-        cell = live[0]
-        i, j = cell
-        amount = rem[node] if node < n else rem[n + j]
-        flows[cell] = amount
-        rem[i] -= amount
-        rem[n + j] -= amount
-        alive[cell] = False
-        other = n + j if node == i else i
-        deg[other] -= 1
-        if deg[other] == 1:
-            order.append(other)
-    for cell in basis:
-        flows.setdefault(cell, F(0))
-    return flows
-
-
-def _exact_entering(basis, C_exact, K, D, n, m):
-    """Cell of largest positive exact reduced cost C[i][j] - u_i - v_j,
-    lowest index on ties, or None when the exact duals are feasible.
-
-    C = K / D, and tree duals are sums of +-C entries, so u_i D and v_j D
-    are integers and the reduced costs are compared as integers.
-    """
-    u, v = _tree_duals(basis, C_exact, n, m, F(0))
-    V = np.array([int(y * D) for y in v], dtype=object)
-    best, enter = 0, None
-    for i, ui in enumerate(u):
-        r = K[i] - (int(ui * D) + V)  # one row at a time keeps memory flat
-        j = int(np.argmax(r))
-        if r[j] > best:
-            best, enter = r[j], (i, j)
-    return enter
-
-
-def solve_exact(C_exact: Sequence[Sequence[Fraction]],
-                a: Sequence[Fraction], b: Sequence[Fraction]):
-    """max sum C*x over transportation plans; exact marginals required.
+def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
+                b: Sequence[Fraction]):
+    """max sum C*x over transportation plans, C = K / D; exact marginals.
 
     Returns (flows: dict cell -> Fraction, u, v, value, n_pivots) with the
     exact optimal duals satisfying u_i + v_j >= C[i][j] everywhere.
@@ -181,48 +79,62 @@ def solve_exact(C_exact: Sequence[Sequence[Fraction]],
     n, m = len(a), len(b)
     if sum(a) != sum(b):
         raise InfeasibleMarginals("marginal masses differ")
-    one = F(1)
-    ap = [(F(x), one) for x in a]
-    bp = [(F(y), F(0)) for y in b]
-    bp[-1] = (F(b[-1]), F(n))
+    Q = lcm(*(F(x).denominator for x in (*a, *b)))
+    ap = [(int(x * Q), 1) for x in a]
+    bp = [(int(y * Q), 0) for y in b]
+    bp[-1] = (bp[-1][0], n)
     basis = _northwest_corner(ap, bp)
+    adj = [set() for _ in range(n + m)]
+    for i, j in basis:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
 
-    K, D = over_lcm(C_exact, m)
-    Cf = matrix_floats(K, D)
-    scale = 1.0 + float(np.abs(Cf).max()) if Cf.size else 1.0
-    stop_tol = 1e-11 * scale
+    Kl = K.tolist()
+    kmax = max((abs(k) for row in Kl for k in row), default=0)
+    # |U|, |V| <= (n + m - 1) kmax, so |K - U - V| < kmax (2 (n + m) + 1)
+    dtype = np.int64 if kmax * (2 * (n + m) + 1) < 2 ** 63 else object
+    Kp = K.astype(dtype)
     max_pivots = 60 * (n + m) + 2000
 
     for pivot in range(max_pivots + 1):
-        uf, vf = _tree_duals(basis, Cf, n, m, 0.0)
-        red = Cf - np.array(uf)[:, None] - np.array(vf)[None, :]
-        for (i, j) in basis:
-            red[i, j] = -np.inf
-        ei, ej = np.unravel_index(int(np.argmax(red)), red.shape)
-        enter = (int(ei), int(ej))
-        if red[ei, ej] <= stop_tol:
-            enter = _exact_entering(basis, C_exact, K, D, n, m)
-            if enter is None:
-                break
+        parent, depth, W = _walk(adj, Kl, n)
+        R = Kp - np.array(W[:n], dtype=dtype)[:, None] \
+            - np.array(W[n:], dtype=dtype)[None, :]
+        best = int(np.argmax(R))  # row-major lowest index on ties
+        if R.flat[best] <= 0:  # basic cells price to exactly 0
+            break
         if pivot == max_pivots:
             raise NotConverged("pivot budget exhausted in the exact solver")
-        cells = _find_cycle(basis, enter, n, m)
-        minus = cells[1::2]
+        enter = divmod(best, m)
+        # the cycle: tree paths from ei and from n + ej up to where they meet;
+        # on each, the edges alternate -, +, - from its start
+        x, y = enter[0], n + enter[1]
+        up_x, up_y = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up_x.append(_cell(x, parent[x], n))
+                x = parent[x]
+            else:
+                up_y.append(_cell(y, parent[y], n))
+                y = parent[y]
+        minus = up_x[0::2] + up_y[0::2]
         theta = min(basis[c] for c in minus)
         leave = min(c for c in minus if basis[c] == theta)
-        newb = {}
-        for cell, fl in basis.items():
-            if cell in minus:
-                fl = _pv_sub(fl, theta)
-            elif cell in cells[0::2]:
-                fl = _pv_add(fl, theta)
-            newb[cell] = fl
-        newb[enter] = theta
-        del newb[leave]
-        basis = newb
+        for c in minus:
+            basis[c] = (basis[c][0] - theta[0], basis[c][1] - theta[1])
+        for c in up_x[1::2] + up_y[1::2]:
+            basis[c] = (basis[c][0] + theta[0], basis[c][1] + theta[1])
+        basis[enter] = theta
+        del basis[leave]
+        adj[enter[0]].add(n + enter[1])
+        adj[n + enter[1]].add(enter[0])
+        adj[leave[0]].discard(n + leave[1])
+        adj[n + leave[1]].discard(leave[0])
 
-    u, v = _tree_duals(basis, C_exact, n, m, F(0))
-    flows = _resolve_on_tree(basis, a, b, n, m)
+    flows = {cell: F(main, Q) for cell, (main, _) in basis.items()}
     assert all(fl >= 0 for fl in flows.values())
-    value = sum(C_exact[i][j] * fl for (i, j), fl in flows.items())
+    value = F(sum(Kl[i][j] * main for (i, j), (main, _) in basis.items()),
+              D * Q)
+    u = [F(w, D) for w in W[:n]]
+    v = [F(w, D) for w in W[n:]]
     return flows, u, v, value, pivot

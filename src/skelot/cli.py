@@ -369,29 +369,46 @@ def hybrid(config_path: str) -> int:
     return 0
 
 
-def _load_run_field(run_dir: str, name: str) -> tp.PotentialField:
+def _run_file(run_dir: str, name: str) -> str:
     path = os.path.join(run_dir, name)
     if not os.path.exists(path):
         raise IncompleteRun(f"{name} missing from {run_dir}")
+    return path
+
+
+def _load_run_entry(run_dir: str, name: str, key: str):
+    """The `key` entry of a run's JSON file."""
+    try:
+        with open(_run_file(run_dir, name), "r", encoding="utf-8") as fh:
+            return json.load(fh)[key]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IncompleteRun(f"cannot read {key!r} from {name} in {run_dir}: "
+                            f"{exc!r}")
+
+
+def _load_run_field(run_dir: str, name: str) -> tp.PotentialField:
     pts, vals = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
-        for row in reader:
-            pts.append(tuple(F(c) for c in row[:dim]))
-            vals.append(F(float(row[dim])))
+    try:
+        with open(_run_file(run_dir, name), "r", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            dim = len(next(reader)) - 1
+            for row in reader:
+                if len(row) != dim + 1:
+                    raise ValueError(f"row {row} is not {dim + 1} columns")
+                pts.append(tuple(F(c) for c in row[:dim]))
+                vals.append(F(float(row[dim])))
+    except (StopIteration, IndexError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
+        raise IncompleteRun(f"{name} in {run_dir} is malformed: {exc!r}")
+    if not pts:
+        raise IncompleteRun(f"{name} in {run_dir} has no rows")
     return tp.PotentialField(tuple(pts), tuple(vals))
 
 
 def diagnose_ma(run_dir: str) -> int:
     phi = _load_run_field(run_dir, "phi.csv")
-    result_path = os.path.join(run_dir, "result.json")
-    if not os.path.exists(result_path):
-        raise IncompleteRun("result.json missing")
-    with open(result_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    h = _fraction(meta["resolution"], "resolution")
+    h = _fraction(_load_run_entry(run_dir, "result.json", "resolution"),
+                  "resolution")
     field = dg.ma_residual(phi, h)
     payload = {"max_residual": field.max_residual,
                "constant": field.constant,
@@ -402,10 +419,7 @@ def diagnose_ma(run_dir: str) -> int:
 
 
 def diagnose_duality(run_dir: str) -> int:
-    config_path = os.path.join(run_dir, "config.json")
-    if not os.path.exists(config_path):
-        raise IncompleteRun("config.json missing")
-    cfg = load_config(config_path)
+    cfg = load_config(_run_file(run_dir, "config.json"))
     problem, _ = build_problem(cfg)
     result = tp.minimize_kontorovich(problem, tol=cfg.tol)
     dual = tp.TransportProblem(problem.cost.transpose(), problem.nu0,
@@ -418,20 +432,16 @@ def diagnose_duality(run_dir: str) -> int:
 
 
 def report(run_dir: str, fmt: str = "json") -> int:
-    path = os.path.join(run_dir, "diagnostics.json")
-    if not os.path.exists(path):
-        raise IncompleteRun(f"diagnostics.json missing from {run_dir}")
-    with open(path, "r", encoding="utf-8") as fh:
-        diag = json.load(fh)
-    rows = diag["assertions"]
+    rows = _load_run_entry(run_dir, "diagnostics.json", "assertions")
+    fields = ["name", "expected", "observed", "tolerance", "pass"]
+    try:
+        table = [[r[k] for k in fields] for r in rows]
+    except (KeyError, TypeError) as exc:
+        raise IncompleteRun(f"diagnostics.json assertions malformed: {exc!r}")
     if fmt == "json":
         print(json.dumps(rows, sort_keys=True))
     elif fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["name", "expected", "observed", "tolerance", "pass"])
-        for r in rows:
-            w.writerow([r["name"], r["expected"], r["observed"],
-                        r["tolerance"], r["pass"]])
+        csv.writer(sys.stdout).writerows([fields, *table])
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
     return 0
@@ -471,12 +481,6 @@ def main(argv=None) -> int:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     args = parser.parse_args(argv)
-    threads = os.environ.get("SKELOT_THREADS")
-    if threads:
-        # best effort: honored by BLAS backends loaded after this point
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     try:
         if args.command == "solve":
             return run(args.config, seed_override=args.seed,

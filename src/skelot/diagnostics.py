@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cost import MumfordData, PhiAxis
-from .errors import GridMismatch, NoPlanAvailable, TruncationInsufficient
+from .errors import GridMismatch, TruncationInsufficient
 from .transport import (
     PotentialField,
     TransportProblem,
@@ -30,24 +30,23 @@ F = Fraction
 
 
 def pushforward_residual(result: TransportResult, problem: TransportProblem,
-                         use: str = "auto") -> dict:
+                         use: str = "plan") -> dict:
     """Discrepancy between the transported source mass and W nu0.
 
     use = "plan" compares the plan's target marginal; "argmax" pushes mu0
-    along the best-response map x -> argmax_p (c(x, p) - psi(p)); "auto"
-    prefers the plan when present.
+    along the best-response map x -> argmax_p (c(x, p) - psi(p)).
     """
     target = np.array(problem.target_mass)
-    if use == "plan" and result.plan is None:
-        raise NoPlanAvailable("result carries no transport plan")
-    if use in ("plan", "auto") and result.plan is not None:
+    if use == "plan":
         marginal = result.plan.sum(axis=0)
-    else:
+    elif use == "argmax":
         back = c_transform(result.psi, problem.cost, problem.mu0.points,
                            direction="target_to_source")
         marginal = np.zeros(len(target))
         for i, j in enumerate(back.argmax):
             marginal[j] += float(problem.mu0.weights[i])
+    else:
+        raise ValueError(f"unknown pushforward route {use!r}")
     diff = marginal - target
     return {"linf": float(np.abs(diff).max()), "l1": float(np.abs(diff).sum())}
 

@@ -77,10 +77,6 @@ class InfeasibleMarginals(SkelotError):
 
 # -- diagnostics -----------------------------------------------------------
 
-class NoPlanAvailable(SkelotError):
-    pass
-
-
 class TruncationInsufficient(SkelotError):
     pass
 

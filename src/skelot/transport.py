@@ -164,7 +164,7 @@ class TransportResult:
     phi: PotentialField
     psi: PotentialField
     value: float
-    plan: Optional[np.ndarray]
+    plan: np.ndarray
     gap: float
     iterations: int  # flow augmentations
     converged: bool = True
@@ -230,9 +230,10 @@ class LPOracleResult:
 def lp_oracle(problem: TransportProblem, size_cap: int = 400) -> LPOracleResult:
     """Exact transportation simplex for max plan correlation.
 
-    The marginals are rescaled exactly so supply and demand balance; the
-    plan's marginals are then exactly feasible and the value is a rational
-    certificate of the optimum.
+    The simplex runs on the integer cost matrix (K, D).  The marginals are
+    rescaled exactly so supply and demand balance; the plan's marginals are
+    then exactly feasible and the value is a rational certificate of the
+    optimum.
     """
     n = len(problem.mu0.points)
     m = len(problem.nu0.points)
@@ -244,7 +245,8 @@ def lp_oracle(problem: TransportProblem, size_cap: int = 400) -> LPOracleResult:
     if abs(float(ta - tb)) > 1e-9:
         raise InfeasibleMarginals("marginal masses differ beyond tolerance")
     b = [x * ta / tb for x in b]  # exact rebalancing of float dust
-    flows, u, v, value, pivots = _simplex.solve_exact(problem.exact_cost, a, b)
+    flows, u, v, value, pivots = _simplex.solve_exact(*problem._integer(),
+                                                       a, b)
     plan = np.zeros((n, m))
     for (i, j), fl in flows.items():
         plan[i, j] = float(fl)

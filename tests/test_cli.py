@@ -321,6 +321,42 @@ def test_diagnose_ma_incomplete(tmp_path):
     assert cli.main(["diagnose-ma", str(tmp_path)]) == 2
 
 
+PHI_CSV = "x0,value\n0,0.0\n1/4,0.03125\n1/2,0.125\n"
+RESULT_JSON = json.dumps({"resolution": "1/4"})
+
+
+@pytest.mark.parametrize("command, files", [
+    pytest.param("report", {"diagnostics.json": json.dumps({"seed": 1})},
+                 id="report-no-assertions"),
+    pytest.param("report", {"diagnostics.json": "[]"},
+                 id="report-list"),
+    pytest.param("report", {"diagnostics.json": "{not json"},
+                 id="report-not-json"),
+    pytest.param("report", {"diagnostics.json": json.dumps(
+        {"assertions": [{"name": "gap_nonnegative"}]})},
+                 id="report-assertion-incomplete"),
+    pytest.param("report", {"diagnostics.json": json.dumps({"assertions": 5})},
+                 id="report-assertions-not-list"),
+    pytest.param("diagnose-ma", {"phi.csv": "x0,value\n0,abc\n",
+                                 "result.json": RESULT_JSON},
+                 id="ma-phi-not-numeric"),
+    pytest.param("diagnose-ma", {"phi.csv": "x0,value\n",
+                                 "result.json": RESULT_JSON},
+                 id="ma-phi-header-only"),
+    pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
+                                 "result.json": json.dumps({"seed": 1})},
+                 id="ma-no-resolution"),
+    pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
+                                 "result.json": "{not json"},
+                 id="ma-result-not-json"),
+])
+def test_malformed_run_dir_exit_code(tmp_path, capsys, command, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main([command, str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_diagnose_duality(tmp_path, capsys):
     _, out = run_cfg(tmp_path, ABELIAN_CFG)
     assert cli.main(["diagnose-duality", out]) == 0

@@ -8,7 +8,7 @@ from skelot import cost as co
 from skelot import diagnostics as dg
 from skelot import families as fm
 from skelot import transport as tp
-from skelot.errors import GridMismatch, NoPlanAvailable, TruncationInsufficient
+from skelot.errors import GridMismatch, TruncationInsufficient
 
 F = Fraction
 
@@ -32,17 +32,8 @@ def test_pushforward_plan_marginal_feasible():
     prob, res = abelian_setup(F(1, 8))
     out = dg.pushforward_residual(res, prob, use="plan")
     assert out["linf"] <= 1e-12 and out["l1"] <= 1e-12
-
-
-def test_pushforward_requires_plan_when_asked():
-    prob, res = abelian_setup(F(1, 8))
-    stripped = tp.TransportResult(res.phi, res.psi, res.value, None,
-                                  res.gap, res.iterations)
-    with pytest.raises(NoPlanAvailable):
-        dg.pushforward_residual(stripped, prob, use="plan")
-    # argmax route still works without a plan
-    out = dg.pushforward_residual(stripped, prob, use="argmax")
-    assert out["linf"] >= 0
+    with pytest.raises(ValueError):
+        dg.pushforward_residual(res, prob, use="plna")
 
 
 def test_pushforward_argmax_refines():

@@ -245,10 +245,18 @@ def test_lp_duals_cover_cost():
 
 
 def assert_certified(C, a, b):
-    """solve_exact's duals are exactly feasible and its value is their bound."""
-    _, u, v, value, pivots = _simplex.solve_exact(C, a, b)
-    assert all(C[i][j] <= u[i] + v[j]
-               for i in range(len(a)) for j in range(len(b)))
+    """solve_exact's flows are a plan with the exact marginals, its duals are
+    exactly feasible, and its value is the plan's value and the duals' bound."""
+    n, m = len(a), len(b)
+    K, D = co.over_lcm(C, m)
+    flows, u, v, value, pivots = _simplex.solve_exact(K, D, a, b)
+    assert all(fl >= 0 for fl in flows.values())
+    assert [sum((fl for (i, _), fl in flows.items() if i == r), F(0))
+            for r in range(n)] == list(a)
+    assert [sum((fl for (_, j), fl in flows.items() if j == c), F(0))
+            for c in range(m)] == list(b)
+    assert value == sum(int(K[i, j]) * fl for (i, j), fl in flows.items()) / D
+    assert all(C[i][j] <= u[i] + v[j] for i in range(n) for j in range(m))
     assert value == sum(x * y for x, y in zip(a, u)) + \
         sum(x * y for x, y in zip(b, v))
     return value, pivots
@@ -263,16 +271,21 @@ def test_simplex_exact_pricing_on_wide_range_costs():
 
 
 def test_simplex_certified_on_random_wide_range_costs():
-    rng = random.Random(7)
-    for _ in range(60):
-        n, m = rng.randint(2, 6), rng.randint(2, 6)
-        C = [[F(rng.randint(-100, 100), rng.randint(1, 9))
-              * (10 ** 12 if rng.random() < 0.1 else 1)
-              for _ in range(m)] for _ in range(n)]
-        a = [F(rng.randint(1, 9)) for _ in range(n)]
-        b = [F(rng.randint(1, 9)) for _ in range(m)]
-        b = [y * sum(a) / sum(b) for y in b]
-        assert_certified(C, a, b)
+    beyond_int64 = 0
+    # entries near 3^50 put K beyond int64, so pricing runs on Python ints
+    for big in (10 ** 12, 3 ** 50):
+        rng = random.Random(7)
+        for _ in range(60):
+            n, m = rng.randint(2, 6), rng.randint(2, 6)
+            C = [[F(rng.randint(-100, 100), rng.randint(1, 9))
+                  * (big if rng.random() < 0.1 else 1)
+                  for _ in range(m)] for _ in range(n)]
+            a = [F(rng.randint(1, 9)) for _ in range(n)]
+            b = [F(rng.randint(1, 9)) for _ in range(m)]
+            b = [y * sum(a) / sum(b) for y in b]
+            assert_certified(C, a, b)
+            beyond_int64 += co.over_lcm(C, m)[0].dtype == object
+    assert beyond_int64 > 0
 
 
 # -- energy and relative volume ------------------------------------------------------
