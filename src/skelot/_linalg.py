@@ -1,6 +1,6 @@
 """Small exact linear-algebra helpers over Fraction and the integers.
 
-Used for lattice bases, wall detection, barycentric coordinates and
+Used for lattice bases, face frames, lattice anchors, wall detection and
 independence testing.  Everything here is dense and meant for the tiny
 matrices that show up in polyhedral/tropical bookkeeping.
 """
@@ -44,29 +44,14 @@ def rref(mat: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
     return rows, pivots
 
 
-def rank(mat: Sequence[Sequence]) -> int:
-    return len(rref(mat)[1])
-
-
-def solve(mat: Sequence[Sequence], rhs: Sequence) -> Optional[Row]:
-    """One exact solution of mat @ x = rhs, or None if inconsistent."""
-    rows = _frac_rows(mat)
-    b = [Fraction(v) for v in rhs]
-    if not rows:
-        return [] if all(v == 0 for v in b) else None
-    ncols = len(rows[0])
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    red, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        if c == ncols:  # pivot in the rhs column: inconsistent
-            return None
-        x[c] = red[i][ncols]
-    # verify (free variables set to zero)
-    for row, bv in zip(rows, b):
-        if sum(a * v for a, v in zip(row, x)) != bv:
-            return None
-    return x
+def inverse(mat: Sequence[Sequence]) -> Optional[list[Row]]:
+    """Exact inverse of a square matrix, or None if it is singular."""
+    n = len(mat)
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in rows]
 
 
 def nullspace(mat: Sequence[Sequence]) -> list[Row]:
@@ -85,26 +70,6 @@ def nullspace(mat: Sequence[Sequence]) -> list[Row]:
             vec[pc] = -red[i][fc]
         basis.append(vec)
     return basis
-
-
-def det(mat: Sequence[Sequence]) -> Fraction:
-    rows = _frac_rows(mat)
-    n = len(rows)
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        out *= rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[c][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * out
 
 
 # -- integer lattice routines ------------------------------------------------

@@ -93,6 +93,8 @@ class ExperimentConfig:
             self.diagnostics.get("cost_bound_samples", 200), int,
             "cost_bound_samples")
         self.output_dir = raw.get("output_dir", "run")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty string")
         self.seed = _number(seed_override if seed_override is not None
                             else raw.get("seed", 0), int, "seed")
 
@@ -155,6 +157,8 @@ def build_problem(cfg: ExperimentConfig):
         if kind == "abelian":
             data = _mumford_data(blk)
             levels = _numbers(blk.get("levels", [1, 2]), int, "levels")
+            if not all(l >= 1 for l in levels):
+                raise ConfigError("levels must be positive integers")
             family, problem = fm.mumford_family(data, levels,
                                                 resolution=cfg.resolution())
             return problem, {"data": data, "family": family, "levels": levels}
@@ -400,8 +404,9 @@ def _load_run_field(run_dir: str, name: str) -> tp.PotentialField:
     except (StopIteration, IndexError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
         raise IncompleteRun(f"{name} in {run_dir} is malformed: {exc!r}")
-    if not pts:
-        raise IncompleteRun(f"{name} in {run_dir} has no rows")
+    if not pts or dim < 1:
+        raise IncompleteRun(f"{name} in {run_dir} has no rows or no "
+                            f"coordinate column")
     return tp.PotentialField(tuple(pts), tuple(vals))
 
 

@@ -21,7 +21,7 @@ class InconsistentGluing(SkelotError):
     pass
 
 
-class ZeroDimensionalFace(SkelotError):
+class UnsupportedFaceDimension(SkelotError):
     pass
 
 

@@ -87,12 +87,13 @@ def polar_dual(delta_vertices: Sequence[Sequence]) -> tuple[Point, ...]:
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
         # dual vertex: <p, a> = <p, b> = -1
-        p = _linalg.solve([list(a), list(b)], [F(-1), F(-1)])
-        if p is None:
+        inv = _linalg.inverse([a, b])
+        if inv is None:
             raise NotReflexive("adjacent vertices are linearly dependent")
+        p = tuple(-sum(row) for row in inv)
         if any(c.denominator != 1 for c in p):
             raise NotReflexive("polar dual has a non-lattice vertex")
-        dual.append(tuple(p))
+        dual.append(p)
     if _interior_lattice_points(verts) != [(0, 0)]:
         raise NotReflexive("origin is not the unique interior lattice point")
     return tuple(_ccw_sorted(dual))

@@ -3,21 +3,26 @@
 All vertex and lattice arithmetic is exact (Fraction); measure weights are
 floats.  Faces are simplices presented by their vertex tuples, optionally with
 a multiplicity vector b when the face sits in the normalized form
-{x >= 0, sum b_i x_i = 1}.
+{x >= 0, sum b_i x_i = 1}.  Each face inverts its edge and lattice matrices
+once, when it is built; grid enumeration then tests each candidate point in
+integer arithmetic, in any face dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import product
+from math import lcm
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from . import _linalg
 from .errors import (
     InconsistentGluing,
     NonRationalVertex,
     ResolutionTooCoarse,
-    ZeroDimensionalFace,
+    UnsupportedFaceDimension,
 )
 
 Point = tuple[Fraction, ...]
@@ -45,27 +50,39 @@ def format_fraction(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Face:
-    """A rational simplex with an integral structure on its affine span."""
+    """A rational simplex with an integral structure on its affine span.
+
+    `lattice_basis` is a Z-basis of the integer points of the face's
+    direction space, derived from the vertices.  The affine span is a graph
+    over the rows on which the edge vectors are independent, so the frame
+    inverts the lattice basis and the edge matrix there once; `chart`,
+    `barycentric` and `contains` are then matrix products, each checked
+    exactly by mapping the chart coordinates back.
+    """
 
     vertices: tuple[Point, ...]
     multiplicities: Optional[tuple[int, ...]] = None
-    lattice_basis: tuple[tuple[int, ...], ...] = ()
     weight: Fraction = Fraction(1)
+    lattice_basis: tuple[tuple[int, ...], ...] = field(init=False)
+    _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(as_point(v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "weight", Fraction(self.weight))
         dirs = [[b - a for a, b in zip(verts[0], v)] for v in verts[1:]]
-        if dirs and _linalg.rank(dirs) != len(dirs):
+        rows = _linalg.rref(dirs)[1]
+        if len(rows) != len(dirs):
             raise ValueError("face vertices must be affinely independent")
-        if not self.lattice_basis:
-            basis = _linalg.saturated_lattice_basis(dirs) if dirs else []
-            object.__setattr__(self, "lattice_basis", tuple(tuple(b) for b in basis))
-        else:
-            object.__setattr__(
-                self, "lattice_basis",
-                tuple(tuple(int(x) for x in b) for b in self.lattice_basis))
+        basis = tuple(tuple(b) for b in _linalg.saturated_lattice_basis(dirs))
+        object.__setattr__(self, "lattice_basis", basis)
+        # lambda[1:] = E_P^-1 B_P t for chart coordinates t
+        basis_rows = [[b[r] for b in basis] for r in rows]
+        edge_inv = _linalg.inverse([[d[r] for d in dirs] for r in rows])
+        to_lam = [[sum(e * b[k] for e, b in zip(row, basis_rows))
+                   for k in range(len(basis))] for row in edge_inv]
+        object.__setattr__(self, "_frame",
+                           (rows, _linalg.inverse(basis_rows), to_lam))
         if self.multiplicities is not None:
             mult = tuple(int(m) for m in self.multiplicities)
             object.__setattr__(self, "multiplicities", mult)
@@ -81,13 +98,22 @@ class Face:
     def dim(self) -> int:
         return len(self.vertices) - 1
 
+    def _chart(self, pt: Point) -> Optional[list[Fraction]]:
+        """Chart coordinates of pt, or None off the affine span."""
+        rows, basis_inv, _ = self._frame
+        diff = [pt[r] - self.vertices[0][r] for r in rows]
+        t = [sum(a * b for a, b in zip(row, diff)) for row in basis_inv]
+        return t if self.unchart(t) == pt else None
+
+    def _lam(self, t: Sequence[Fraction]) -> list[Fraction]:
+        """Barycentric coordinates of the point with chart coordinates t."""
+        lam = [sum(a * b for a, b in zip(row, t)) for row in self._frame[2]]
+        return [1 - sum(lam, Fraction(0))] + lam
+
     def barycentric(self, point: Sequence) -> Optional[list[Fraction]]:
         """Barycentric coordinates of a point in the affine span, else None."""
-        pt = as_point(point)
-        # rows: ambient coordinates stacked over vertices, plus the affine row
-        mat = [list(r) for r in zip(*[list(v) + [Fraction(1)] for v in self.vertices])]
-        rhs = list(pt) + [Fraction(1)]
-        return _linalg.solve(mat, rhs)
+        t = self._chart(as_point(point))
+        return None if t is None else self._lam(t)
 
     def contains(self, point: Sequence) -> bool:
         lam = self.barycentric(point)
@@ -95,18 +121,15 @@ class Face:
 
     def chart(self, point: Sequence) -> list[Fraction]:
         """Coordinates of point - v0 in the lattice basis."""
-        pt = as_point(point)
-        diff = [a - b for a, b in zip(pt, self.vertices[0])]
-        cols = [[Fraction(b[i]) for b in self.lattice_basis] for i in range(self.ambient_dim)]
-        sol = _linalg.solve(cols, diff)
-        if sol is None:
+        t = self._chart(as_point(point))
+        if t is None:
             raise ValueError("point is not on the face's affine span")
-        return sol
+        return t
 
     def unchart(self, coords: Sequence) -> Point:
         t = [Fraction(c) for c in coords]
         return tuple(
-            v0 + sum(Fraction(b[i]) * tk for b, tk in zip(self.lattice_basis, t))
+            v0 + sum(b[i] * tk for b, tk in zip(self.lattice_basis, t))
             for i, v0 in enumerate(self.vertices[0]))
 
 
@@ -240,50 +263,40 @@ def _face_anchor(face: Face, l: int) -> Optional[Point]:
     return tuple(Fraction(c, l) for c in z)
 
 
-def face_rational_points(face: Face, l: int) -> list[Point]:
-    """Points of the face with all coordinates in (1/l)Z."""
+def _face_grid(face: Face, l: int) -> Iterator[tuple[list[Fraction], Point]]:
+    """(chart, point) for each point of the face in (1/l)Z^d, in chart order.
+
+    The points are anchor + sum_k s_k b_k / l over integer steps s in the
+    box spanned by the vertex charts; barycentric coordinates are affine in
+    s, so over one common denominator each candidate costs integer
+    arithmetic only.
+    """
     anchor = _face_anchor(face, l)
     if anchor is None:
-        return []
-    if face.dim == 0:
-        return [anchor]
+        return
     t0 = face.chart(anchor)
     charts = [face.chart(v) for v in face.vertices]
-    m = face.dim
-    lows = [min(c[k] for c in charts) for k in range(m)]
-    highs = [max(c[k] for c in charts) for k in range(m)]
-    ranges = []
-    for k in range(m):
-        lo = -((t0[k] - lows[k]) * l).__floor__()
-        hi = ((highs[k] - t0[k]) * l).__floor__()
-        ranges.append(range(lo, hi + 1))
-    # barycentric coordinates are affine in chart steps: one solve per axis
-    # replaces a solve per candidate point
-    base = face.unchart(t0)
-    lam0 = face.barycentric(base)
-    steps = []
-    dlam = []
-    for k in range(m):
-        shifted = face.unchart([t0[i] + (Fraction(1, l) if i == k else 0)
-                                for i in range(m)])
-        steps.append(tuple(b - a for a, b in zip(base, shifted)))
-        lam_k = face.barycentric(shifted)
-        dlam.append([b - a for a, b in zip(lam0, lam_k)])
-    out = []
-    if m == 1:
-        for s in ranges[0]:
-            if all(a + s * d >= 0 for a, d in zip(lam0, dlam[0])):
-                out.append(tuple(c + s * u for c, u in zip(base, steps[0])))
-    elif m == 2:
-        for s0 in ranges[0]:
-            row = [a + s0 * d for a, d in zip(lam0, dlam[0])]
-            for s1 in ranges[1]:
-                if all(a + s1 * d >= 0 for a, d in zip(row, dlam[1])):
-                    out.append(tuple(c + s0 * u + s1 * w for c, u, w
-                                     in zip(base, steps[0], steps[1])))
-    else:
-        raise NotImplementedError("rational point enumeration ships for dim <= 2")
-    return out
+    ranges = [range(-((t0[k] - min(c[k] for c in charts)) * l).__floor__(),
+                    ((max(c[k] for c in charts) - t0[k]) * l).__floor__() + 1)
+              for k in range(face.dim)]
+    # l * lambda = l * lambda(t0) + M s: clear the denominators once
+    to_lam = face._frame[2]
+    steps = [[-sum(col) for col in zip(*to_lam)]] + to_lam
+    affine = [(l * c, row) for c, row in zip(face._lam(t0), steps)]
+    den = lcm(*(x.denominator for c, row in affine for x in (c, *row)))
+    tests = [(int(c * den), [int(x * den) for x in row]) for c, row in affine]
+    scaled = [int(c * l) for c in anchor]
+    axes = [[b[i] for b in face.lattice_basis] for i in range(face.ambient_dim)]
+    for s in product(*ranges):
+        if all(c + sum(map(mul, g, s)) >= 0 for c, g in tests):
+            yield ([t + Fraction(k, l) for t, k in zip(t0, s)],
+                   tuple(Fraction(a + sum(map(mul, b, s)), l)
+                         for a, b in zip(scaled, axes)))
+
+
+def face_rational_points(face: Face, l: int) -> list[Point]:
+    """Points of the face with all coordinates in (1/l)Z."""
+    return [p for _, p in _face_grid(face, l)]
 
 
 def rational_points(complex: IntegralPolyhedralComplex, l: int) -> list[Point]:
@@ -301,10 +314,9 @@ def rational_points(complex: IntegralPolyhedralComplex, l: int) -> list[Point]:
 
 def _level_from_resolution(h) -> int:
     hf = Fraction(h) if not isinstance(h, float) else Fraction(h).limit_denominator(10**9)
-    l = Fraction(1) / hf
-    if l.denominator != 1 or l < 1:
+    if hf.numerator != 1:
         raise ResolutionTooCoarse(f"resolution {h!r} is not the reciprocal of a positive integer")
-    return int(l)
+    return hf.denominator
 
 
 def quadrature(complex: IntegralPolyhedralComplex, h,
@@ -327,34 +339,33 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
     for fi in complex.top_faces():
         face = complex.faces[fi]
         w = face.weight
-        if face.dim == 0:
-            raise ZeroDimensionalFace("quadrature needs positive-dimensional top faces")
-        pts = face_rational_points(face, l)
-        if len(pts) < 2:
-            raise ResolutionTooCoarse(f"fewer than 2 grid points on face {fi}")
+        if not 1 <= face.dim <= 2:
+            raise UnsupportedFaceDimension(
+                f"quadrature ships for top faces of dimension 1 and 2, "
+                f"not {face.dim}")
         if face.dim == 1:
-            coords = sorted((face.chart(p)[0], p) for p in pts)
-            lo = min(face.chart(v)[0] for v in face.vertices)
-            hi = max(face.chart(v)[0] for v in face.vertices)
-            mids = [lo] + [(a[0] + b[0]) / 2 for a, b in zip(coords, coords[1:])] + [hi]
-            for (t, p), left, right in zip(coords, mids, mids[1:]):
+            grid = list(_face_grid(face, l))
+            if len(grid) < 2:
+                raise ResolutionTooCoarse(f"fewer than 2 grid points on face {fi}")
+            ends = [face.chart(v)[0] for v in face.vertices]
+            mids = [min(ends)] + [(a[0][0] + b[0][0]) / 2
+                                  for a, b in zip(grid, grid[1:])] + [max(ends)]
+            for (t, p), left, right in zip(grid, mids, mids[1:]):
                 add(fi, p, w * (right - left))
-        elif face.dim == 2:
-            charts = [face.chart(v) for v in face.vertices]
-            mat = [[charts[1][0] - charts[0][0], charts[2][0] - charts[0][0]],
-                   [charts[1][1] - charts[0][1], charts[2][1] - charts[0][1]]]
-            if abs(_linalg.det(mat)) != 1:
+        else:
+            v0, v1, v2 = face.vertices
+            (a0, a1), (b0, b1) = face.chart(v1), face.chart(v2)
+            if abs(a0 * b1 - a1 * b0) != 1:
                 raise ResolutionTooCoarse(
                     "2D quadrature requires a unimodular lattice chart")
-            if any((c[k] * l).denominator != 1 for c in charts for k in range(2)):
+            if any((c * l).denominator != 1 for v in face.vertices for c in v):
                 raise ResolutionTooCoarse(
                     "2D quadrature requires vertices on the grid")
             cell = Fraction(1, 2 * l * l)
 
             def corner(u0: Fraction, u1: Fraction) -> Point:
-                t0 = charts[0][0] + mat[0][0] * u0 + mat[0][1] * u1
-                t1 = charts[0][1] + mat[1][0] * u0 + mat[1][1] * u1
-                return face.unchart([t0, t1])
+                return tuple(c0 + (c1 - c0) * u0 + (c2 - c0) * u1
+                             for c0, c1, c2 in zip(v0, v1, v2))
 
             for a in range(l):
                 for b in range(l - a):
@@ -365,8 +376,6 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
                         tri = [(a + 1, b), (a, b + 1), (a + 1, b + 1)]
                         for (ua, ub) in tri:
                             add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
-        else:
-            raise NotImplementedError("quadrature ships for faces of dim <= 2")
 
     points = sorted(acc)
     weights = tuple(float(acc[p]) for p in points)

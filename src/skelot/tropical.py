@@ -43,17 +43,11 @@ class TropicalSection:
             raise ValueError("duplicate (exponent, t_order) pair in section")
 
 
-def _check_on_face(face: Face, x: Point) -> None:
-    lam = face.barycentric(x)
-    if lam is None or any(v < -Fraction(1, 10**12) for v in lam):
-        raise PointOffFace(f"{x} is not on the face")
-
-
 def val_at(section: TropicalSection, x: Sequence, face: Optional[Face] = None) -> Fraction:
     """Minimal weighted vanishing order of the section at x (exact)."""
     pt = as_point(x)
-    if face is not None:
-        _check_on_face(face, pt)
+    if face is not None and not face.contains(pt):
+        raise PointOffFace(f"{pt} is not on the face")
     return min(t.value_at(pt) for t in section.terms)
 
 

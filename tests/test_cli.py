@@ -300,10 +300,28 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
                  id="solve-delta-not-points"),
     pytest.param("solve", {"family": {**TRIANGLE, "ln_norm": []}},
                  id="solve-ln-norm-list"),
+    pytest.param("solve", {"family": {**TRIANGLE, "resolution": "0"}},
+                 id="solve-resolution-zero"),
+    pytest.param("solve", {"family": {**CIRCLE, "levels": [0]},
+                           "diagnostics": {"cost_bounds": True}},
+                 id="solve-level-zero"),
+    pytest.param("solve", {"family": {**CIRCLE, "levels": [-1]},
+                           "diagnostics": {"cost_bounds": True}},
+                 id="solve-level-negative"),
+    pytest.param("solve", {"family": {**INTERMEDIATE, "n": 4, "m": 3,
+                                      "d": [1, 1, 1, 1]}},
+                 id="solve-intermediate-m3"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, command, cfg):
     cfg = {**cfg, "output_dir": str(tmp_path / "run")}
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("output_dir", [5, ""], ids=["number", "empty"])
+def test_malformed_output_dir_exit_code(tmp_path, capsys, output_dir):
+    cfg = {"family": CIRCLE, "output_dir": output_dir}
+    assert cli.main(["solve", write_cfg(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -343,6 +361,9 @@ RESULT_JSON = json.dumps({"resolution": "1/4"})
     pytest.param("diagnose-ma", {"phi.csv": "x0,value\n",
                                  "result.json": RESULT_JSON},
                  id="ma-phi-header-only"),
+    pytest.param("diagnose-ma", {"phi.csv": "value\n0.0\n0.5\n",
+                                 "result.json": RESULT_JSON},
+                 id="ma-phi-no-coordinates"),
     pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
                                  "result.json": json.dumps({"seed": 1})},
                  id="ma-no-resolution"),

@@ -1,11 +1,15 @@
 """Geometric substrate: faces, rational points, measures, quadrature."""
 
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelot import _linalg
+from skelot import families as fm
 from skelot import polyhedral as ph
 from skelot.errors import (
     InconsistentGluing,
@@ -16,23 +20,25 @@ from skelot.errors import (
 F = Fraction
 
 
-def brute_edge_lattice_points(a, b, l):
-    """Oracle: integer-scan of (1/l)-points on the segment a-b in the plane."""
+def brute_simplex_points(verts, l):
+    """Oracle: integer scan of the bounding box of l*simplex for (1/l)-points.
+
+    A candidate x is kept when sum_i lambda_i (v_i, 1) = (x, 1) has a
+    solution with lambda >= 0, read off the reduced echelon form of the
+    augmented system.
+    """
+    verts = [tuple(F(c) for c in v) for v in verts]
+    n = len(verts)
+    box = [range(floor(min(l * v[k] for v in verts)),
+                 ceil(max(l * v[k] for v in verts)) + 1)
+           for k in range(len(verts[0]))]
     pts = set()
-    ax, ay, bx, by = F(a[0]), F(a[1]), F(b[0]), F(b[1])
-    # scan the bounding box of l*segment
-    x_lo, x_hi = sorted((l * ax, l * bx))
-    y_lo, y_hi = sorted((l * ay, l * by))
-    for zx in range(int(x_lo) - 1, int(x_hi) + 2):
-        for zy in range(int(y_lo) - 1, int(y_hi) + 2):
-            # on segment iff collinear and between endpoints
-            cross = (F(zx, l) - ax) * (by - ay) - (F(zy, l) - ay) * (bx - ax)
-            if cross != 0:
-                continue
-            dot = (F(zx, l) - ax) * (bx - ax) + (F(zy, l) - ay) * (by - ay)
-            sq = (bx - ax) ** 2 + (by - ay) ** 2
-            if 0 <= dot <= sq:
-                pts.add((F(zx, l), F(zy, l)))
+    for z in product(*box):
+        x = tuple(F(c, l) for c in z)
+        aug = [[v[k] for v in verts] + [x[k]] for k in range(len(x))]
+        red, pivots = _linalg.rref(aug + [[1] * (n + 1)])
+        if n not in pivots and all(row[n] >= 0 for row in red[:n]):
+            pts.add(x)
     return pts
 
 
@@ -91,9 +97,66 @@ def test_rational_points_triangle_boundary_oracle():
     got = set(ph.rational_points(cx, 1))
     oracle = set()
     for i in range(3):
-        oracle |= brute_edge_lattice_points(verts[i], verts[(i + 1) % 3], 1)
+        oracle |= brute_simplex_points([verts[i], verts[(i + 1) % 3]], 1)
     assert got == oracle
     assert len(got) == 9
+
+
+SIMPLICES = {
+    "triangle-R2": ((-1, -1), (2, -1), (-1, 2)),
+    "triangle-R2-rational": ((F(1, 3), F(1, 5)), (F(7, 2), F(2, 3)),
+                             (F(-1, 4), F(9, 4))),
+    "triangle-R3-simplex": ph.simplex_complex(2).faces[0].vertices,
+    "triangle-R3-target": fm._target_union(fm.IntermediateData(
+        n=4, m=2, d=(1, 2, 3), hilbert_M=(1,))).faces[0].vertices,
+    "tetrahedron-R3": ((0, 0, 0), (2, 0, 0), (0, F(3, 2), 0), (1, 1, 2)),
+    "tetrahedron-R4": ph.simplex_complex(3).faces[0].vertices,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLICES))
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_face_rational_points_oracle(name, l):
+    verts = SIMPLICES[name]
+    pts = ph.face_rational_points(ph.Face(verts), l)
+    assert len(pts) == len(set(pts))
+    assert set(pts) == brute_simplex_points(verts, l)
+
+
+small = st.fractions(-3, 3, max_denominator=4)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_face_frame(data):
+    d = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(0, min(d, 2)))
+    verts = data.draw(st.lists(st.tuples(*[small] * d), min_size=m + 1,
+                               max_size=m + 1))
+    dirs = [[b - a for a, b in zip(verts[0], v)] for v in verts[1:]]
+    if len(_linalg.rref(dirs)[1]) < m:
+        with pytest.raises(ValueError):
+            ph.Face(verts)
+        return
+    face = ph.Face(verts)
+    if data.draw(st.booleans()):  # on the span
+        mu = data.draw(st.lists(small, min_size=m, max_size=m))
+        x = tuple(v0 + sum(c * e[k] for c, e in zip(mu, dirs))
+                  for k, v0 in enumerate(verts[0]))
+    else:
+        x = data.draw(st.tuples(*[small] * d))
+    on_span = len(_linalg.rref(dirs + [[a - b for a, b in zip(x, verts[0])]])[1]) == m
+    lam = face.barycentric(x)
+    assert (lam is not None) == on_span
+    assert face.contains(x) == (on_span and all(c >= 0 for c in lam))
+    if on_span:
+        assert sum(lam) == 1
+        assert tuple(sum(c * v[k] for c, v in zip(lam, verts))
+                     for k in range(d)) == x
+        assert face.unchart(face.chart(x)) == x
+    else:
+        with pytest.raises(ValueError):
+            face.chart(x)
 
 
 @given(l=st.integers(1, 6), k=st.integers(1, 4))
@@ -151,6 +214,11 @@ def test_quadrature_too_coarse():
     seg = ph.segment_complex(F(1, 3), F(5, 12))
     with pytest.raises(ResolutionTooCoarse):
         ph.quadrature(seg, 1)
+    # a unimodular triangle with level-2 points but vertices off that grid
+    tri = ph.Face(((F(1, 3), 0), (F(4, 3), 0), (F(1, 3), 1)))
+    assert len(ph.face_rational_points(tri, 2)) == 3
+    with pytest.raises(ResolutionTooCoarse):
+        ph.quadrature(ph.IntegralPolyhedralComplex((tri,)), F(1, 2))
 
 
 def test_lattice_count_asymptote_toric_boundary():

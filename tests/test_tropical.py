@@ -39,6 +39,11 @@ def test_val_at_off_face():
     s = section(((1, 0), 0, "a"))
     with pytest.raises(PointOffFace):
         tr.val_at(s, (F(2), F(0)), EDGE_FACE)
+    # on the span, a hair past the vertex (1, 0)
+    eps = F(1, 10**13)
+    assert not EDGE_FACE.contains((1 + eps, -eps))
+    with pytest.raises(PointOffFace):
+        tr.val_at(s, (1 + eps, -eps), EDGE_FACE)
 
 
 @given(st.data())
