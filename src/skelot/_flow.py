@@ -2,8 +2,12 @@
 
 Maximizes the plan correlation <C, plan> subject to marginals (a, b) by
 running min-cost flow on the arc costs -C with Johnson potentials.  The
-graph is a dense bipartite one, so Dijkstra is vectorized per popped node
-instead of using a heap.
+graph is a dense bipartite one, so Dijkstra keeps no heap: a popped source
+relaxes its whole row of forward arcs at once with numpy, and a popped
+target relaxes its few backward arcs, one per source that ships into it,
+in scalar arithmetic.  Ties go to the source, then to the lowest index, so
+the pop order, the duals and the plan do not depend on how a pass is
+vectorized.
 """
 
 from __future__ import annotations
@@ -18,43 +22,80 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
 
     Returns (dist_s, dist_t, prev_s, prev_t, end_target) where end_target is
     an unsaturated target popped with final distance, or -1 if unreachable.
+    Popped nodes carry their final distance, the others their tentative one
+    (inf if never reached).
+
+    Pop order: the lowest-index source of least tentative distance, unless
+    a target's distance is strictly less, then the lowest-index target of
+    least distance.  A source pop relaxes the forward arcs to every open
+    target with length-m vector work, (W[i] + pu[i] - pv) clipped at 0 and
+    added to the source's distance, then searches the sources for the next
+    minimum.  A target pop relaxes only the backward arcs from the sources
+    shipping into it, in scalar arithmetic: -(W[k, j] + pu[k] - pv[j])
+    clipped at 0, computed once per pass over the plan's support, is added
+    to the target's distance, and the source minimum is updated in O(1) per
+    arc.  Its only vector work is the length-m search for the next target.
     """
     n, m = W.shape
-    ds = np.where(rem_a > eps, 0.0, np.inf)
-    dt = np.full(m, np.inf)
+    inf = np.inf
+    # tentative distances of nodes not yet popped; inf once popped
+    ms = np.where(rem_a > eps, 0.0, inf)
+    mt = np.full(m, inf)
+    ds = np.full(n, inf)
+    dt = np.full(m, inf)
     prev_t = np.full(m, -1, dtype=np.int64)
     prev_s = np.full(n, -1, dtype=np.int64)
-    vis_s = np.zeros(n, dtype=bool)
-    vis_t = np.zeros(m, dtype=bool)
-
+    open_s = [True] * n
+    open_t = np.ones(m, dtype=bool)
+    # backward arcs j -> k, one for each source k shipping into target j
+    ks, js = np.divmod(np.flatnonzero(flow > 0), m)
+    rcb = np.maximum(-(W[ks, js] + pu[ks] - pv[js]), 0.0)
+    back = [[] for _ in range(m)]
+    for k, j, r in zip(ks.tolist(), js.tolist(), rcb.tolist()):
+        back[j].append((k, r))
+    rc = np.empty(m)
+    better = np.empty(m, dtype=bool)
+    bi = int(ms.argmin())
+    bv = float(ms[bi])
+    end = -1
     while True:
-        ms = np.where(vis_s, np.inf, ds)
-        mt = np.where(vis_t, np.inf, dt)
-        i = int(np.argmin(ms))
-        j = int(np.argmin(mt))
-        if ms[i] <= mt[j]:
-            if not np.isfinite(ms[i]):
-                return ds, dt, prev_s, prev_t, -1
-            vis_s[i] = True
-            # forward arcs i -> all targets; reduced cost clipped at 0
-            rc = np.maximum(W[i, :] + pu[i] - pv, 0.0)
-            cand = ds[i] + rc
-            better = (~vis_t) & (cand < dt)
-            dt[better] = cand[better]
-            prev_t[better] = i
+        j = int(mt.argmin())
+        tv = float(mt[j])
+        if tv == bv == inf:
+            break
+        if bv <= tv:
+            i, d = bi, bv
+            ds[i] = d
+            ms[i] = inf
+            open_s[i] = False
+            np.add(W[i], pu[i], out=rc)
+            np.subtract(rc, pv, out=rc)
+            np.maximum(rc, 0.0, out=rc)
+            np.add(d, rc, out=rc)
+            np.less(rc, mt, out=better)
+            np.logical_and(better, open_t, out=better)
+            np.putmask(mt, better, rc)
+            np.putmask(prev_t, better, i)
+            bi = int(ms.argmin())
+            bv = float(ms[bi])
         else:
-            if not np.isfinite(mt[j]):
-                return ds, dt, prev_s, prev_t, -1
-            vis_t[j] = True
+            dt[j] = tv
+            mt[j] = inf
+            open_t[j] = False
             if rem_b[j] > eps:
-                return ds, dt, prev_s, prev_t, j
-            # backward arcs j -> sources currently shipping into j
-            has = flow[:, j] > 0
-            rcb = np.maximum(-(W[:, j] + pu - pv[j]), 0.0)
-            cand = dt[j] + rcb
-            better = has & (~vis_s) & (cand < ds)
-            ds[better] = cand[better]
-            prev_s[better] = j
+                end = j
+                break
+            for k, r in back[j]:
+                c = tv + r
+                if open_s[k] and c < ms[k]:
+                    ms[k] = c
+                    prev_s[k] = j
+                    if c < bv or (c == bv and k < bi):
+                        bi, bv = k, c
+    # unpopped nodes report their tentative distance
+    np.minimum(ds, ms, out=ds)
+    np.minimum(dt, mt, out=dt)
+    return ds, dt, prev_s, prev_t, end
 
 
 def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):

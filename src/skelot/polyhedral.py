@@ -299,6 +299,18 @@ def face_rational_points(face: Face, l: int) -> list[Point]:
     return [p for _, p in _face_grid(face, l)]
 
 
+def _grid_sorted(points, l: int) -> list[Point]:
+    """Points of (1/l)Z^d in lexicographic order, compared as integers.
+
+    Scaling by l maps the grid onto Z^d and keeps the order, so the sort
+    never compares Fractions.
+    """
+    def key(p: Point) -> tuple[int, ...]:
+        assert all(l % c.denominator == 0 for c in p), f"{p} is off the 1/{l} grid"
+        return tuple(c.numerator * (l // c.denominator) for c in p)
+    return sorted(points, key=key)
+
+
 def rational_points(complex: IntegralPolyhedralComplex, l: int) -> list[Point]:
     """All level-l rational points, deduplicated across faces and gluings."""
     if l < 1:
@@ -307,7 +319,7 @@ def rational_points(complex: IntegralPolyhedralComplex, l: int) -> list[Point]:
     for face in complex.faces:
         for pt in face_rational_points(face, int(l)):
             seen.add(complex.canonical_point(pt))
-    return sorted(seen)
+    return _grid_sorted(seen, int(l))
 
 
 # -- measures ------------------------------------------------------------------
@@ -377,7 +389,7 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
                         for (ua, ub) in tri:
                             add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
 
-    points = sorted(acc)
+    points = _grid_sorted(acc, l)
     weights = tuple(float(acc[p]) for p in points)
     measure = DiscreteMeasure(tuple(points), weights,
                               tuple(tags[p] for p in points), float(sum(weights)))

@@ -131,7 +131,7 @@ def test_criterion_02_strong_duality_oracle():
         diff = [float(u) - float(v) for u, v in
                 zip(lp.dual_potentials[0], res.phi.values)]
         ok = ok and (max(diff) - min(diff)) / 2 <= 1e-4
-        ok = ok and time.time() - t1 < 60
+        ok = ok and time.time() - t1 < 10
     _report(2, "strong-duality oracle", ok, t0)
 
 
@@ -239,7 +239,7 @@ def test_criterion_07_lattice_count_asymptote():
     errs = [abs(len(rational_points(seg, l)) / l - 1)
             for l in (8, 16, 32, 64)]
     ok = ok and all(b < a for a, b in zip(errs, errs[1:]))
-    ok = ok and time.time() - t0 < 5
+    ok = ok and time.time() - t0 < 3
     _report(7, "lattice-count asymptote", ok, t0)
 
 
@@ -260,7 +260,7 @@ def test_criterion_08_real_ma_diagnostic():
     affine = tp.PotentialField(pts, tuple(2 * p[0] + 1 for p in pts))
     flagged = dg.ma_residual(affine, F(1, 16))
     ok = ok and all(flagged.degenerate)
-    ok = ok and time.time() - t0 < 30
+    ok = ok and time.time() - t0 < 10
     _report(8, "real MA diagnostic", ok, t0)
 
 
@@ -284,7 +284,7 @@ def test_criterion_09_mirror_duality():
     tdres = tp.minimize_kontorovich(tdual)
     tout = dg.duality_check(tprob, tdual, tres, tdres)
     ok = ok and tout["functional_gap"] <= 1e-9
-    ok = ok and time.time() - t0 < 60
+    ok = ok and time.time() - t0 < 10
     _report(9, "mirror duality", ok, t0)
 
 

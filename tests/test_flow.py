@@ -1,0 +1,206 @@
+"""The flow finisher against the dense Dijkstra it replaced, bit for bit.
+
+`_reference_dijkstra` is the earlier vectorized pass, kept verbatim: two
+full masks and two argmins per pop and a column scan per target pop.  The
+wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`
+and requires the same bytes for both distance and predecessor arrays and
+the same end target, so the pop order, the tie rules and the rounding of
+every relaxation must match.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from skelot import _flow
+from skelot import cost as co
+from skelot import families as fm
+
+F = Fraction
+
+
+def _reference_dijkstra(W, pu, pv, flow, rem_a, rem_b, eps):
+    n, m = W.shape
+    ds = np.where(rem_a > eps, 0.0, np.inf)
+    dt = np.full(m, np.inf)
+    prev_t = np.full(m, -1, dtype=np.int64)
+    prev_s = np.full(n, -1, dtype=np.int64)
+    vis_s = np.zeros(n, dtype=bool)
+    vis_t = np.zeros(m, dtype=bool)
+
+    while True:
+        ms = np.where(vis_s, np.inf, ds)
+        mt = np.where(vis_t, np.inf, dt)
+        i = int(np.argmin(ms))
+        j = int(np.argmin(mt))
+        if ms[i] <= mt[j]:
+            if not np.isfinite(ms[i]):
+                return ds, dt, prev_s, prev_t, -1
+            vis_s[i] = True
+            # forward arcs i -> all targets; reduced cost clipped at 0
+            rc = np.maximum(W[i, :] + pu[i] - pv, 0.0)
+            cand = ds[i] + rc
+            better = (~vis_t) & (cand < dt)
+            dt[better] = cand[better]
+            prev_t[better] = i
+        else:
+            if not np.isfinite(mt[j]):
+                return ds, dt, prev_s, prev_t, -1
+            vis_t[j] = True
+            if rem_b[j] > eps:
+                return ds, dt, prev_s, prev_t, j
+            # backward arcs j -> sources currently shipping into j
+            has = flow[:, j] > 0
+            rcb = np.maximum(-(W[:, j] + pu - pv[j]), 0.0)
+            cand = dt[j] + rcb
+            better = has & (~vis_s) & (cand < ds)
+            ds[better] = cand[better]
+            prev_s[better] = j
+
+
+def _assert_same_pass(dijkstra, args):
+    new = dijkstra(*args)
+    ref = _reference_dijkstra(*args)
+    for got, want in zip(new[:4], ref[:4]):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert new[4] == ref[4]
+    return new
+
+
+def _assert_same_solve(monkeypatch, C, a, b):
+    """Every pass and the whole result equal the reference's.
+
+    Returns the result and the number of passes."""
+    dijkstra = _flow._dijkstra
+    ends = []
+
+    def checked(*args):
+        out = _assert_same_pass(dijkstra, args)
+        ends.append(out[4])
+        return out
+
+    monkeypatch.setattr(_flow, "_dijkstra", checked)
+    got = _flow.solve_transport(C, a, b)
+    monkeypatch.setattr(_flow, "_dijkstra", _reference_dijkstra)
+    want = _flow.solve_transport(C, a, b)
+    monkeypatch.setattr(_flow, "_dijkstra", dijkstra)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.tobytes() == w.tobytes()
+    assert got[3:] == want[3:]
+    return got, len(ends)
+
+
+def _problem_arrays(problem):
+    return (problem.cost_array,
+            np.array(problem.mu0.weights, dtype=float),
+            np.array(problem.target_mass, dtype=float))
+
+
+def _toric():
+    return fm.toric_pair([(-1, -1), (2, -1), (-1, 2)], resolution=F(1, 16))[1]
+
+
+def _rank1():
+    return fm.mumford_family(co.MumfordData((co.PhiAxis(),)), [1],
+                             resolution=F(1, 64))[1]
+
+
+def _torus():
+    return fm.mumford_family(co.MumfordData((co.PhiAxis(), co.PhiAxis())),
+                             [1, 2], resolution=F(1, 8))[1]
+
+
+@pytest.mark.parametrize("build", [_toric, _rank1, _torus],
+                         ids=["toric-1/16", "rank1-1/64", "torus-1/8"])
+def test_family_solves_match_reference(monkeypatch, build):
+    C, a, b = _problem_arrays(build())
+    (plan, _, _, aug, unshipped), passes = _assert_same_solve(
+        monkeypatch, C, a, b)
+    assert passes == aug == C.shape[1] and unshipped == 0.0
+    assert np.allclose(plan.sum(axis=1), a) and np.allclose(plan.sum(axis=0), b)
+
+
+def _tied_instance(seed):
+    """Small-integer costs, so equal distances are everywhere."""
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(1, 13, size=2)
+    C = rng.integers(-2, 3, size=(n, m)).astype(float)
+    a = rng.integers(0, 4, size=n).astype(float)
+    b = rng.integers(1, 4, size=m).astype(float)
+    if seed % 3 == 0:
+        a[rng.integers(n)] = 0.0        # a zero-supply row besides chance ones
+    if a.sum() == 0:
+        a[0] = 1.0
+    return C, a / a.sum(), b / b.sum()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tied_random_solves_match_reference(monkeypatch, seed):
+    _assert_same_solve(monkeypatch, *_tied_instance(seed))
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 9)])
+def test_point_mass_solves_match_reference(monkeypatch, shape):
+    n, m = shape
+    rng = np.random.default_rng(n * 10 + m)
+    C = rng.integers(0, 2, size=(n, m)).astype(float)
+    a = np.zeros(n)
+    a[n // 2] = 1.0
+    b = np.full(m, 1.0 / m)
+    (plan, _, _, aug, _), _ = _assert_same_solve(monkeypatch, C, a, b)
+    assert aug == m and plan[n // 2].sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_arbitrary_passes_match_reference(seed):
+    """Passes from states no solve reaches: any support, potentials that
+    leave reduced costs of both signs on it, small integers throughout, so
+    a backward arc can tie a source with the current source minimum."""
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n, m = rng.integers(1, 10, size=2)
+        W = rng.integers(-2, 3, size=(n, m)).astype(float)
+        pu = rng.integers(-1, 2, size=n).astype(float)
+        pv = rng.integers(-1, 2, size=m).astype(float)
+        flow = (rng.random((n, m)) < 0.4).astype(float)
+        rem_a = rng.integers(0, 2, size=n).astype(float)
+        rem_b = (rng.random(m) < 0.2).astype(float)
+        _assert_same_pass(_flow._dijkstra,
+                          (W, pu, pv, flow, rem_a, rem_b, 0.5))
+
+
+def test_backward_tie_pops_lower_source_first():
+    """Target 1's backward arc brings source 0 level with source 1, the
+    current source minimum; source 0 must pop first and so become target
+    2's predecessor."""
+    W = np.array([[9.0, -1.0, 1.0],
+                  [-2.0, 9.0, 1.0],
+                  [0.0, 1.0, 5.0]])
+    flow = np.array([[0.0, 1.0, 0.0],
+                     [1.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0]])
+    ds, dt, prev_s, prev_t, end = _assert_same_pass(
+        _flow._dijkstra, (W, np.zeros(3), np.zeros(3), flow,
+                          np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
+                          0.5))
+    assert list(ds) == [2.0, 2.0, 0.0] and list(dt) == [0.0, 1.0, 3.0]
+    assert list(prev_s) == [1, 0, -1] and list(prev_t) == [2, 2, 0]
+    assert end == 2
+
+
+def test_unreachable_target_returns_minus_one():
+    """With all demand met a pass pops every node it reaches and ends at -1;
+    with no supply left it ends at -1 before any pop."""
+    C, a, b = _tied_instance(7)
+    n, m = C.shape
+    flow = _flow.solve_transport(C, a, b)[0]
+    W = -C
+    args = (W, np.zeros(n), W.min(axis=0), flow)
+    ds, dt, _, _, end = _assert_same_pass(
+        _flow._dijkstra, args + (np.full(n, 0.5), np.zeros(m), 1e-15))
+    assert end == -1 and np.isfinite(dt).all()
+    ds, dt, _, _, end = _assert_same_pass(
+        _flow._dijkstra, args + (np.zeros(n), np.full(m, 0.5), 1e-15))
+    assert end == -1 and np.isinf(ds).all() and np.isinf(dt).all()

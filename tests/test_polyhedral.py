@@ -168,6 +168,34 @@ def test_rational_points_nesting(l, k):
     assert coarse <= fine
 
 
+GRID_COMPLEXES = {
+    "segment": ph.segment_complex(F(-1, 2), 2),
+    "circle": ph.circle_complex(),
+    "circle-period-3": fm._circle_g(3),
+    "torus": fm._torus_unit(),
+    "2-simplex": ph.simplex_complex(2),
+    "triangle-boundary": ph.polygon_boundary_complex([(-1, -1), (2, -1), (-1, 2)]),
+    "dual-boundary": ph.polygon_boundary_complex([(1, 0), (0, 1), (-1, -1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_COMPLEXES))
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 6, 8])
+def test_grid_order_is_fraction_order(name, l):
+    """Points sorted by their integer numerators over l come out in the
+    order plain Fraction comparison gives, gluings included."""
+    cx = GRID_COMPLEXES[name]
+    pts = ph.rational_points(cx, l)
+    assert pts == sorted(pts) and len(set(pts)) == len(pts)
+    q = ph.quadrature(cx, F(1, l))
+    assert list(q.points) == sorted(q.points)
+
+
+def test_grid_order_rejects_off_grid_points():
+    with pytest.raises(AssertionError):
+        ph._grid_sorted([(F(1, 2),), (F(1, 3),)], 4)
+
+
 def test_face_weight_normalization():
     faces = (ph.Face(((F(0),), (F(1),)), weight=F(2)),
              ph.Face(((F(1),), (F(2),)), weight=F(1)))
