@@ -211,6 +211,10 @@ def run(config_path: str, seed_override=None,
         allow_nonconverged: bool = False) -> int:
     cfg = load_config(config_path, seed_override)
     problem, extras = build_problem(cfg)
+    shape = (len(problem.mu0.points), len(problem.nu0.points))
+    if cfg.oracle and max(shape) > tp.ORACLE_SIZE_CAP:
+        raise ConfigError(f"oracle: {shape[0]}x{shape[1]} exceeds the "
+                          f"{tp.ORACLE_SIZE_CAP}x{tp.ORACLE_SIZE_CAP} cap")
     result = tp.minimize_kontorovich(problem, tol=cfg.tol)
     if not result.converged and not allow_nonconverged:
         if result.unshipped:

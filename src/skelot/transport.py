@@ -227,13 +227,19 @@ class LPOracleResult:
     pivots: int
 
 
-def lp_oracle(problem: TransportProblem, size_cap: int = 400) -> LPOracleResult:
+# the largest source or target grid the exact oracle takes by default
+ORACLE_SIZE_CAP = 600
+
+
+def lp_oracle(problem: TransportProblem,
+              size_cap: int = ORACLE_SIZE_CAP) -> LPOracleResult:
     """Exact transportation simplex for max plan correlation.
 
     The simplex runs on the integer cost matrix (K, D).  The marginals are
     rescaled exactly so supply and demand balance; the plan's marginals are
     then exactly feasible and the value is a rational certificate of the
-    optimum.
+    optimum.  A source or target grid above size_cap points raises
+    SizeCapExceeded; the default admits toric 1/64 (192 x 576).
     """
     n = len(problem.mu0.points)
     m = len(problem.nu0.points)

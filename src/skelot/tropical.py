@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import PointOffFace, TieOnRegion
@@ -26,7 +27,19 @@ class MonomialTerm:
         object.__setattr__(self, "t_order", int(self.t_order))
 
     def value_at(self, x: Sequence[Fraction]) -> Fraction:
-        return sum(Fraction(c) * a for c, a in zip(x, self.exponent)) + self.t_order
+        nums, L = _over_lcm([Fraction(c) for c in x])
+        return Fraction(self.scaled_value(nums, L), L)
+
+    def scaled_value(self, nums: Sequence[int], L: int) -> int:
+        """L times the value at the point nums / L, an integer."""
+        return sum(c * a for c, a in zip(nums, self.exponent)) \
+            + self.t_order * L
+
+
+def _over_lcm(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The point x as integer numerators over their common denominator L."""
+    L = lcm(*(c.denominator for c in x))
+    return [c.numerator * (L // c.denominator) for c in x], L
 
 
 @dataclass(frozen=True)
@@ -44,11 +57,14 @@ class TropicalSection:
 
 
 def val_at(section: TropicalSection, x: Sequence, face: Optional[Face] = None) -> Fraction:
-    """Minimal weighted vanishing order of the section at x (exact)."""
+    """Minimal weighted vanishing order of the section at x (exact).
+
+    Every term is valued in integers over x's common denominator."""
     pt = as_point(x)
     if face is not None and not face.contains(pt):
         raise PointOffFace(f"{pt} is not on the face")
-    return min(t.value_at(pt) for t in section.terms)
+    nums, L = _over_lcm(pt)
+    return Fraction(min(t.scaled_value(nums, L) for t in section.terms), L)
 
 
 def val_argmin(section: TropicalSection, x: Sequence) -> tuple[Fraction, list[int]]:

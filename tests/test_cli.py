@@ -173,6 +173,23 @@ def test_solve_toric_end_to_end(tmp_path):
         assert os.path.exists(os.path.join(out, name))
 
 
+def test_oversize_oracle_exits_before_the_finisher(tmp_path, capsys,
+                                                   monkeypatch):
+    def finisher(*args):
+        raise AssertionError("the flow finisher ran")
+
+    monkeypatch.setattr(_flow, "solve_transport", finisher)
+    cfg = {
+        "family": {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
+                   "resolution": "1/128"},
+        "oracle": True,
+    }
+    code, out = run_cfg(tmp_path, cfg)
+    assert code == 2
+    assert "384x1152 exceeds the 600x600 cap" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_report_round_trip(tmp_path, capsys):
     _, out = run_cfg(tmp_path, ABELIAN_CFG)
     assert cli.main(["report", out]) == 0

@@ -1,0 +1,200 @@
+"""The exact simplex oracle against the per-pivot tree walk it replaced.
+
+`_reference_solve_exact` is the earlier loop, kept verbatim: every pivot
+walks the whole basis tree from source 0 for parent, depth and the integer
+duals, then prices every cell afresh.  `_simplex.solve_exact` updates only
+the subtree the leaving cell cuts off, so with the same pivot rule it must
+return the same flows, duals, value and pivot count on every instance.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+import pytest
+
+from skelot import _simplex
+from skelot import cost as co
+from skelot import families as fm
+from skelot import transport as tp
+from skelot._simplex import _cell, _northwest_corner, _walk
+from skelot.errors import InfeasibleMarginals, NotConverged
+from test_acceptance import shipped_instances
+
+F = Fraction
+
+
+def _reference_solve_exact(K, D, a, b):
+    n, m = len(a), len(b)
+    if sum(a) != sum(b):
+        raise InfeasibleMarginals("marginal masses differ")
+    Q = lcm(*(F(x).denominator for x in (*a, *b)))
+    ap = [(int(x * Q), 1) for x in a]
+    bp = [(int(y * Q), 0) for y in b]
+    bp[-1] = (bp[-1][0], n)
+    basis = _northwest_corner(ap, bp)
+    adj = [set() for _ in range(n + m)]
+    for i, j in basis:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+
+    Kl = K.tolist()
+    kmax = max((abs(k) for row in Kl for k in row), default=0)
+    # |U|, |V| <= (n + m - 1) kmax, so |K - U - V| < kmax (2 (n + m) + 1)
+    dtype = np.int64 if kmax * (2 * (n + m) + 1) < 2 ** 63 else object
+    Kp = K.astype(dtype)
+    max_pivots = 60 * (n + m) + 2000
+
+    for pivot in range(max_pivots + 1):
+        parent, depth, W = _walk(adj, Kl, n)
+        R = Kp - np.array(W[:n], dtype=dtype)[:, None] \
+            - np.array(W[n:], dtype=dtype)[None, :]
+        best = int(np.argmax(R))  # row-major lowest index on ties
+        if R.flat[best] <= 0:  # basic cells price to exactly 0
+            break
+        if pivot == max_pivots:
+            raise NotConverged("pivot budget exhausted in the exact solver")
+        enter = divmod(best, m)
+        # the cycle: tree paths from ei and from n + ej up to where they meet;
+        # on each, the edges alternate -, +, - from its start
+        x, y = enter[0], n + enter[1]
+        up_x, up_y = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up_x.append(_cell(x, parent[x], n))
+                x = parent[x]
+            else:
+                up_y.append(_cell(y, parent[y], n))
+                y = parent[y]
+        minus = up_x[0::2] + up_y[0::2]
+        theta = min(basis[c] for c in minus)
+        leave = min(c for c in minus if basis[c] == theta)
+        for c in minus:
+            basis[c] = (basis[c][0] - theta[0], basis[c][1] - theta[1])
+        for c in up_x[1::2] + up_y[1::2]:
+            basis[c] = (basis[c][0] + theta[0], basis[c][1] + theta[1])
+        basis[enter] = theta
+        del basis[leave]
+        adj[enter[0]].add(n + enter[1])
+        adj[n + enter[1]].add(enter[0])
+        adj[leave[0]].discard(n + leave[1])
+        adj[n + leave[1]].discard(leave[0])
+
+    flows = {cell: F(main, Q) for cell, (main, _) in basis.items()}
+    assert all(fl >= 0 for fl in flows.values())
+    value = F(sum(Kl[i][j] * main for (i, j), (main, _) in basis.items()),
+              D * Q)
+    u = [F(w, D) for w in W[:n]]
+    v = [F(w, D) for w in W[n:]]
+    return flows, u, v, value, pivot
+
+
+def _assert_same(K, D, a, b):
+    got = _simplex.solve_exact(K, D, a, b)
+    assert got == _reference_solve_exact(K, D, a, b)
+    return got
+
+
+def _oracle_args(problem):
+    """(K, D, a, b) as lp_oracle hands them to the simplex."""
+    a = [F(w) for w in problem.mu0.weights]
+    b = [F(w) for w in problem.target_mass]
+    b = [x * sum(a) / sum(b) for x in b]
+    return (*problem._integer(), a, b)
+
+
+def _toric(l):
+    return fm.toric_pair([(-1, -1), (2, -1), (-1, 2)], resolution=F(1, l))[1]
+
+
+@pytest.mark.parametrize("l", [16, 32], ids=["toric-1/16", "toric-1/32"])
+def test_toric_matches_reference(l):
+    pivots = _assert_same(*_oracle_args(_toric(l)))[4]
+    assert pivots == {16: 396, 32: 1456}[l]
+
+
+SHIPPED = dict(shipped_instances())
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_acceptance_instances_match_reference(name):
+    _assert_same(*_oracle_args(SHIPPED[name]))
+
+
+def _wide_range_instances(big):
+    """test_transport's seeded instances: about one entry in ten is scaled
+    by big, so with big = 3^50 K lies beyond int64."""
+    rng = random.Random(7)
+    for _ in range(60):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        C = [[F(rng.randint(-100, 100), rng.randint(1, 9))
+              * (big if rng.random() < 0.1 else 1)
+              for _ in range(m)] for _ in range(n)]
+        a = [F(rng.randint(1, 9)) for _ in range(n)]
+        b = [F(rng.randint(1, 9)) for _ in range(m)]
+        yield (*co.over_lcm(C, m), a, [y * sum(a) / sum(b) for y in b])
+
+
+@pytest.mark.parametrize("big", [10 ** 12, 3 ** 50], ids=["int64", "object"])
+def test_wide_range_instances_match_reference(big):
+    dtypes = set()
+    for K, D, a, b in _wide_range_instances(big):
+        _assert_same(K, D, a, b)
+        dtypes.add(K.dtype)
+    assert (np.dtype(object) in dtypes) == (big > 2 ** 63)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tied_instances_match_reference(seed):
+    """Costs in {-2..2}: many cells tie for entering and leaving."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 12), rng.randint(1, 12)
+    K = np.array([[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)],
+                 dtype=np.int64)
+    a = [F(rng.randint(0, 3)) for _ in range(n)]
+    if seed % 3 == 0:
+        a[rng.randrange(n)] = F(0)  # a zero-supply row besides chance ones
+    if sum(a) == 0:
+        a[0] = F(1)
+    b = [F(rng.randint(1, 3)) for _ in range(m)]
+    _assert_same(K, rng.randint(1, 3), a, [y * sum(a) / sum(b) for y in b])
+
+
+def test_constant_cost_matches_reference():
+    """Every cell ties: the northwest corner is already optimal."""
+    K = np.full((5, 7), 3, dtype=np.int64)
+    out = _assert_same(K, 2, [F(1, 5)] * 5, [F(1, 7)] * 7)
+    assert out[4] == 0 and out[3] == F(3, 2)
+
+
+def test_stops_on_a_fresh_walk(monkeypatch):
+    """The last tree walk runs after the last pivot, and the duals returned
+    are the ones it computed."""
+    walks = []
+
+    def recorded(adj, K, n):
+        walks.append(_walk(adj, K, n))
+        return walks[-1]
+
+    monkeypatch.setattr(_simplex, "_walk", recorded)
+    K, D, a, b = _oracle_args(_toric(16))
+    _, u, v, _, pivots = _simplex.solve_exact(K, D, a, b)
+    assert pivots > 0 and len(walks) == 2
+    assert walks[-1][2] == [x * D for x in (*u, *v)]
+
+
+def test_lp_oracle_certifies_toric_1_64_under_default_cap():
+    prob = _toric(64)
+    assert (len(prob.mu0.points), len(prob.nu0.points)) == (192, 576)
+    lp = tp.lp_oracle(prob)
+    K, D = prob._integer()
+    u, v = lp.dual_potentials
+    U = np.array([x * D for x in u], dtype=object)
+    V = np.array([x * D for x in v], dtype=object)
+    assert all(x.denominator == 1 for x in (*U, *V))
+    U, V = U.astype(np.int64), V.astype(np.int64)
+    assert (K - U[:, None] - V[None, :]).max() <= 0  # exact dual feasibility
+    res = tp.minimize_kontorovich(prob)
+    assert res.converged
+    assert abs(res.value - lp.primal_value) <= 1e-9 * (1 + abs(res.value))

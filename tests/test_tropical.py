@@ -62,6 +62,25 @@ def test_val_at_concave_on_face(data):
     assert tr.val_at(s, mid) >= (tr.val_at(s, x) + tr.val_at(s, y)) / 2
 
 
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_val_at_matches_fraction_formula(data):
+    """Integer valuation over the common denominator equals the Fraction
+    formula min <x, alpha> + t_order, coordinate by coordinate."""
+    dim = data.draw(st.integers(1, 3))
+    terms = data.draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-9, 9)] * dim),
+                  st.integers(-5, 5)),
+        min_size=1, max_size=6, unique=True))
+    s = tr.TropicalSection(tuple(
+        tr.MonomialTerm(e, k, str(i)) for i, (e, k) in enumerate(terms)))
+    x = data.draw(st.tuples(*[st.fractions(-5, 5, max_denominator=60)] * dim))
+    want = min(sum(c * a for c, a in zip(x, e)) + k for e, k in terms)
+    assert tr.val_at(s, x) == want
+    assert [t.value_at(x) for t in s.terms] == \
+        [sum(c * a for c, a in zip(x, e)) + k for e, k in terms]
+
+
 # -- dominant regions --------------------------------------------------------
 
 
