@@ -2,21 +2,27 @@
 
 Independent of the flow-based solver on purpose: the two routes cross-check
 each other.  The cost is C = K / D with K integral.  The marginals are scaled
-by the lcm Q of their denominators, and each flow is an integer pair
-(main, eps) on a lexicographically perturbed problem (+1 on every supply,
-+n on the last demand), so no basis is ever degenerate and pivoting cannot
-cycle.  The basic duals lie in (1/D)Z and are kept as the integers U = u D
-and V = v D, with the reduced costs K - U - V of every cell, exactly (int64
-under a proven bound, Python ints otherwise).
+by the lcm Q of their denominators and then by M = 2n + 1, and the problem is
+perturbed lexicographically: +1 on every supply, +n on the last demand.  A
+basic flow is then one integer f = main M + eps, where eps, the number of
+sources on one side of its edge less n if the last target is there too, lies
+in [-n, n].  So integer order is the order of the pairs (main, eps) and f
+is 0 only when both are; while every demand is positive no basis is
+degenerate and pivoting cannot cycle.  main = (f + n) // M, and main / Q is
+the exact flow of the unperturbed problem, since tree flows are linear in
+the marginals.
 
-One walk from source 0 sets the basis tree's parent, depth and duals.  A
-pivot's leaving cell cuts one subtree off; only that subtree is re-hung
-below the entering cell, its duals shift by a constant, and only its rows
-and columns of K - U - V are updated.  The row-major first maximum enters
-and the lowest cell wins a leaving tie.  The solver stops only after a fresh
-walk and a full pricing pass find no positive reduced cost, so the returned
-duals are exactly feasible.  Tree flows are linear in the marginals, so
-main / Q is the exact flow of the unperturbed problem.
+The basis tree is rooted at source 0 and kept once, per node: the parent,
+the depth, the flow on the edge to the parent, and the integer dual W = u D
+of a source or v D of a target (basic duals lie in (1/D)Z), with the reduced
+costs K - U - V of every cell, exactly (int64 under a proven bound, Python
+ints otherwise).  A pivot's leaving edge cuts one subtree off; its path to
+the entering cell reverses, each edge's flow moving to its new lower node,
+and one walk re-hangs the subtree below the entering cell.  Its duals shift
+by a constant, so only its rows and columns of K - U - V are updated.  The
+row-major first maximum enters and the lowest cell wins a leaving tie.  The
+solver stops only after a fresh walk from the root and a full pricing pass
+find no positive reduced cost, so the returned duals are exactly feasible.
 """
 
 from __future__ import annotations
@@ -32,21 +38,30 @@ from .errors import InfeasibleMarginals, NotConverged
 F = Fraction
 
 
-def _northwest_corner(ap: list, bp: list) -> dict:
-    """Initial basis.  With the perturbation a supply and a demand run out
-    together only at the last cell, so the basis has n + m - 1 cells."""
+def _northwest_corner(ap: list, bp: list) -> tuple:
+    """Initial basis tree: parent[x] and the flow on the edge x-parent[x].
+
+    Nodes 0..n-1 are sources, n.. targets.  Each cell adds the node whose row
+    or column it starts, below the other end; with the perturbation a supply
+    and a demand run out together only at the last cell, so the tree has
+    n + m - 1 edges.
+    """
+    n, m = len(ap), len(bp)
     rem_a, rem_b = list(ap), list(bp)
-    basis = {}
-    i = j = 0
-    while i < len(ap) and j < len(bp):
-        take = basis[(i, j)] = min(rem_a[i], rem_b[j])
-        rem_a[i] = (rem_a[i][0] - take[0], rem_a[i][1] - take[1])
-        rem_b[j] = (rem_b[j][0] - take[0], rem_b[j][1] - take[1])
-        if rem_a[i] == (0, 0):
+    parent, flow = [0] * (n + m), [0] * (n + m)
+    i, j, x = 0, 0, n
+    while i < n and j < m:
+        parent[x] = i if x >= n else n + j
+        take = flow[x] = min(rem_a[i], rem_b[j])
+        rem_a[i] -= take
+        rem_b[j] -= take
+        if rem_a[i] == 0:
             i += 1
+            x = i
         else:
             j += 1
-    return basis
+            x = n + j
+    return parent, flow
 
 
 def _cell(x: int, y: int, n: int) -> tuple:
@@ -54,55 +69,28 @@ def _cell(x: int, y: int, n: int) -> tuple:
     return (x, y - n) if x < n else (y, x - n)
 
 
-def _walk(adj: list, K: list, n: int) -> tuple:
-    """Parent, depth and integer duals of the basis tree rooted at source 0.
+def _hang(adj: list, K: list, n: int, parent: list, depth: list, W: list,
+          root: int) -> list:
+    """Set parent, depth and the integer duals of every node below root.
 
-    Nodes 0..n-1 are sources, n.. targets; W[x] is u_x D for a source and
-    v_j D for target n + j, with W[0] = 0 and W[i] + W[n + j] = K[i][j] on
-    every basic cell.
+    Walks the tree (adj) away from parent[root], breadth first, with
+    W[y] = K[i][j] - W[x] for each basic cell between x and its child y;
+    returns root and the nodes below it.
     """
-    parent = [None] * len(adj)
-    depth = [0] * len(adj)
-    W = [0] * len(adj)
-    parent[0] = 0
-    stack = [0]
-    while stack:
-        x = stack.pop()
+    below = [root]
+    for x in below:
         for y in adj[x]:
-            if parent[y] is None:
-                i, j = _cell(x, y, n)
-                parent[y], depth[y], W[y] = x, depth[x] + 1, K[i][j] - W[x]
-                stack.append(y)
-    return parent, depth, W
+            if y != parent[x]:
+                parent[y], depth[y] = x, depth[x] + 1
+                W[y] = (K[x][y - n] if x < n else K[y][x - n]) - W[x]
+                below.append(y)
+    return below
 
 
 def _reduced(Kp: np.ndarray, W: list, n: int) -> np.ndarray:
     """Exact reduced costs K - U - V of every cell, in Kp's dtype."""
     return Kp - np.array(W[:n], dtype=Kp.dtype)[:, None] \
         - np.array(W[n:], dtype=Kp.dtype)[None, :]
-
-
-def _rehang(adj: list, K: list, n: int, parent: list, depth: list, W: list,
-            e: int, f: int) -> list:
-    """Hang the subtree cut off at e below f, through the entering cell.
-
-    adj already holds the new tree.  One DFS from e, away from f, sets
-    parent, depth and the integer duals of the moved nodes only; returns
-    them, e first.
-    """
-    i, j = _cell(e, f, n)
-    parent[e], depth[e], W[e] = f, depth[f] + 1, K[i][j] - W[f]
-    moved = [e]
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y != parent[x]:
-                i, j = _cell(x, y, n)
-                parent[y], depth[y], W[y] = x, depth[x] + 1, K[i][j] - W[x]
-                moved.append(y)
-                stack.append(y)
-    return moved
 
 
 def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
@@ -116,14 +104,14 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
     if sum(a) != sum(b):
         raise InfeasibleMarginals("marginal masses differ")
     Q = lcm(*(F(x).denominator for x in (*a, *b)))
-    ap = [(int(x * Q), 1) for x in a]
-    bp = [(int(y * Q), 0) for y in b]
-    bp[-1] = (bp[-1][0], n)
-    basis = _northwest_corner(ap, bp)
+    M = 2 * n + 1
+    bp = [int(y * Q) * M for y in b]
+    bp[-1] += n
+    parent, flow = _northwest_corner([int(x * Q) * M + 1 for x in a], bp)
     adj = [set() for _ in range(n + m)]
-    for i, j in basis:
-        adj[i].add(n + j)
-        adj[n + j].add(i)
+    for x in range(1, n + m):
+        adj[x].add(parent[x])
+        adj[parent[x]].add(x)
 
     Kl = K.tolist()
     kmax = max((abs(k) for row in Kl for k in row), default=0)
@@ -132,66 +120,71 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
     Kp = K.astype(dtype)
     max_pivots = 60 * (n + m) + 2000
 
-    parent, depth, W = _walk(adj, Kl, n)
+    depth, W = [0] * (n + m), [0] * (n + m)
+    _hang(adj, Kl, n, parent, depth, W, 0)
     R = _reduced(Kp, W, n)
     for pivot in range(max_pivots + 1):
         best = int(np.argmax(R))  # row-major lowest index on ties
         if R.flat[best] <= 0:  # basic cells price to exactly 0
             # stop only on a fresh walk and a full exact pricing pass
-            parent, depth, fresh = _walk(adj, Kl, n)
-            assert fresh == W, "incremental duals differ from a fresh walk"
-            W = fresh
+            kept = list(W)
+            _hang(adj, Kl, n, parent, depth, W, 0)
+            assert W == kept, "incremental duals differ from a fresh walk"
             R = _reduced(Kp, W, n)
             best = int(np.argmax(R))
             if R.flat[best] <= 0:
                 break
         if pivot == max_pivots:
             raise NotConverged("pivot budget exhausted in the exact solver")
-        enter = divmod(best, m)
-        # the cycle: tree paths from ei and from n + ej up to where they meet;
-        # on each, the edges alternate -, +, - from its start
-        x, y = enter[0], n + enter[1]
+        i, j = divmod(best, m)
+        # the cycle: tree paths from i and from n + j up to where they meet,
+        # as the nodes below their edges; on each, the edges alternate
+        # -, +, - from its start
+        x, y = i, n + j
         up_x, up_y = [], []
         for _ in range(n + m):  # a tree path has fewer than n + m edges
             if x == y:
                 break
             if depth[x] >= depth[y]:
-                up_x.append(_cell(x, parent[x], n))
+                up_x.append(x)
                 x = parent[x]
             else:
-                up_y.append(_cell(y, parent[y], n))
+                up_y.append(y)
                 y = parent[y]
         else:
             raise AssertionError("the cycle walk left the basis tree")
-        minus_x = up_x[0::2]
-        minus = minus_x + up_y[0::2]
-        theta = min(basis[c] for c in minus)
-        leave = min(c for c in minus if basis[c] == theta)
-        for c in minus:
-            basis[c] = (basis[c][0] - theta[0], basis[c][1] - theta[1])
-        for c in up_x[1::2] + up_y[1::2]:
-            basis[c] = (basis[c][0] + theta[0], basis[c][1] + theta[1])
-        basis[enter] = theta
-        del basis[leave]
-        adj[enter[0]].add(n + enter[1])
-        adj[n + enter[1]].add(enter[0])
-        adj[leave[0]].discard(n + leave[1])
-        adj[n + leave[1]].discard(leave[0])
-        # the leaving cell cuts off the end of the entering cell whose path
-        # it lies on; only that subtree moves, by +shift on its sources and
-        # -shift on its targets
-        e, f = (enter[0], n + enter[1]) if leave in minus_x \
-            else (n + enter[1], enter[0])
+        minus = up_x[0::2] + up_y[0::2]
+        theta = min(flow[x] for x in minus)
+        leave = min((x for x in minus if flow[x] == theta),
+                    key=lambda x: _cell(x, parent[x], n))
+        for x in minus:
+            flow[x] -= theta
+        for x in up_x[1::2] + up_y[1::2]:
+            flow[x] += theta
+        adj[leave].discard(parent[leave])
+        adj[parent[leave]].discard(leave)
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+        # the leaving edge cuts off the end e of the entering cell whose path
+        # it lies on; that path reverses, its flows move down one edge, and
+        # only e's subtree moves, by +shift on its sources and -shift on its
+        # targets
+        e, f, up = (i, n + j, up_x) if leave in up_x else (n + j, i, up_y)
+        path = up[:up.index(leave) + 1]
+        for x, fl in zip(path, [theta] + [flow[x] for x in path[:-1]]):
+            flow[x] = fl
         old = W[e]
-        moved = _rehang(adj, Kl, n, parent, depth, W, e, f)
+        parent[e], depth[e], W[e] = f, depth[f] + 1, Kl[i][j] - W[f]
+        moved = _hang(adj, Kl, n, parent, depth, W, e)
         shift = W[e] - old if e < n else old - W[e]
         R[[x for x in moved if x < n], :] -= shift
         R[:, [x - n for x in moved if x >= n]] += shift
 
-    flows = {cell: F(main, Q) for cell, (main, _) in basis.items()}
+    main = {_cell(x, parent[x], n): (flow[x] + n) // M
+            for x in range(1, n + m)}
+    flows = {cell: F(x, Q) for cell, x in main.items()}
     assert all(fl >= 0 for fl in flows.values())
-    value = F(sum(Kl[i][j] * main for (i, j), (main, _) in basis.items()),
-              D * Q)
+    value = F(sum(Kl[i][j] * x for (i, j), x in main.items()), D * Q)
     u = [F(w, D) for w in W[:n]]
     v = [F(w, D) for w in W[n:]]
     return flows, u, v, value, pivot

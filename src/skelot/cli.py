@@ -57,6 +57,13 @@ def _number(value, kind, name: str):
         raise ConfigError(f"{name} must be a number, not {value!r}")
 
 
+def _flag(block: dict, key: str) -> bool:
+    value = block.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 def _numbers(values, kind, name: str) -> list:
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list, not {values!r}")
@@ -85,13 +92,17 @@ class ExperimentConfig:
         self.tol = _number(solver.get("tol", 1e-9), float, "solver tol")
         if not 0 < self.tol < inf:
             raise ConfigError("solver tol must be positive and finite")
-        self.oracle = bool(raw.get("oracle", False))
-        self.diagnostics = raw.get("diagnostics", {})
-        if not isinstance(self.diagnostics, dict):
+        self.oracle = _flag(raw, "oracle")
+        diagnostics = raw.get("diagnostics", {})
+        if not isinstance(diagnostics, dict):
             raise ConfigError("diagnostics must be a JSON object")
+        self.pushforward = _flag(diagnostics, "pushforward")
+        self.cost_bounds = _flag(diagnostics, "cost_bounds")
         self.cost_bound_samples = _number(
-            self.diagnostics.get("cost_bound_samples", 200), int,
+            diagnostics.get("cost_bound_samples", 200), int,
             "cost_bound_samples")
+        if self.cost_bound_samples < 1:
+            raise ConfigError("cost_bound_samples must be at least 1")
         self.output_dir = raw.get("output_dir", "run")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
@@ -192,11 +203,9 @@ def _write_plan_csv(path: str, plan) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["source_index", "target_index", "mass"])
-        n, m = plan.shape
-        for i in range(n):
-            for j in range(m):
-                if plan[i, j] > 0:
-                    w.writerow([i, j, repr(float(plan[i, j]))])
+        rows, cols = (plan > 0).nonzero()  # row-major, like the file
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            w.writerow([i, j, repr(float(plan[i, j]))])
 
 
 def _assertion(name, expected, observed, tolerance, ok) -> dict:
@@ -239,9 +248,9 @@ def run(config_path: str, seed_override=None,
 
     diag_out = {}
     rng = random.Random(cfg.seed)
-    if cfg.diagnostics.get("pushforward", False):
+    if cfg.pushforward:
         diag_out["pushforward"] = dg.pushforward_residual(result, problem)
-    if cfg.diagnostics.get("cost_bounds", False) and "family" in extras:
+    if cfg.cost_bounds and "family" in extras:
         family = extras["family"]
         levels = extras["levels"]
         samples = []

@@ -179,12 +179,10 @@ class PhiAxis:
     def value(self, m) -> Fraction:
         m = F(m)
         k = floor(m)
-        # Phi(k) = sum of slopes of the unit intervals between 0 and k
-        if k >= 0:
-            base = sum(self.slope(j) for j in range(k))
-        else:
-            base = -sum(self.slope(j) for j in range(k, 0))
-        return F(base) + self.slope(k) * (m - k)
+        # Phi(k), the signed sum of the slopes of the unit intervals between
+        # 0 and k, is base_slope k + quad k(k-1)/2 for every integer k
+        return self.base_slope * k + self.quad * (k * (k - 1) // 2) \
+            + self.slope(k) * (m - k)
 
 
 @dataclass(frozen=True)

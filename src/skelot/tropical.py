@@ -158,31 +158,13 @@ def exponent_classes(terms: Sequence[Sequence[int]],
     bv = tuple(int(x) for x in b)
     if any(len(v) != len(bv) for v in vecs):
         raise ValueError("exponent length does not match multiplicity vector")
+    # alpha - floor(alpha_k / b_k) b, k the first nonzero entry of b, is the
+    # same for the whole class; alpha itself when b = 0
+    k = next((k for k, x in enumerate(bv) if x), None)
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(vecs):
-        # membership requires the full vector difference to be a multiple of b
-        placed = False
-        for rep, members in groups.items():
-            delta = tuple(a - r for a, r in zip(v, vecs[members[0]]))
-            n = None
-            ok = True
-            for d, x in zip(delta, bv):
-                if x == 0:
-                    if d != 0:
-                        ok = False
-                        break
-                else:
-                    q, r = divmod(d, x)
-                    if r != 0 or (n is not None and q != n):
-                        ok = False
-                        break
-                    n = q
-            if ok:
-                members.append(i)
-                placed = True
-                break
-        if not placed:
-            groups[(i,)] = [i]
+        q = 0 if k is None else v[k] // bv[k]
+        groups.setdefault(tuple(a - q * x for a, x in zip(v, bv)), []).append(i)
     return list(groups.values())
 
 

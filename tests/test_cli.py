@@ -311,6 +311,21 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
                  id="solve-samples-string"),
     pytest.param("solve", {"family": CIRCLE, "diagnostics": "x"},
                  id="solve-diagnostics-not-object"),
+    pytest.param("solve", {"family": CIRCLE, "oracle": "false"},
+                 id="solve-oracle-string"),
+    pytest.param("solve", {"family": CIRCLE, "oracle": 1},
+                 id="solve-oracle-number"),
+    pytest.param("solve", {"family": CIRCLE, "diagnostics": {
+        "pushforward": "no"}}, id="solve-pushforward-string"),
+    pytest.param("solve", {"family": {**CIRCLE, "levels": [1]},
+                           "diagnostics": {"cost_bounds": "false"}},
+                 id="solve-cost-bounds-string"),
+    pytest.param("solve", {"family": CIRCLE, "diagnostics": {
+        "cost_bounds": True, "cost_bound_samples": -5}},
+                 id="solve-samples-negative"),
+    pytest.param("solve", {"family": CIRCLE, "diagnostics": {
+        "cost_bounds": True, "cost_bound_samples": 0}},
+                 id="solve-samples-zero"),
     pytest.param("solve", {"family": {**TRIANGLE, "delta": None}},
                  id="solve-delta-null"),
     pytest.param("solve", {"family": {**TRIANGLE, "delta": [1, 2]}},

@@ -61,6 +61,26 @@ def test_phi_default_values():
     assert RANK1.phi((F(3, 2),)) == 2
 
 
+def _phi_by_slope_sum(axis, m):
+    """Phi as a sum of slopes: those of the unit intervals between 0 and
+    floor(m), signed, then the next slope times the fractional part."""
+    k = m.numerator // m.denominator
+    if k >= 0:
+        base = sum(axis.slope(j) for j in range(k))
+    else:
+        base = -sum(axis.slope(j) for j in range(k, 0))
+    return base + axis.slope(k) * (m - k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-20, 20), st.integers(1, 5), st.integers(1, 3),
+       st.integers(-400, 400), st.sampled_from([1, 2, 3, 7]))
+def test_phi_axis_value_matches_slope_sum(base, quad, period, num, den):
+    axis = co.PhiAxis(base_slope=base, quad=quad, period=period)
+    m = F(num, den)
+    assert axis.value(m) == _phi_by_slope_sum(axis, m)
+
+
 def test_reduce_canonical_lift():
     assert RANK1.reduce((F(7, 3),)) == (F(1, 3),)
     assert RANK1.reduce((F(-1, 4),)) == (F(3, 4),)

@@ -1,10 +1,12 @@
 """The exact simplex oracle against the per-pivot tree walk it replaced.
 
-`_reference_solve_exact` is the earlier loop, kept verbatim: every pivot
-walks the whole basis tree from source 0 for parent, depth and the integer
-duals, then prices every cell afresh.  `_simplex.solve_exact` updates only
-the subtree the leaving cell cuts off, so with the same pivot rule it must
-return the same flows, duals, value and pivot count on every instance.
+`_reference_solve_exact` is the earlier loop, kept verbatim with the
+helpers it called: every pivot walks the whole basis tree from source 0 for
+parent, depth and the integer duals, then prices every cell afresh, and the
+flows are (main, eps) pairs in a dict keyed by cell.  `_simplex.solve_exact`
+keeps one integer flow per tree node and re-hangs only the subtree the
+leaving edge cuts off, so with the same pivot rule it must return the same
+flows, duals, value and pivot count on every instance.
 """
 
 import random
@@ -18,11 +20,54 @@ from skelot import _simplex
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
-from skelot._simplex import _cell, _northwest_corner, _walk
 from skelot.errors import InfeasibleMarginals, NotConverged
 from test_acceptance import shipped_instances
 
 F = Fraction
+
+
+def _northwest_corner(ap: list, bp: list) -> dict:
+    """Initial basis.  With the perturbation a supply and a demand run out
+    together only at the last cell, so the basis has n + m - 1 cells."""
+    rem_a, rem_b = list(ap), list(bp)
+    basis = {}
+    i = j = 0
+    while i < len(ap) and j < len(bp):
+        take = basis[(i, j)] = min(rem_a[i], rem_b[j])
+        rem_a[i] = (rem_a[i][0] - take[0], rem_a[i][1] - take[1])
+        rem_b[j] = (rem_b[j][0] - take[0], rem_b[j][1] - take[1])
+        if rem_a[i] == (0, 0):
+            i += 1
+        else:
+            j += 1
+    return basis
+
+
+def _cell(x: int, y: int, n: int) -> tuple:
+    """Basis cell of the tree edge between nodes x and y."""
+    return (x, y - n) if x < n else (y, x - n)
+
+
+def _walk(adj: list, K: list, n: int) -> tuple:
+    """Parent, depth and integer duals of the basis tree rooted at source 0.
+
+    Nodes 0..n-1 are sources, n.. targets; W[x] is u_x D for a source and
+    v_j D for target n + j, with W[0] = 0 and W[i] + W[n + j] = K[i][j] on
+    every basic cell.
+    """
+    parent = [None] * len(adj)
+    depth = [0] * len(adj)
+    W = [0] * len(adj)
+    parent[0] = 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if parent[y] is None:
+                i, j = _cell(x, y, n)
+                parent[y], depth[y], W[y] = x, depth[x] + 1, K[i][j] - W[x]
+                stack.append(y)
+    return parent, depth, W
 
 
 def _reference_solve_exact(K, D, a, b):
@@ -169,19 +214,22 @@ def test_constant_cost_matches_reference():
 
 
 def test_stops_on_a_fresh_walk(monkeypatch):
-    """The last tree walk runs after the last pivot, and the duals returned
-    are the ones it computed."""
+    """The last walk from the root runs after the last pivot, and the duals
+    returned are the ones it computed."""
     walks = []
+    hang = _simplex._hang
 
-    def recorded(adj, K, n):
-        walks.append(_walk(adj, K, n))
-        return walks[-1]
+    def recorded(adj, K, n, parent, depth, W, root):
+        below = hang(adj, K, n, parent, depth, W, root)
+        if root == 0:
+            walks.append(list(W))
+        return below
 
-    monkeypatch.setattr(_simplex, "_walk", recorded)
+    monkeypatch.setattr(_simplex, "_hang", recorded)
     K, D, a, b = _oracle_args(_toric(16))
     _, u, v, _, pivots = _simplex.solve_exact(K, D, a, b)
     assert pivots > 0 and len(walks) == 2
-    assert walks[-1][2] == [x * D for x in (*u, *v)]
+    assert walks[-1] == [x * D for x in (*u, *v)]
 
 
 def test_lp_oracle_certifies_toric_1_64_under_default_cap():

@@ -134,6 +134,36 @@ def test_exponent_classes_zero_b():
     assert sorted(len(c) for c in classes) == [1, 2]
 
 
+def _pairwise_classes(terms, b):
+    """Classes in order of first appearance, each index joining the first
+    class whose first member differs from it by an integer multiple of b."""
+    def multiple(d):
+        if not any(b):
+            return not any(d)
+        k = next(k for k, x in enumerate(b) if x)
+        n = F(d[k], b[k])
+        return n.denominator == 1 and all(x == n * y for x, y in zip(d, b))
+
+    classes = []
+    for i, v in enumerate(terms):
+        for members in classes:
+            if multiple([x - y for x, y in zip(v, terms[members[0]])]):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=12),
+    st.tuples(*[st.integers(-3, 3)] * d))))
+def test_exponent_classes_match_pairwise_definition(case):
+    terms, b = case
+    assert tr.exponent_classes(terms, b) == _pairwise_classes(terms, b)
+
+
 # -- independence --------------------------------------------------------------
 
 
