@@ -7,7 +7,7 @@ perturbed lexicographically: +1 on every supply, +n on the last demand.  A
 basic flow is then one integer f = main M + eps, where eps, the number of
 sources on one side of its edge less n if the last target is there too, lies
 in [-n, n].  So integer order is the order of the pairs (main, eps) and f
-is 0 only when both are; while every demand is positive no basis is
+is 0 only when both are; demands must be positive, so no basis is
 degenerate and pivoting cannot cycle.  main = (f + n) // M, and main / Q is
 the exact flow of the unperturbed problem, since tree flows are linear in
 the marginals.
@@ -95,14 +95,14 @@ def _reduced(Kp: np.ndarray, W: list, n: int) -> np.ndarray:
 
 def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
                 b: Sequence[Fraction]):
-    """max sum C*x over transportation plans, C = K / D; exact marginals.
+    """max sum C*x over plans, C = K / D; exact marginals, demands > 0.
 
     Returns (flows: dict cell -> Fraction, u, v, value, n_pivots) with the
     exact optimal duals satisfying u_i + v_j >= C[i][j] everywhere.
     """
     n, m = len(a), len(b)
-    if sum(a) != sum(b):
-        raise InfeasibleMarginals("marginal masses differ")
+    if sum(a) != sum(b) or not all(y > 0 for y in b):
+        raise InfeasibleMarginals("masses must balance, every demand > 0")
     Q = lcm(*(F(x).denominator for x in (*a, *b)))
     M = 2 * n + 1
     bp = [int(y * Q) * M for y in b]
@@ -117,7 +117,7 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
     kmax = max((abs(k) for row in Kl for k in row), default=0)
     # |U|, |V| <= (n + m - 1) kmax, so |K - U - V| < kmax (2 (n + m) + 1)
     dtype = np.int64 if kmax * (2 * (n + m) + 1) < 2 ** 63 else object
-    Kp = K.astype(dtype)
+    Kp = K.astype(dtype, order="C")  # row-major, so pivots scan rows fast
     max_pivots = 60 * (n + m) + 2000
 
     depth, W = [0] * (n + m), [0] * (n + m)

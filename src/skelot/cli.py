@@ -175,7 +175,7 @@ def build_problem(cfg: ExperimentConfig):
             return problem, {"data": data, "family": family, "levels": levels}
         if kind == "zero":
             pts = ((F(0),), (F(1),))
-            mu = DiscreteMeasure(pts, (0.5, 0.5), (0, 0), 1.0)
+            mu = DiscreteMeasure(pts, (F(1, 2), F(1, 2)), (0, 0), F(1))
             zero = co.CostFunction(None, None, lambda x, p: F(0), lipschitz_x=0.0)
             return tp.TransportProblem(zero, mu, mu), {}
     raise ConfigError(f"unknown family kind {kind!r}")

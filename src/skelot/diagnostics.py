@@ -36,7 +36,7 @@ def pushforward_residual(result: TransportResult, problem: TransportProblem,
     use = "plan" compares the plan's target marginal; "argmax" pushes mu0
     along the best-response map x -> argmax_p (c(x, p) - psi(p)).
     """
-    target = np.array(problem.target_mass)
+    target = np.array(problem.target_mass, dtype=float)
     if use == "plan":
         marginal = result.plan.sum(axis=0)
     elif use == "argmax":

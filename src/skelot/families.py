@@ -157,10 +157,10 @@ class IntermediateData:
         if len(self.d) != self.m + 1 or any(x <= 0 for x in self.d):
             raise InvariantViolation("need m + 1 positive degrees")
 
-    def weight(self, p: Sequence) -> float:
+    def weight(self, p: Sequence) -> Fraction:
         pt = as_point(p)
         base = 1 + sum(F(di) * c for di, c in zip(self.d, pt))
-        return float(base) ** (self.n - self.m)
+        return base ** (self.n - self.m)
 
 
 def _target_union(data: IntermediateData) -> IntegralPolyhedralComplex:
@@ -197,7 +197,7 @@ def intermediate_family(data: IntermediateData,
     if total <= 0:
         raise ResolutionTooCoarse("weighted target mass vanished")
     nu0 = DiscreteMeasure(raw.points, tuple(w / total for w in raw.weights),
-                          raw.face_tags, sum(raw.weights) / total)
+                          raw.face_tags, raw.total_mass / total)
     cost = pairing_cost(source_cx, target_cx)
     return TransportProblem(cost, mu0, nu0, weight=data.weight,
                             ln_norm=data.ln_norm)

@@ -1,11 +1,11 @@
 """Integral polyhedral complexes, rational point lattices, measures, quadrature.
 
-All vertex and lattice arithmetic is exact (Fraction); measure weights are
-floats.  Faces are simplices presented by their vertex tuples, optionally with
-a multiplicity vector b when the face sits in the normalized form
-{x >= 0, sum b_i x_i = 1}.  Each face inverts its edge and lattice matrices
-once, when it is built; grid enumeration then tests each candidate point in
-integer arithmetic, in any face dimension.
+All vertex, lattice and mass arithmetic is exact (Fraction); float weights
+are converted exactly.  Faces are simplices presented by their vertex
+tuples, optionally with a multiplicity vector b when the face sits in the
+normalized form {x >= 0, sum b_i x_i = 1}.  Each face inverts its edge and
+lattice matrices once, when it is built; grid enumeration then tests each
+candidate point in integer arithmetic, in any face dimension.
 """
 
 from __future__ import annotations
@@ -156,28 +156,24 @@ class Gluing:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted rational points with face tags; weights are floats."""
+    """Rational points, face tags and exact weights that sum exactly to
+    total_mass (a float x counts as Fraction(x): three floats 1/3 miss 1)."""
 
     points: tuple[Point, ...]
-    weights: tuple[float, ...]
+    weights: tuple[Fraction, ...]
     face_tags: tuple[int, ...]
-    total_mass: float
+    total_mass: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(as_point(p) for p in self.points))
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(x if isinstance(x, Fraction) else Fraction(x)
+                  for x in self.weights)
         object.__setattr__(self, "weights", w)
-        if any(x < -1e-15 for x in w):
+        object.__setattr__(self, "total_mass", Fraction(self.total_mass))
+        if any(x < 0 for x in w):
             raise ValueError("negative weight in measure")
-        if abs(sum(w) - self.total_mass) > 1e-12 * max(1.0, abs(self.total_mass)):
-            raise ValueError("weights do not sum to the declared total mass")
-
-    def normalized(self) -> "DiscreteMeasure":
-        s = sum(self.weights)
-        if s <= 0:
-            raise ValueError("cannot normalize a zero measure")
-        return DiscreteMeasure(self.points, tuple(w / s for w in self.weights),
-                               self.face_tags, 1.0)
+        if sum(w) != self.total_mass:
+            raise ValueError("weights, as Fractions, do not sum exactly to total_mass")
 
 
 @dataclass(frozen=True)
@@ -337,7 +333,8 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
 
     Cell volumes are lumped onto grid points (trapezoid rule in 1D, corner
     lumping of the up/down triangulation in 2D); truncated boundary stubs are
-    assigned to the nearest grid point so mass is conserved exactly.
+    assigned to the nearest grid point so mass is conserved exactly.  The
+    weights are these exact volumes; normalize divides them by the mass.
     """
     l = _level_from_resolution(h)
     acc: dict[Point, Fraction] = {}
@@ -390,10 +387,14 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
                             add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
 
     points = _grid_sorted(acc, l)
-    weights = tuple(float(acc[p]) for p in points)
-    measure = DiscreteMeasure(tuple(points), weights,
-                              tuple(tags[p] for p in points), float(sum(weights)))
-    return measure.normalized() if normalize else measure
+    mass = sum(acc.values())
+    if normalize:
+        if mass <= 0:
+            raise ValueError("cannot normalize a zero measure")
+        acc = {p: w / mass for p, w in acc.items()}
+        mass = 1
+    return DiscreteMeasure(tuple(points), tuple(acc[p] for p in points),
+                           tuple(tags[p] for p in points), mass)
 
 
 # -- convenience builders --------------------------------------------------------

@@ -117,14 +117,13 @@ class TransportProblem:
         self.nu0 = nu0
         self.weight = weight
         self.ln_norm = float(ln_norm)
-        if abs(mu0.total_mass - 1.0) > 1e-9:
+        if mu0.total_mass != 1:
             raise InfeasibleMarginals("source measure must have mass 1")
-        w = [1.0 if weight is None else float(weight(p)) for p in nu0.points]
+        w = [1 if weight is None else F(weight(p)) for p in nu0.points]
         if any(x < 0 for x in w):
             raise InfeasibleMarginals("weight must be non-negative")
-        self.target_mass = tuple(wi * float(vi)
-                                 for wi, vi in zip(w, nu0.weights))
-        if abs(sum(self.target_mass) - 1.0) > 1e-9:
+        self.target_mass = tuple(wi * vi for wi, vi in zip(w, nu0.weights))
+        if sum(self.target_mass) != 1:
             raise InfeasibleMarginals("weighted target mass must be 1")
         self._exact_cost = None
         self._cost_array = None
@@ -185,7 +184,7 @@ def kontorovich_value(problem: TransportProblem, phi: PotentialField) -> float:
 
 def _mean_zero(problem: TransportProblem, values) -> tuple:
     vals = [F(v) for v in values]
-    mean = sum(F(w) * v for w, v in zip(problem.mu0.weights, vals))
+    mean = sum(w * v for w, v in zip(problem.mu0.weights, vals))
     return tuple(v - mean for v in vals)
 
 
@@ -235,27 +234,26 @@ def lp_oracle(problem: TransportProblem,
               size_cap: int = ORACLE_SIZE_CAP) -> LPOracleResult:
     """Exact transportation simplex for max plan correlation.
 
-    The simplex runs on the integer cost matrix (K, D).  The marginals are
-    rescaled exactly so supply and demand balance; the plan's marginals are
-    then exactly feasible and the value is a rational certificate of the
-    optimum.  A source or target grid above size_cap points raises
-    SizeCapExceeded; the default admits toric 1/64 (192 x 576).
+    The simplex runs on the integer costs (K, D) and the exact marginals,
+    less the targets of zero mass (W = 0), which ship nothing; the plan is
+    exactly feasible and the value a rational certificate of the optimum.
+    v = u^c, exactly: the simplex's duals where it solved (each target has a
+    tight basic cell), the least feasible ones elsewhere.  A grid above
+    size_cap points raises SizeCapExceeded; the default admits toric 1/64.
     """
     n = len(problem.mu0.points)
     m = len(problem.nu0.points)
     if n > size_cap or m > size_cap:
         raise SizeCapExceeded(f"{n}x{m} exceeds the {size_cap}x{size_cap} cap")
-    a = [F(w) for w in problem.mu0.weights]
-    b = [F(w) for w in problem.target_mass]
-    ta, tb = sum(a), sum(b)
-    if abs(float(ta - tb)) > 1e-9:
-        raise InfeasibleMarginals("marginal masses differ beyond tolerance")
-    b = [x * ta / tb for x in b]  # exact rebalancing of float dust
-    flows, u, v, value, pivots = _simplex.solve_exact(*problem._integer(),
-                                                       a, b)
+    K, D = problem._integer()
+    b = problem.target_mass
+    keep = [j for j in range(m) if b[j]]
+    flows, u, _, value, pivots = _simplex.solve_exact(
+        K[:, keep], D, problem.mu0.weights, [b[j] for j in keep])
+    v = problem.transform(PotentialField(problem.mu0.points, u)).values
     plan = np.zeros((n, m))
-    for (i, j), fl in flows.items():
-        plan[i, j] = float(fl)
+    for (i, jk), fl in flows.items():
+        plan[i, keep[jk]] = float(fl)
     return LPOracleResult(plan=plan, primal_value=float(value),
                           dual_potentials=(tuple(u), tuple(v)),
                           exact_value=value, pivots=pivots)

@@ -56,8 +56,8 @@ def test_not_reflexive_rejected():
 def test_toric_pair_problem():
     pair, prob = fm.toric_pair(P2, resolution=F(1, 4))
     assert prob.ln_norm == 9.0
-    assert abs(prob.mu0.total_mass - 1.0) < 1e-12
-    assert abs(sum(prob.target_mass) - 1.0) < 1e-12
+    assert prob.mu0.total_mass == 1
+    assert sum(prob.target_mass) == 1
     assert prob.cost.metadata["kind"] == "pairing"
     _, prob2 = fm.toric_pair(P1P1, resolution=F(1, 4))
     assert prob2.ln_norm == 8.0
@@ -94,8 +94,8 @@ def test_target_union_is_two_axis_segments():
     for p in prob.nu0.points:
         assert p[0] == 0 or p[1] == 0
         assert all(-F(1, 2) <= c <= 0 for c in p)
-    assert abs(sum(prob.target_mass) - 1.0) < 1e-12
-    assert abs(prob.mu0.total_mass - 1.0) < 1e-12
+    assert sum(prob.target_mass) == 1
+    assert prob.mu0.total_mass == 1
 
 
 def test_intermediate_continuum_weighted_mass():
@@ -140,7 +140,7 @@ def test_mumford_family_label_counts():
     fam, prob = fm.mumford_family(RANK1, [1, 2, 3], resolution=F(1, 8))
     for l in (1, 2, 3):
         assert len(fam.labels(l)) == l
-    assert abs(prob.mu0.total_mass - 1.0) < 1e-12
+    assert prob.mu0.total_mass == 1
     assert prob.mu0.points == prob.nu0.points
 
 
@@ -162,7 +162,7 @@ def test_mumford_rank2_unit_torus():
     data2 = co.MumfordData((co.PhiAxis(), co.PhiAxis()))
     fam, prob = fm.mumford_family(data2, [1, 2], resolution=F(1, 4))
     assert len(fam.labels(2)) == 4
-    assert abs(prob.mu0.total_mass - 1.0) < 1e-12
+    assert prob.mu0.total_mass == 1
     res = tp.minimize_kontorovich(prob)
     assert res.gap >= -1e-9 and res.converged
 

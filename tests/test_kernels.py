@@ -149,8 +149,8 @@ def table_problem(table, values):
     cost = co.CostFunction(None, None,
                            lambda x, p: table[int(x[0])][int(p[0])],
                            lipschitz_x=1.0)
-    mu = DiscreteMeasure(src, (1 / n,) * n, (0,) * n, 1.0)
-    nu = DiscreteMeasure(tgt, (1 / m,) * m, (0,) * m, 1.0)
+    mu = DiscreteMeasure(src, (F(1, n),) * n, (0,) * n, 1)
+    nu = DiscreteMeasure(tgt, (F(1, m),) * m, (0,) * m, 1)
     return tp.TransportProblem(cost, mu, nu), tp.PotentialField(src, values)
 
 

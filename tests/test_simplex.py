@@ -21,7 +21,8 @@ from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
 from skelot.errors import InfeasibleMarginals, NotConverged
-from test_acceptance import shipped_instances
+from skelot.polyhedral import DiscreteMeasure
+from test_acceptance import QUARTIC, shipped_instances
 
 F = Fraction
 
@@ -142,11 +143,12 @@ def _assert_same(K, D, a, b):
 
 
 def _oracle_args(problem):
-    """(K, D, a, b) as lp_oracle hands them to the simplex."""
-    a = [F(w) for w in problem.mu0.weights]
-    b = [F(w) for w in problem.target_mass]
-    b = [x * sum(a) / sum(b) for x in b]
-    return (*problem._integer(), a, b)
+    """(K, D, a, b) as lp_oracle hands them to the simplex: the exact
+    marginals, with the targets of zero mass set aside."""
+    K, D = problem._integer()
+    keep = [j for j, y in enumerate(problem.target_mass) if y]
+    return (K[:, keep], D, problem.mu0.weights,
+            [problem.target_mass[j] for j in keep])
 
 
 def _toric(l):
@@ -155,8 +157,12 @@ def _toric(l):
 
 @pytest.mark.parametrize("l", [16, 32], ids=["toric-1/16", "toric-1/32"])
 def test_toric_matches_reference(l):
-    pivots = _assert_same(*_oracle_args(_toric(l)))[4]
+    prob = _toric(l)
+    _, u, v, value, pivots = _assert_same(*_oracle_args(prob))
     assert pivots == {16: 396, 32: 1456}[l]
+    lp = tp.lp_oracle(prob)
+    assert lp.dual_potentials == (tuple(u), tuple(v))
+    assert value == lp.exact_value == 1 + F(1, 3 * l * l)
 
 
 SHIPPED = dict(shipped_instances())
@@ -232,17 +238,66 @@ def test_stops_on_a_fresh_walk(monkeypatch):
     assert walks[-1] == [x * D for x in (*u, *v)]
 
 
-def test_lp_oracle_certifies_toric_1_64_under_default_cap():
-    prob = _toric(64)
-    assert (len(prob.mu0.points), len(prob.nu0.points)) == (192, 576)
-    lp = tp.lp_oracle(prob)
+def _reduced_costs(prob, lp):
+    """K - U - V for the oracle's duals (U = u D, V = v D), which must be
+    integers."""
     K, D = prob._integer()
     u, v = lp.dual_potentials
     U = np.array([x * D for x in u], dtype=object)
     V = np.array([x * D for x in v], dtype=object)
     assert all(x.denominator == 1 for x in (*U, *V))
     U, V = U.astype(np.int64), V.astype(np.int64)
-    assert (K - U[:, None] - V[None, :]).max() <= 0  # exact dual feasibility
+    return K - U[:, None] - V[None, :]
+
+
+def test_lp_oracle_certifies_toric_1_64_under_default_cap():
+    prob = _toric(64)
+    assert (len(prob.mu0.points), len(prob.nu0.points)) == (192, 576)
+    lp = tp.lp_oracle(prob)
+    assert _reduced_costs(prob, lp).max() <= 0  # exact dual feasibility
+    assert lp.exact_value == 1 + F(1, 3 * 64 * 64)
     res = tp.minimize_kontorovich(prob)
     assert res.converged
     assert abs(res.value - lp.primal_value) <= 1e-9 * (1 + abs(res.value))
+
+
+def _zero_mass_table():
+    """2 x 3 table whose middle target has zero mass; its dual is
+    max(5 - u_0, 7 - u_1), not 0."""
+    table = [[1, 5, 0], [0, 7, 2]]
+    cost = co.CostFunction(None, None,
+                           lambda x, p: F(table[int(x[0])][int(p[0])]),
+                           lipschitz_x=1.0)
+    pts = tuple((F(k),) for k in range(3))
+    mu = DiscreteMeasure(pts[:2], (F(1, 2), F(1, 2)), (0, 0), 1)
+    nu = DiscreteMeasure(pts, (F(1, 2), 0, F(1, 2)), (0, 0, 0), 1)
+    return tp.TransportProblem(cost, mu, nu)
+
+
+@pytest.mark.parametrize("make, n_zero", [
+    (lambda: fm.intermediate_family(QUARTIC, resolution=F(1, 16)), 2),
+    (_zero_mass_table, 1),
+], ids=["intermediate-1/16", "table"])
+def test_oracle_duals_cover_zero_mass_targets(make, n_zero):
+    """W vanishes at two of intermediate 1/16's 17 targets.  lp_oracle sets
+    zero-mass targets aside, yet its duals keep u_i + v_j >= c_ij exactly on
+    every cell, with a tight cell in every set-aside column and the
+    simplex's own duals on the others."""
+    prob = make()
+    zero = [j for j, y in enumerate(prob.target_mass) if y == 0]
+    assert len(zero) == n_zero
+    lp = tp.lp_oracle(prob)
+    R = _reduced_costs(prob, lp)
+    assert R.max() <= 0
+    assert (R[:, zero].max(axis=0) == 0).all()
+    assert not lp.plan[:, zero].any()
+    _, u, v, value, _ = _simplex.solve_exact(*_oracle_args(prob))
+    u_lp, v_lp = lp.dual_potentials
+    assert u_lp == tuple(u) and lp.exact_value == value
+    assert [x for j, x in enumerate(v_lp) if j not in zero] == v
+
+
+def test_solve_exact_rejects_a_zero_demand():
+    K = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    with pytest.raises(InfeasibleMarginals):
+        _simplex.solve_exact(K, 1, [F(1, 2), F(1, 2)], [F(1), F(0)])

@@ -217,8 +217,10 @@ def test_lp_two_by_two_antidiagonal():
 def test_lp_plan_marginals_exactly_feasible():
     prob = abelian_problem(8, 12)
     lp = tp.lp_oracle(prob)
-    assert np.allclose(lp.plan.sum(axis=1), np.asarray(prob.mu0.weights), atol=1e-15)
-    assert np.allclose(lp.plan.sum(axis=0), np.array(prob.target_mass), atol=1e-15)
+    a = np.array(prob.mu0.weights, dtype=float)
+    b = np.array(prob.target_mass, dtype=float)
+    assert np.allclose(lp.plan.sum(axis=1), a, atol=1e-15)
+    assert np.allclose(lp.plan.sum(axis=0), b, atol=1e-15)
 
 
 def test_lp_single_point():
