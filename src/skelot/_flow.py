@@ -1,13 +1,14 @@
 """Dense successive-shortest-path transportation solver.
 
-Maximizes the plan correlation <C, plan> subject to marginals (a, b) by
-running min-cost flow on the arc costs -C with Johnson potentials.  The
-graph is a dense bipartite one, so Dijkstra keeps no heap: a popped source
-relaxes its whole row of forward arcs at once with numpy, and a popped
-target relaxes its few backward arcs, one per source that ships into it,
-in scalar arithmetic.  Ties go to the source, then to the lowest index, so
-the pop order, the duals and the plan do not depend on how a pass is
-vectorized.
+Maximizes <C, flow> subject to integer marginals (a, b) by running min-cost
+flow on the arc costs -C with Johnson potentials.  Masses stay integers, so
+each augmentation ships a positive integer and the flow meets the marginals
+exactly; only costs and potentials are floats.  The graph is a dense
+bipartite one, so Dijkstra keeps no heap: a popped source relaxes its whole
+row of forward arcs at once with numpy, and a popped target relaxes its few
+backward arcs, one per source that ships into it, in scalar arithmetic.
+Ties go to the source, then to the lowest index, so the pop order, the
+duals and the flow do not depend on how a pass is vectorized.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 
 def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
-              flow: np.ndarray, rem_a: np.ndarray, rem_b: np.ndarray,
-              eps: float):
+              flow: np.ndarray, rem_a: np.ndarray, rem_b: np.ndarray):
     """One shortest-path pass in the residual graph.
 
     Returns (dist_s, dist_t, prev_s, prev_t, end_target) where end_target is
@@ -39,7 +39,7 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
     n, m = W.shape
     inf = np.inf
     # tentative distances of nodes not yet popped; inf once popped
-    ms = np.where(rem_a > eps, 0.0, inf)
+    ms = np.where(rem_a > 0, 0.0, inf)
     mt = np.full(m, inf)
     ds = np.full(n, inf)
     dt = np.full(m, inf)
@@ -82,7 +82,7 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
             dt[j] = tv
             mt[j] = inf
             open_t[j] = False
-            if rem_b[j] > eps:
+            if rem_b[j] > 0:
                 end = j
                 break
             for k, r in back[j]:
@@ -99,32 +99,28 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
 
 
 def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Optimal plan and dual potentials for max <C, plan>, from a cold start.
+    """Optimal integer flow and dual potentials for max <C, flow>, cold.
 
-    Returns (plan, phi, psi, n_augmentations, unshipped) with
-    phi[i] + psi[j] >= C[i, j] everywhere and equality on the support of the
-    plan (up to round-off).  unshipped is 0.0 once the remaining supply or
-    demand is below the dust threshold n*m*eps; if the loop stops earlier
-    (augmentation budget, a zero-mass path, or an unreachable target) it is
-    the mass min(supply left, demand left) that the plan does not carry.
+    a and b are non-negative integer arrays, int64 (enough while every entry
+    is below 2^62, since no flow exceeds its row's supply) or object; the
+    flow has their dtype.  Returns (flow, phi, psi, n_augmentations,
+    unshipped) with phi[i] + psi[j] >= C[i, j] everywhere and equality on
+    the support of the flow (up to round-off).  The loop runs while supply
+    is left; it stops early only at the augmentation budget or when no
+    target with demand left is reachable.  unshipped is min(supply left,
+    demand left), a Python int: 0 when the flow meets balanced marginals.
     """
     C = np.asarray(C, dtype=float)
     n, m = C.shape
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
+    a, b = np.array(a), np.array(b)
     W = -C
     pu = np.zeros(n)
     pv = W.min(axis=0)
-    flow = np.zeros((n, m))
-    total = float(a.sum())
-    eps = 1e-15 * max(total, 1.0)
-    dust = n * m * eps
+    flow = np.zeros((n, m), dtype=a.dtype)
     max_aug = 60 * (n + m) + 2000
     aug = 0
-    while b.sum() > dust and a.sum() > dust:
-        if aug >= max_aug:
-            break
-        ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, flow, a, b, eps)
+    while a.any() and aug < max_aug:
+        ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, flow, a, b)
         if jend < 0:
             break
         # reconstruct the alternating path back to an unsaturated source
@@ -140,11 +136,8 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             arcs_bwd.append((i, j2))
             j = j2
         i0 = arcs_fwd[-1][0]
-        delta = min(a[i0], b[jend])
-        for i, j in arcs_bwd:
-            delta = min(delta, flow[i, j])
-        if delta <= 0:
-            break
+        # a positive integer: a[i0], b[jend] and backward flows are all > 0
+        delta = min(a[i0], b[jend], *(flow[i, j] for i, j in arcs_bwd))
         for i, j in arcs_fwd:
             flow[i, j] += delta
         for i, j in arcs_bwd:
@@ -155,7 +148,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         pu += np.minimum(ds, D)
         pv += np.minimum(dt, D)
         aug += 1
-    left = min(a.sum(), b.sum())
-    unshipped = float(left) if left > dust else 0.0
+    # in Python ints: int64 entries can sum past the int64 range
+    unshipped = min(sum(a.tolist()), sum(b.tolist()))
     # duals for the covering problem: phi + psi >= C
     return flow, pu.copy(), -pv, aug, unshipped

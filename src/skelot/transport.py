@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _flow, _simplex
-from .cost import CostFunction, ThetaFamily, matrix_floats, ratio_float
+from .cost import (CostFunction, ThetaFamily, matrix_floats, over_lcm,
+                   ratio_float)
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
 from .tropical import val_at
@@ -197,24 +198,30 @@ def minimize_kontorovich(problem: TransportProblem,
                          tol: float = 1e-9) -> TransportResult:
     """Minimize F over P_c; result normalized to mean zero against mu0.
 
-    The flow finisher solves the discrete problem from a cold start; phi is
-    then shifted to mean zero and psi = phi^c is recomputed exactly.  The
-    result is converged when the plan ships all the mass and its duality
-    gap is within gap_tolerance(tol, value).
+    The flow finisher runs from a cold start on the exact marginals times Q,
+    the lcm of their denominators; the plan is its integer flow over Q,
+    correctly rounded.  phi is shifted to mean zero and psi = phi^c is
+    recomputed exactly.  The result is converged when the plan ships all
+    the mass and its duality gap is within gap_tolerance(tol, value).
     """
     C = problem.cost_array
     a = np.array(problem.mu0.weights, dtype=float)
     b = np.array(problem.target_mass, dtype=float)
-    plan, phi, _, aug, unshipped = _flow.solve_transport(C, a, b)
+    n, m = C.shape
+    mass, Q = over_lcm([(*problem.mu0.weights, *problem.target_mass)], n + m)
+    flow, phi, _, aug, unshipped = _flow.solve_transport(C, mass[0, :n],
+                                                         mass[0, n:])
+    plan = matrix_floats(flow, Q)
+    del flow
 
     phi_field = PotentialField(problem.mu0.points, _mean_zero(problem, phi))
     psi_field = problem.transform(phi_field)
-    value = float(
-        a @ phi_field.as_array() + b @ psi_field.as_array())
+    value = float(a @ phi_field.as_array() + b @ psi_field.as_array())
     gap = value - float((C * plan).sum())
     converged = unshipped == 0 and gap <= gap_tolerance(tol, value)
     return TransportResult(phi_field, psi_field, value, plan, gap, aug,
-                           converged=converged, unshipped=unshipped)
+                           converged=converged,
+                           unshipped=ratio_float(unshipped, Q))
 
 
 @dataclass(frozen=True)

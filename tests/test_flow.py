@@ -1,14 +1,18 @@
 """The flow finisher against the dense Dijkstra it replaced, bit for bit.
 
-`_reference_dijkstra` is the earlier vectorized pass, kept verbatim: two
-full masks and two argmins per pop and a column scan per target pop.  The
+`_reference_dijkstra` is the earlier vectorized pass: two full masks and two
+argmins per pop and a column scan per target pop, kept as it was except
+that masses are integers, so a node has mass left when it is > 0.  The
 wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`
 and requires the same bytes for both distance and predecessor arrays and
 the same end target, so the pop order, the tie rules and the rounding of
-every relaxation must match.
+every relaxation must match.  Every instance has integer marginals, as the
+finisher takes them.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +24,9 @@ from skelot import families as fm
 F = Fraction
 
 
-def _reference_dijkstra(W, pu, pv, flow, rem_a, rem_b, eps):
+def _reference_dijkstra(W, pu, pv, flow, rem_a, rem_b):
     n, m = W.shape
-    ds = np.where(rem_a > eps, 0.0, np.inf)
+    ds = np.where(rem_a > 0, 0.0, np.inf)
     dt = np.full(m, np.inf)
     prev_t = np.full(m, -1, dtype=np.int64)
     prev_s = np.full(n, -1, dtype=np.int64)
@@ -48,7 +52,7 @@ def _reference_dijkstra(W, pu, pv, flow, rem_a, rem_b, eps):
             if not np.isfinite(mt[j]):
                 return ds, dt, prev_s, prev_t, -1
             vis_t[j] = True
-            if rem_b[j] > eps:
+            if rem_b[j] > 0:
                 return ds, dt, prev_s, prev_t, j
             # backward arcs j -> sources currently shipping into j
             has = flow[:, j] > 0
@@ -93,9 +97,13 @@ def _assert_same_solve(monkeypatch, C, a, b):
 
 
 def _problem_arrays(problem):
-    return (problem.cost_array,
-            np.array(problem.mu0.weights, dtype=float),
-            np.array(problem.target_mass, dtype=float))
+    """The float costs and the exact marginals times the lcm of their
+    denominators, as minimize_kontorovich passes them."""
+    C = problem.cost_array
+    n, m = C.shape
+    mass, _ = co.over_lcm([(*problem.mu0.weights, *problem.target_mass)],
+                          n + m)
+    return C, mass[0, :n], mass[0, n:]
 
 
 def _toric():
@@ -118,27 +126,38 @@ def test_family_solves_match_reference(monkeypatch, build):
     C, a, b = _problem_arrays(build())
     (plan, _, _, aug, unshipped), passes = _assert_same_solve(
         monkeypatch, C, a, b)
-    assert passes == aug == C.shape[1] and unshipped == 0.0
-    assert np.allclose(plan.sum(axis=1), a) and np.allclose(plan.sum(axis=0), b)
+    assert passes == aug == C.shape[1] and unshipped == 0
+    assert plan.dtype == np.int64
+    assert (plan.sum(axis=1) == a).all() and (plan.sum(axis=0) == b).all()
 
 
 def _tied_instance(seed):
-    """Small-integer costs, so equal distances are everywhere."""
+    """Small-integer costs, so equal distances are everywhere; integer
+    marginals scaled to balance, with zero-supply rows and, as where the
+    intermediate weight vanishes, zero-demand columns."""
     rng = np.random.default_rng(seed)
     n, m = rng.integers(1, 13, size=2)
     C = rng.integers(-2, 3, size=(n, m)).astype(float)
-    a = rng.integers(0, 4, size=n).astype(float)
-    b = rng.integers(1, 4, size=m).astype(float)
+    a = rng.integers(0, 4, size=n)
+    b = rng.integers(1, 4, size=m)
     if seed % 3 == 0:
-        a[rng.integers(n)] = 0.0        # a zero-supply row besides chance ones
+        a[rng.integers(n)] = 0          # a zero-supply row besides chance ones
+    if seed % 4 == 1:
+        b[rng.integers(m, size=2)] = 0  # zero-demand columns
     if a.sum() == 0:
-        a[0] = 1.0
-    return C, a / a.sum(), b / b.sum()
+        a[0] = 1
+    if b.sum() == 0:
+        b[-1] = 1
+    return C, a * b.sum(), b * a.sum()
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_tied_random_solves_match_reference(monkeypatch, seed):
-    _assert_same_solve(monkeypatch, *_tied_instance(seed))
+    C, a, b = _tied_instance(seed)
+    (flow, _, _, _, unshipped), _ = _assert_same_solve(monkeypatch, C, a, b)
+    assert unshipped == 0
+    assert (flow.sum(axis=1) == a).all() and (flow.sum(axis=0) == b).all()
+    assert not flow[:, b == 0].any()
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 9)])
@@ -146,11 +165,11 @@ def test_point_mass_solves_match_reference(monkeypatch, shape):
     n, m = shape
     rng = np.random.default_rng(n * 10 + m)
     C = rng.integers(0, 2, size=(n, m)).astype(float)
-    a = np.zeros(n)
-    a[n // 2] = 1.0
-    b = np.full(m, 1.0 / m)
+    a = np.zeros(n, dtype=np.int64)
+    a[n // 2] = m
+    b = np.ones(m, dtype=np.int64)
     (plan, _, _, aug, _), _ = _assert_same_solve(monkeypatch, C, a, b)
-    assert aug == m and plan[n // 2].sum() == pytest.approx(1.0)
+    assert aug == m and (plan[n // 2] == b).all()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -164,11 +183,10 @@ def test_arbitrary_passes_match_reference(seed):
         W = rng.integers(-2, 3, size=(n, m)).astype(float)
         pu = rng.integers(-1, 2, size=n).astype(float)
         pv = rng.integers(-1, 2, size=m).astype(float)
-        flow = (rng.random((n, m)) < 0.4).astype(float)
-        rem_a = rng.integers(0, 2, size=n).astype(float)
-        rem_b = (rng.random(m) < 0.2).astype(float)
-        _assert_same_pass(_flow._dijkstra,
-                          (W, pu, pv, flow, rem_a, rem_b, 0.5))
+        flow = (rng.random((n, m)) < 0.4).astype(np.int64)
+        rem_a = rng.integers(0, 2, size=n)
+        rem_b = (rng.random(m) < 0.2).astype(np.int64)
+        _assert_same_pass(_flow._dijkstra, (W, pu, pv, flow, rem_a, rem_b))
 
 
 def test_backward_tie_pops_lower_source_first():
@@ -178,13 +196,12 @@ def test_backward_tie_pops_lower_source_first():
     W = np.array([[9.0, -1.0, 1.0],
                   [-2.0, 9.0, 1.0],
                   [0.0, 1.0, 5.0]])
-    flow = np.array([[0.0, 1.0, 0.0],
-                     [1.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0]])
+    flow = np.array([[0, 1, 0],
+                     [1, 0, 0],
+                     [0, 0, 0]])
     ds, dt, prev_s, prev_t, end = _assert_same_pass(
         _flow._dijkstra, (W, np.zeros(3), np.zeros(3), flow,
-                          np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
-                          0.5))
+                          np.array([0, 0, 1]), np.array([0, 0, 1])))
     assert list(ds) == [2.0, 2.0, 0.0] and list(dt) == [0.0, 1.0, 3.0]
     assert list(prev_s) == [1, 0, -1] and list(prev_t) == [2, 2, 0]
     assert end == 2
@@ -199,8 +216,37 @@ def test_unreachable_target_returns_minus_one():
     W = -C
     args = (W, np.zeros(n), W.min(axis=0), flow)
     ds, dt, _, _, end = _assert_same_pass(
-        _flow._dijkstra, args + (np.full(n, 0.5), np.zeros(m), 1e-15))
+        _flow._dijkstra, args + (np.ones(n, dtype=np.int64),
+                                 np.zeros(m, dtype=np.int64)))
     assert end == -1 and np.isfinite(dt).all()
     ds, dt, _, _, end = _assert_same_pass(
-        _flow._dijkstra, args + (np.zeros(n), np.full(m, 0.5), 1e-15))
+        _flow._dijkstra, args + (np.zeros(n, dtype=np.int64),
+                                 np.ones(m, dtype=np.int64)))
     assert end == -1 and np.isinf(ds).all() and np.isinf(dt).all()
+
+
+SOLVERS = Path(_flow.__file__).parent
+
+
+def _imported_modules(path):
+    """Every dotted name an import in the file names, split into parts."""
+    parts = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{alias.name}"
+                                           for alias in node.names]
+        else:
+            continue
+        parts.update(p for name in names for p in name.split("."))
+    return parts
+
+
+@pytest.mark.parametrize("name, other", [("_flow", "_simplex"),
+                                         ("_simplex", "_flow")])
+def test_solvers_stay_independent(name, other):
+    """The flow finisher and the exact simplex cross-check each other, so
+    neither imports the other or transport, which drives both."""
+    parts = _imported_modules(SOLVERS / f"{name}.py")
+    assert not parts & {other, "transport"}

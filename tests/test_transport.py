@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import comb, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelot import _simplex
+from skelot import _flow, _simplex
 from skelot import cost as co
+from skelot import families as fm
 from skelot import transport as tp
 from skelot.errors import (
     EmptyGrid,
@@ -199,6 +201,56 @@ def test_minimize_psi_is_exact_transform():
     prob = abelian_problem(8, 12)
     res = tp.minimize_kontorovich(prob)
     assert res.psi.values == prob.transform(res.phi).values
+
+
+def _exact_flow(plan, Q):
+    """The integers k with plan == float(k / Q) entry by entry; fails if an
+    entry is not the float of such a ratio."""
+    k = [[round(F(x) * Q) for x in row] for row in plan.tolist()]
+    assert [[float(F(v, Q)) for v in row] for row in k] == plan.tolist()
+    return k
+
+
+def test_minimize_plan_is_the_exact_flow_over_q():
+    """Every plan entry is a correctly rounded k / Q, Q the lcm of the
+    marginals' denominators, and the k meet Q times the marginals exactly;
+    the intermediate weight vanishes on some targets here."""
+    data = fm.IntermediateData(n=3, m=1, d=(1, 3),
+                               hilbert_M=tuple(comb(k + 3, 3) for k in range(12)))
+    prob = fm.intermediate_family(data, resolution=F(1, 16))
+    a, b = prob.mu0.weights, prob.target_mass
+    assert 0 in b
+    res = tp.minimize_kontorovich(prob)
+    assert res.converged and res.unshipped == 0
+    Q = lcm(*(w.denominator for w in (*a, *b)))
+    k = _exact_flow(res.plan, Q)
+    assert [sum(row) for row in k] == [w * Q for w in a]
+    assert [sum(col) for col in zip(*k)] == [w * Q for w in b]
+
+
+def test_minimize_ships_masses_beyond_int64_exactly(monkeypatch):
+    """Marginals over 2^70 reach the finisher as Python ints, and its flow
+    meets them exactly."""
+    solve, seen = _flow.solve_transport, []
+
+    def recorded(*args):
+        seen.append((args, solve(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_flow, "solve_transport", recorded)
+    Q, pts = 2 ** 70, [(F(0),), (F(1),)]
+    table = {(x, p): int(x != p) for x in pts for p in pts}
+    prob = tp.TransportProblem(table_cost(table),
+                               measure(pts, [F(1, Q), 1 - F(1, Q)]),
+                               measure(pts, [1 - F(1, Q), F(1, Q)]))
+    res = tp.minimize_kontorovich(prob)
+    (_, a, b), (flow, _, _, _, unshipped) = seen[0]
+    assert a.dtype == b.dtype == flow.dtype == object
+    assert a.tolist() == [1, Q - 1] and b.tolist() == [Q - 1, 1]
+    assert flow.tolist() == [[0, 1], [Q - 1, 0]] and unshipped == 0
+    assert res.converged and res.unshipped == 0
+    assert res.value == pytest.approx(1.0)
+    assert res.plan.tolist() == [[0.0, 2.0 ** -70], [1.0, 0.0]]
 
 
 def test_lp_two_by_two_antidiagonal():
