@@ -3,12 +3,24 @@
 Maximizes <C, flow> subject to integer marginals (a, b) by running min-cost
 flow on the arc costs -C with Johnson potentials.  Masses stay integers, so
 each augmentation ships a positive integer and the flow meets the marginals
-exactly; only costs and potentials are floats.  The graph is a dense
-bipartite one, so Dijkstra keeps no heap: a popped source relaxes its whole
-row of forward arcs at once with numpy, and a popped target relaxes its few
-backward arcs, one per source that ships into it, in scalar arithmetic.
-Ties go to the source, then to the lowest index, so the pop order, the
-duals and the flow do not depend on how a pass is vectorized.
+exactly.  Costs and potentials are floats, but on integer costs they stay
+integers (a pass only adds, subtracts, negates, compares and takes minima
+and maxima), exact while every magnitude is at most 2^53.  Let M = max|C|
+and A <= 60(n + m) + 2000 the number of augmentations.  A source with
+supply left has had distance 0 in every pass, so its potential is 0 and its
+forward arcs, always residual, keep reduced costs >= 0.  So target
+potentials stay in [-M, M] (from a column minimum of -C, never falling),
+each pass ends within 2M, source potentials stay in [0, 2MA], and reduced
+costs and distances within 2M(A + 2).  When 2M(A + 2) <= 2^53,
+phi[i] + psi[j] >= C[i, j] thus holds exactly, with equality on the flow's
+support; beyond that the sums round.
+
+The graph is a dense bipartite one, so Dijkstra keeps no heap: a popped
+source relaxes its whole row of forward arcs at once with numpy, and a
+popped target relaxes its few backward arcs, one per source that ships into
+it, in scalar arithmetic.  Ties go to the source, then to the lowest index,
+so the pop order, the duals and the flow do not depend on how a pass is
+vectorized.
 """
 
 from __future__ import annotations
@@ -105,7 +117,8 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     is below 2^62, since no flow exceeds its row's supply) or object; the
     flow has their dtype.  Returns (flow, phi, psi, n_augmentations,
     unshipped) with phi[i] + psi[j] >= C[i, j] everywhere and equality on
-    the support of the flow (up to round-off).  The loop runs while supply
+    the support of the flow, exactly on integer C within the module's
+    bound, else up to round-off.  The loop runs while supply
     is left; it stops early only at the augmentation budget or when no
     target with demand left is reachable.  unshipped is min(supply left,
     demand left), a Python int: 0 when the flow meets balanced marginals.

@@ -51,14 +51,17 @@ def _fraction(value, name: str) -> Fraction:
 
 
 def _number(value, kind, name: str):
+    """value as `kind`: never a bool, and an int only if integral."""
     try:
+        if isinstance(value, bool) or kind is int and int(value) != F(value):
+            raise TypeError
         return kind(value)
     except (ValueError, TypeError, OverflowError):
-        raise ConfigError(f"{name} must be a number, not {value!r}")
+        raise ConfigError(f"{name}: {value!r} is not a valid {kind.__name__}")
 
 
-def _flag(block: dict, key: str) -> bool:
-    value = block.get(key, False)
+def _flag(block: dict, key: str, default: bool = False) -> bool:
+    value = block.get(key, default)
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, not {value!r}")
     return value
@@ -375,13 +378,13 @@ def hybrid(config_path: str) -> int:
                         "t_schedule")
     if not all(0 < t < 1 for t in schedule):
         raise ConfigError("t_schedule entries must lie in (0, 1)")
+    check = _flag(cfg.raw, "assert_decreasing", True)
     grid = [(F(j, steps),) for j in range(steps)]
     labels = [(F(j, level),) for j in range(level * data.axes[0].period)]
     out = dg.hybrid_potential_curve(data, level, schedule, grid, labels)
     print(json.dumps(out, sort_keys=True))
     errs = out["sup_error"]
-    if cfg.raw.get("assert_decreasing", True) and \
-            any(b >= a for a, b in zip(errs, errs[1:])):
+    if check and any(b >= a for a, b in zip(errs, errs[1:])):
         raise AssertionFailed("hybrid errors are not strictly decreasing")
     return 0
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _flow, _simplex
-from .cost import (CostFunction, ThetaFamily, matrix_floats, over_lcm,
-                   ratio_float)
+from .cost import (CostFunction, ThetaFamily, _int_dtype, matrix_floats,
+                   over_lcm, ratio_float)
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
 from .tropical import val_at
@@ -32,8 +32,9 @@ F = Fraction
 class PotentialField:
     """Real-valued function on a finite grid, stored exactly.
 
-    Values are exact rationals; floats convert losslessly (binary
-    rationals), which is what makes repeated transforms bit-stable.
+    Values are exact rationals (a float counts as the binary rational it
+    is), and transforms compute them exactly, so repeating a transform
+    gives the same values.
     """
 
     points: tuple[Point, ...]
@@ -54,37 +55,26 @@ class PotentialField:
         return PotentialField(self.points, tuple(v + a for v in self.values))
 
 
-def _exact_argmax(K: np.ndarray, D: int, C: np.ndarray,
-                  values: Sequence) -> tuple:
+def _exact_argmax(K: np.ndarray, D: int, values: Sequence) -> tuple:
     """Per column j, max over i of K[i, j] / D - values[i], exactly.
 
-    C is matrix_floats(K, D).  Each float score C[i, j] - float(values[i])
-    takes three roundings of relative size 2^-53, so it lies within
-    e = 2^-50 (max|C| + max|values|) (plus the smallest normal float, for
-    underflow) of the exact score.  An index whose score is more than 2e
-    below its column's float maximum is therefore strictly worse than the
-    exact maximum; the rest are compared exactly in ascending index with
-    strict >, so ties go to the lowest index.  Floats never decide: if a
-    score is not finite, every index is a candidate.  Returns the exact
-    maxima and their indices.
+    Every score goes over L, the lcm of D and the values' denominators, as
+    the integer matrix S = K (L / D) - V with V = values * L: int64 while
+    max|K| (L / D) + max|V| is below 2^62, Python ints otherwise.  argmax
+    keeps the first maximum, so ties go to the lowest index.  Returns the
+    maxima S / L and their indices.
     """
-    phi = np.array([ratio_float(v.numerator, v.denominator) for v in values])
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = C - phi[:, None]
-        if np.isfinite(S).all():
-            e = 2.0 ** -50 * (np.abs(C).max() + np.abs(phi).max()) \
-                + np.finfo(float).tiny
-            keep = S >= S.max(axis=0) - 2 * e
-        else:
-            keep = np.ones(S.shape, dtype=bool)
-    best = [None] * S.shape[1]
-    arg = [-1] * S.shape[1]
-    cols, rows = np.nonzero(keep.T)  # by column, rows ascending
-    for j, i in zip(cols.tolist(), rows.tolist()):
-        v = F(int(K[i, j]), D) - values[i]
-        if best[j] is None or v > best[j]:
-            best[j], arg[j] = v, i
-    return tuple(best), tuple(arg)
+    L = lcm(D, *(v.denominator for v in values))
+    V = [v.numerator * (L // v.denominator) for v in values]
+    r = L // D
+    k = max(int(K.max()), -int(K.min()))
+    dtype = _int_dtype(k * r + max(map(abs, V)))
+    # one n x m temporary where K is already of dtype; K is never written
+    S = K.astype(dtype, copy=False) * r
+    S -= np.array(V, dtype=dtype)[:, None]
+    arg = S.argmax(axis=0)
+    best = S[arg, np.arange(S.shape[1])].tolist()
+    return tuple(F(s, L) for s in best), tuple(arg.tolist())
 
 
 def c_transform(f: PotentialField, cost: CostFunction, grid: Sequence,
@@ -96,14 +86,11 @@ def c_transform(f: PotentialField, cost: CostFunction, grid: Sequence,
     grid = tuple(as_point(y) for y in grid)
     if not f.points or not grid:
         raise EmptyGrid("c-transform needs nonempty grids on both sides")
-    if direction == "source_to_target":
-        K, D = cost.exact_matrix(f.points, grid)
-    elif direction == "target_to_source":
-        K, D = cost.exact_matrix(grid, f.points)
-        K = K.T
-    else:
+    if direction not in ("source_to_target", "target_to_source"):
         raise ValueError(f"unknown direction {direction!r}")
-    vals, args = _exact_argmax(K, D, matrix_floats(K, D), f.values)
+    if direction == "target_to_source":
+        cost = cost.transpose()
+    vals, args = _exact_argmax(*cost.exact_matrix(f.points, grid), f.values)
     return PotentialField(grid, vals, argmax=args)
 
 
@@ -154,8 +141,7 @@ class TransportProblem:
         """Exact phi^c on the target grid using the cached cost matrix."""
         if phi.points != self.mu0.points:
             raise GridMismatch("potential not on the source grid")
-        vals, args = _exact_argmax(*self._integer(), self.cost_array,
-                                   phi.values)
+        vals, args = _exact_argmax(*self._integer(), phi.values)
         return PotentialField(self.nu0.points, vals, argmax=args)
 
 
@@ -173,9 +159,7 @@ class TransportResult:
 
 def kontorovich_value(problem: TransportProblem, phi: PotentialField) -> float:
     """int phi dmu0 + int W phi^c dnu0 over the discrete measures."""
-    if phi.points != problem.mu0.points:
-        raise GridMismatch("potential not on the source grid")
-    psi = problem.transform(phi)
+    psi = problem.transform(phi)  # checks the grid
     mu_part = sum(float(w) * float(v)
                   for w, v in zip(problem.mu0.weights, phi.values))
     nu_part = sum(m * float(v)
@@ -183,10 +167,9 @@ def kontorovich_value(problem: TransportProblem, phi: PotentialField) -> float:
     return mu_part + nu_part
 
 
-def _mean_zero(problem: TransportProblem, values) -> tuple:
-    vals = [F(v) for v in values]
-    mean = sum(w * v for w, v in zip(problem.mu0.weights, vals))
-    return tuple(v - mean for v in vals)
+def _mean_zero(problem: TransportProblem, values: list) -> tuple:
+    mean = sum(w * v for w, v in zip(problem.mu0.weights, values))
+    return tuple(v - mean for v in values)
 
 
 def gap_tolerance(tol: float, value: float) -> float:
@@ -198,26 +181,28 @@ def minimize_kontorovich(problem: TransportProblem,
                          tol: float = 1e-9) -> TransportResult:
     """Minimize F over P_c; result normalized to mean zero against mu0.
 
-    The flow finisher runs from a cold start on the exact marginals times Q,
-    the lcm of their denominators; the plan is its integer flow over Q,
-    correctly rounded.  phi is shifted to mean zero and psi = phi^c is
-    recomputed exactly.  The result is converged when the plan ships all
-    the mass and its duality gap is within gap_tolerance(tol, value).
+    The flow finisher runs cold on K of cost = K / D and on the marginals
+    times Q, the lcm of their denominators; the plan is its integer flow
+    over Q, correctly rounded, and phi its source duals over D, shifted to
+    mean zero; psi = phi^c is recomputed exactly.  The result is converged
+    when the plan ships all the mass and its duality gap is within
+    gap_tolerance(tol, value).
     """
-    C = problem.cost_array
-    a = np.array(problem.mu0.weights, dtype=float)
-    b = np.array(problem.target_mass, dtype=float)
-    n, m = C.shape
+    K, D = problem._integer()
+    n, m = K.shape
     mass, Q = over_lcm([(*problem.mu0.weights, *problem.target_mass)], n + m)
-    flow, phi, _, aug, unshipped = _flow.solve_transport(C, mass[0, :n],
-                                                         mass[0, n:])
+    flow, pu, _, aug, unshipped = _flow.solve_transport(
+        matrix_floats(K, 1), mass[0, :n], mass[0, n:])
     plan = matrix_floats(flow, Q)
     del flow
 
+    phi = [F(u) / D for u in pu.tolist()]
     phi_field = PotentialField(problem.mu0.points, _mean_zero(problem, phi))
     psi_field = problem.transform(phi_field)
+    a = np.array(problem.mu0.weights, dtype=float)
+    b = np.array(problem.target_mass, dtype=float)
     value = float(a @ phi_field.as_array() + b @ psi_field.as_array())
-    gap = value - float((C * plan).sum())
+    gap = value - float((problem.cost_array * plan).sum())
     converged = unshipped == 0 and gap <= gap_tolerance(tol, value)
     return TransportResult(phi_field, psi_field, value, plan, gap, aug,
                            converged=converged,
@@ -268,9 +253,7 @@ def lp_oracle(problem: TransportProblem,
 
 def ma_energy(problem: TransportProblem, phi: PotentialField) -> float:
     """E(phi) = -ln_norm * int W phi^c dnu0 (zero point fixed by the formula)."""
-    if phi.points != problem.mu0.points:
-        raise GridMismatch("potential not on the source grid")
-    psi = problem.transform(phi)
+    psi = problem.transform(phi)  # checks the grid
     return -problem.ln_norm * sum(
         m * float(v) for m, v in zip(problem.target_mass, psi.values))
 

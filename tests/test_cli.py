@@ -326,6 +326,24 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
     pytest.param("solve", {"family": CIRCLE, "diagnostics": {
         "cost_bounds": True, "cost_bound_samples": 0}},
                  id="solve-samples-zero"),
+    pytest.param("hybrid", {"family": CIRCLE, "assert_decreasing": "no"},
+                 id="hybrid-assert-decreasing-string"),
+    pytest.param("hybrid", {"family": {**CIRCLE, "axes": [{"period": 1.9}]}},
+                 id="hybrid-period-fraction"),
+    pytest.param("hybrid", {"family": {**CIRCLE, "axes": [{"period": True}]}},
+                 id="hybrid-period-bool"),
+    pytest.param("solve", {"family": {**CIRCLE, "levels": [1.5, 2]},
+                           "diagnostics": {"cost_bounds": True}},
+                 id="solve-level-fraction"),
+    pytest.param("solve", {"family": CIRCLE, "diagnostics": {
+        "cost_bounds": True, "cost_bound_samples": 2.7}},
+                 id="solve-samples-fraction"),
+    pytest.param("solve", {"family": CIRCLE, "seed": 3.9},
+                 id="solve-seed-fraction"),
+    pytest.param("solve", {"family": CIRCLE, "seed": True},
+                 id="solve-seed-bool"),
+    pytest.param("solve", {"family": CIRCLE, "solver": {"tol": True}},
+                 id="solve-tol-bool"),
     pytest.param("solve", {"family": {**TRIANGLE, "delta": None}},
                  id="solve-delta-null"),
     pytest.param("solve", {"family": {**TRIANGLE, "delta": [1, 2]}},

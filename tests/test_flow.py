@@ -97,9 +97,10 @@ def _assert_same_solve(monkeypatch, C, a, b):
 
 
 def _problem_arrays(problem):
-    """The float costs and the exact marginals times the lcm of their
-    denominators, as minimize_kontorovich passes them."""
-    C = problem.cost_array
+    """The integer costs K of cost = K / D as floats and the exact marginals
+    times the lcm of their denominators, as minimize_kontorovich passes
+    them."""
+    C = co.matrix_floats(problem._integer()[0], 1)
     n, m = C.shape
     mass, _ = co.over_lcm([(*problem.mu0.weights, *problem.target_mass)],
                           n + m)
@@ -129,6 +130,22 @@ def test_family_solves_match_reference(monkeypatch, build):
     assert passes == aug == C.shape[1] and unshipped == 0
     assert plan.dtype == np.int64
     assert (plan.sum(axis=1) == a).all() and (plan.sum(axis=0) == b).all()
+
+
+@pytest.mark.parametrize("build", [_toric, _rank1, _torus],
+                         ids=["toric-1/16", "rank1-1/64", "torus-1/8"])
+def test_duals_on_integer_costs_are_exact_integers(build):
+    """On integer costs every sum the finisher forms is an integer far below
+    2^53, so its duals are integers, cover K exactly and are tight on the
+    support of the flow."""
+    problem = build()
+    K = problem._integer()[0]
+    flow, phi, psi, _, _ = _flow.solve_transport(*_problem_arrays(problem))
+    assert (phi == np.round(phi)).all() and (psi == np.round(psi)).all()
+    assert np.abs(phi).max() < 2 ** 53 and np.abs(psi).max() < 2 ** 53
+    slack = phi.astype(np.int64)[:, None] + psi.astype(np.int64) - K
+    assert (slack >= 0).all()
+    assert not slack[flow > 0].any()
 
 
 def _tied_instance(seed):

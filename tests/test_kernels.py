@@ -1,4 +1,4 @@
-"""Exact integer cost matrices and the filtered exact argmax.
+"""Exact integer cost matrices and the integer argmax of the c-transform.
 
 The per-entry evaluators (`CostFunction.__call__`) and a plain double loop
 over Fractions serve as the references.
@@ -139,7 +139,7 @@ def test_cost_array_is_bit_equal_to_fraction_floats(make):
         for x in problem.mu0.points]
 
 
-# -- filtered exact argmax ------------------------------------------------------------
+# -- integer argmax -------------------------------------------------------------------
 
 
 def table_problem(table, values):
@@ -164,7 +164,7 @@ tables = st.integers(1, 5).flatmap(lambda n: st.integers(1, 5).flatmap(
 
 @given(tables, st.sampled_from([0, 1, 10 ** 6]))
 @settings(deadline=None, max_examples=80)
-def test_filtered_transform_equals_double_loop(case, scale):
+def test_transform_equals_double_loop(case, scale):
     """Exact ties and potentials apart by about 2^-60 relative."""
     table, base = case
     table = [[c * scale for c in row] for row in table] if scale else table
@@ -177,7 +177,7 @@ def test_filtered_transform_equals_double_loop(case, scale):
     assert (via_c.values, via_c.argmax) == want
 
 
-def test_filtered_transform_breaks_sub_float_ties_exactly():
+def test_transform_breaks_sub_float_ties_exactly():
     # every float score of a column is equal; only exact arithmetic decides
     eps = F(1, 2 ** 70)
     table = [[F(1, 3), F(0)], [F(1, 3) + eps, F(0)], [F(1, 3) + eps, -eps]]
@@ -204,7 +204,7 @@ def test_kernel_transform_equals_double_loop_both_directions():
     assert (back.values, back.argmax) == naive_transform(cols, psi.values)
 
 
-def test_non_finite_scores_fall_back_to_exact_comparison():
+def test_scores_beyond_the_float_range_stay_exact():
     big = F(10 ** 400)
     table = [[big, F(1)], [big + 1, F(2)]]
     values = (big, F(1))  # inf - inf: a NaN score

@@ -228,6 +228,25 @@ def test_minimize_plan_is_the_exact_flow_over_q():
     assert [sum(col) for col in zip(*k)] == [w * Q for w in b]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: fm.toric_pair([(-1, -1), (2, -1), (-1, 2)], resolution=F(1, 16))[1],
+    lambda: fm.mumford_family(co.MumfordData((co.PhiAxis(), co.PhiAxis())),
+                              [1], resolution=F(1, 10))[1],
+    lambda: fm.intermediate_family(
+        fm.IntermediateData(n=3, m=1, d=(2, 2), hilbert_M=tuple(
+            comb(k + 3, 3) for k in range(12))), resolution=F(1, 16)),
+], ids=["toric-1/16", "torus-1/10", "intermediate-22-1/16"])
+def test_minimize_phi_lies_on_the_lattice_of_d_times_q(build):
+    """The finisher runs on K, so its duals are integers U and phi = U / D
+    less a mean under masses over Q: every denominator divides D Q."""
+    prob = build()
+    D = prob._integer()[1]
+    Q = lcm(*(w.denominator for w in (*prob.mu0.weights, *prob.target_mass)))
+    res = tp.minimize_kontorovich(prob)
+    assert res.converged
+    assert all(D * Q % v.denominator == 0 for v in res.phi.values)
+
+
 def test_minimize_ships_masses_beyond_int64_exactly(monkeypatch):
     """Marginals over 2^70 reach the finisher as Python ints, and its flow
     meets them exactly."""
