@@ -1,26 +1,52 @@
-"""Dense successive-shortest-path transportation solver.
+"""Dense multiscale successive-shortest-path transportation solver.
 
 Maximizes <C, flow> subject to integer marginals (a, b) by running min-cost
-flow on the arc costs -C with Johnson potentials.  Masses stay integers, so
+flow on the arc costs W = -C with Johnson potentials (pu, pv): every
+residual arc keeps a reduced cost W + pu - pv >= 0 (forward) or its
+negative >= 0 (backward, on the flow's support).  Masses stay integers, so
 each augmentation ships a positive integer and the flow meets the marginals
-exactly.  Costs and potentials are floats, but on integer costs they stay
+exactly.
+
+The loop: a Dijkstra pass from every source with supply left finds a
+shortest path to a target with demand left; the path ships, and the
+potentials move by the distances capped at the path's length, which keeps
+every reduced cost >= 0 and makes the path's arcs tight.  Then, with the
+potentials fixed, the flow ships along zero-reduced-cost paths from supply
+to demand until none is left (the primal-dual phase of Ahuja, Magnanti and
+Orlin, "Network Flows", ch. 9), so the next pass starts where a positive
+distance is needed.  A flow meeting the marginals with reduced costs >= 0
+is optimal, whatever feasible potentials the loop started from.
+
+Warm start: a solve may first run the same loop on coarser sub-problems of
+C (in practice the grid points at 2/l, 4/l, ...; Merigot 2011, "A multiscale
+approach to optimal transport").  Each level starts from
+pu = max over the previous level's targets of (C - psi), psi = -pv, and
+pv = the column minimum of W + pu, which is feasible by construction; the
+first level starts cold, from pu = 0.  A coarse level only shortens the
+next one's work, never decides its answer.
+
+Exactness: costs and potentials are floats, but on integer costs they stay
 integers (a pass only adds, subtracts, negates, compares and takes minima
-and maxima), exact while every magnitude is at most 2^53.  Let M = max|C|
-and A <= 60(n + m) + 2000 the number of augmentations.  A source with
-supply left has had distance 0 in every pass, so its potential is 0 and its
-forward arcs, always residual, keep reduced costs >= 0.  So target
-potentials stay in [-M, M] (from a column minimum of -C, never falling),
-each pass ends within 2M, source potentials stay in [0, 2MA], and reduced
-costs and distances within 2M(A + 2).  When 2M(A + 2) <= 2^53,
-phi[i] + psi[j] >= C[i, j] thus holds exactly, with equality on the flow's
-support; beyond that the sums round.
+and maxima), exact while every magnitude is at most 2^53.  Let M = max|C|,
+L the number of levels before the current one, and A <= 60(n + m) + 2000
+its augmentation budget, which bounds its passes.  A source with supply
+left has had distance 0 in every pass, so it keeps its starting potential,
+and its forward arcs keep reduced costs >= 0.  Starting potentials lie in
+[-2ML, 2ML] (each level widens the previous range by M through pv and by M
+through the max), target potentials never fall and stay within M of that
+range, each pass ends within 2M(2L + 1), source potentials stay in
+[-2ML, 2ML + 2M(2L + 1)A], and reduced costs and distances within
+2M(2L + 1)(A + 2).  When that is <= 2^53, phi[i] + psi[j] >= C[i, j] thus
+holds exactly, with equality on the flow's support; beyond that the sums
+round.  A cold solve is L = 0: within 2M(A + 2).
 
 The graph is a dense bipartite one, so Dijkstra keeps no heap: a popped
 source relaxes its whole row of forward arcs at once with numpy, and a
 popped target relaxes its few backward arcs, one per source that ships into
 it, in scalar arithmetic.  Ties go to the source, then to the lowest index,
 so the pop order, the duals and the flow do not depend on how a pass is
-vectorized.
+vectorized.  The zero-reduced-cost search likewise finds a source's tight
+arcs with length-m vector work, and builds no n x m temporary.
 """
 
 from __future__ import annotations
@@ -110,58 +136,134 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
     return ds, dt, prev_s, prev_t, end
 
 
-def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Optimal integer flow and dual potentials for max <C, flow>, cold.
+def _augment(flow, a, b, prev_s, prev_t, jend):
+    """Ship along the path the predecessors give from a root source to the
+    unsaturated target jend as much as it admits: the least of the root's
+    supply, jend's demand and the flows on its backward arcs.  Returns the
+    amount, 0 when some backward arc or the root has nothing left."""
+    fwd, bwd = [], []
+    j = jend
+    while True:
+        i = int(prev_t[j])
+        fwd.append((i, j))
+        j = int(prev_s[i])
+        if j < 0:
+            break
+        bwd.append((i, j))
+    delta = min(a[i], b[jend], *(flow[k, j] for k, j in bwd))
+    if delta > 0:
+        for k, j in fwd:
+            flow[k, j] += delta
+        for k, j in bwd:
+            flow[k, j] -= delta
+        a[i] -= delta
+        b[jend] -= delta
+    return delta
+
+
+def _ship_tight(W, pu, pv, flow, a, b):
+    """Ship along zero-reduced-cost paths until none joins supply to demand.
+
+    The admissible arcs are the forward arcs with W + pu - pv <= 0, found a
+    source row at a time, and the backward arcs on the flow's support.  Each
+    round is a breadth-first search from every source with supply left; it
+    ships along the tree path to each target with demand left that it
+    reached, in the order reached, as far as earlier paths left room.  The
+    potentials stay feasible and tight on the new support.  Returns the
+    number of paths shipped.
+    """
+    n, m = W.shape
+    tight = {}  # source -> admissible targets; the potentials do not move
+    rc = np.empty(m)
+    paths = 0
+    while True:
+        back = [[] for _ in range(m)]
+        ks, js = np.divmod(np.flatnonzero(flow), m)
+        for k, j in zip(ks.tolist(), js.tolist()):
+            back[j].append(k)
+        queue = np.flatnonzero(a > 0).tolist()
+        seen_s = [False] * n
+        for i in queue:
+            seen_s[i] = True
+        prev_s = [-1] * n
+        prev_t = [-1] * m
+        ends = []
+        for i in queue:
+            arcs = tight.get(i)
+            if arcs is None:
+                np.add(W[i], pu[i], out=rc)
+                np.subtract(rc, pv, out=rc)
+                arcs = tight[i] = np.flatnonzero(rc <= 0).tolist()
+            for j in arcs:
+                if prev_t[j] >= 0:
+                    continue
+                prev_t[j] = i
+                if b[j] > 0:
+                    ends.append(j)
+                    continue
+                for k in back[j]:
+                    if not seen_s[k]:
+                        seen_s[k] = True
+                        prev_s[k] = j
+                        queue.append(k)
+        if not ends:
+            return paths
+        for j in ends:
+            if _augment(flow, a, b, prev_s, prev_t, j) > 0:
+                paths += 1
+
+
+def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    levels=()):
+    """Optimal integer flow and dual potentials for max <C, flow>.
 
     a and b are non-negative integer arrays, int64 (enough while every entry
     is below 2^62, since no flow exceeds its row's supply) or object; the
-    flow has their dtype.  Returns (flow, phi, psi, n_augmentations,
-    unshipped) with phi[i] + psi[j] >= C[i, j] everywhere and equality on
-    the support of the flow, exactly on integer C within the module's
-    bound, else up to round-off.  The loop runs while supply
-    is left; it stops early only at the augmentation budget or when no
-    target with demand left is reachable.  unshipped is min(supply left,
-    demand left), a Python int: 0 when the flow meets balanced marginals.
+    flow has their dtype.  levels lists coarse-to-fine sub-problems
+    (rows, cols, a_l, b_l) of C, index arrays and their balanced integer
+    marginals, solved before the full problem, each warm-started from the
+    duals of the one before.  Returns (flow, phi, psi, n_augmentations,
+    unshipped) of the full problem, with the augmentations summed over all
+    levels, phi[i] + psi[j] >= C[i, j] everywhere and equality on the
+    support of the flow, exactly on integer C within the module's bound,
+    else up to round-off.  Each level's loop runs while supply is left; it
+    stops early only at the augmentation budget or when no target with
+    demand left is reachable.  unshipped is min(supply left, demand left)
+    of the full problem, a Python int: 0 when the flow meets balanced
+    marginals.
     """
     C = np.asarray(C, dtype=float)
     n, m = C.shape
-    a, b = np.array(a), np.array(b)
-    W = -C
-    pu = np.zeros(n)
-    pv = W.min(axis=0)
-    flow = np.zeros((n, m), dtype=a.dtype)
-    max_aug = 60 * (n + m) + 2000
     aug = 0
-    while a.any() and aug < max_aug:
-        ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, flow, a, b)
-        if jend < 0:
-            break
-        # reconstruct the alternating path back to an unsaturated source
-        arcs_fwd = []
-        arcs_bwd = []
-        j = jend
-        while True:
-            i = int(prev_t[j])
-            arcs_fwd.append((i, j))
-            j2 = int(prev_s[i])
-            if j2 < 0:
+    carried = None  # (cols, pv) of the level solved last
+    for rows, cols, a, b in (*levels, (np.arange(n), np.arange(m), a, b)):
+        a, b = np.array(a), np.array(b)
+        if carried is None:
+            pu = np.zeros(len(rows))
+        else:
+            # max over the last level's targets of C - psi, psi = -pv
+            pu = np.array([(C[r, carried[0]] + carried[1]).max()
+                           for r in rows])
+        W = C[np.ix_(rows, cols)]
+        np.negative(W, out=W)
+        # the column minimum of W + pu, a row at a time
+        pv = W[0] + pu[0]
+        for i in range(1, len(rows)):
+            np.minimum(pv, W[i] + pu[i], out=pv)
+        flow = np.zeros(W.shape, dtype=a.dtype)
+        max_aug = aug + 60 * sum(W.shape) + 2000
+        while a.any() and aug < max_aug:
+            ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, flow, a, b)
+            if jend < 0:
                 break
-            arcs_bwd.append((i, j2))
-            j = j2
-        i0 = arcs_fwd[-1][0]
-        # a positive integer: a[i0], b[jend] and backward flows are all > 0
-        delta = min(a[i0], b[jend], *(flow[i, j] for i, j in arcs_bwd))
-        for i, j in arcs_fwd:
-            flow[i, j] += delta
-        for i, j in arcs_bwd:
-            flow[i, j] -= delta
-        a[i0] -= delta
-        b[jend] -= delta
-        D = dt[jend]
-        pu += np.minimum(ds, D)
-        pv += np.minimum(dt, D)
-        aug += 1
+            _augment(flow, a, b, prev_s, prev_t, jend)
+            D = dt[jend]
+            pu += np.minimum(ds, D)
+            pv += np.minimum(dt, D)
+            aug += 1 + _ship_tight(W, pu, pv, flow, a, b)
+        carried = cols, pv
+        del W  # before the next level allocates its own
     # in Python ints: int64 entries can sum past the int64 range
     unshipped = min(sum(a.tolist()), sum(b.tolist()))
     # duals for the covering problem: phi + psi >= C
-    return flow, pu.copy(), -pv, aug, unshipped
+    return flow, pu, -pv, aug, unshipped

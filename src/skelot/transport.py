@@ -177,22 +177,61 @@ def gap_tolerance(tol: float, value: float) -> float:
     return max(tol, 1e-7 * (1.0 + abs(value)))
 
 
+def _coarse_levels(problem: TransportProblem) -> list:
+    """Coarse-to-fine sub-problems (rows, cols, a, b) on the nested grids.
+
+    On each side, with l the lcm of the kept points' coordinate
+    denominators, a level keeps the points whose coordinates are multiples
+    of 2/l while l is even, and all of them otherwise.  Its masses are the
+    exact masses there, renormalized to 1 and put over their common
+    denominator.  The ladder stops when neither side shrinks or a side
+    keeps no mass.
+    """
+    sides = ((problem.mu0.points, problem.mu0.weights),
+             (problem.nu0.points, problem.target_mass))
+    kept = [range(len(points)) for points, _ in sides]
+    levels = []
+    while True:
+        coarser = []
+        for (points, _), idx in zip(sides, kept):
+            l = lcm(*(c.denominator for i in idx for c in points[i]))
+            if l % 2 == 0:
+                idx = [i for i in idx
+                       if all((l // 2) % c.denominator == 0 for c in points[i])]
+            coarser.append(idx)
+        if all(len(new) == len(old) for new, old in zip(coarser, kept)):
+            break
+        totals = [sum(w[i] for i in idx)
+                  for (_, w), idx in zip(sides, coarser)]
+        if not all(totals):
+            break
+        rows, cols = kept = coarser
+        exact = [w[i] / t for (_, w), idx, t in zip(sides, kept, totals)
+                 for i in idx]
+        mass, _ = over_lcm([exact], len(exact))
+        levels.append((np.array(rows), np.array(cols),
+                       mass[0, :len(rows)], mass[0, len(rows):]))
+    return levels[::-1]
+
+
 def minimize_kontorovich(problem: TransportProblem,
                          tol: float = 1e-9) -> TransportResult:
     """Minimize F over P_c; result normalized to mean zero against mu0.
 
-    The flow finisher runs cold on K of cost = K / D and on the marginals
-    times Q, the lcm of their denominators; the plan is its integer flow
-    over Q, correctly rounded, and phi its source duals over D, shifted to
-    mean zero; psi = phi^c is recomputed exactly.  The result is converged
-    when the plan ships all the mass and its duality gap is within
-    gap_tolerance(tol, value).
+    The flow finisher runs on K of cost = K / D and on the marginals times
+    Q, the lcm of their denominators, after the coarser levels of
+    _coarse_levels, each warm-starting the next with its duals.  The plan
+    is the full level's integer flow over Q, correctly rounded, and phi its
+    source duals over D, shifted to mean zero; psi = phi^c is recomputed
+    exactly.  The result is converged when the plan ships all the mass and
+    its duality gap is within gap_tolerance(tol, value).
     """
     K, D = problem._integer()
     n, m = K.shape
     mass, Q = over_lcm([(*problem.mu0.weights, *problem.target_mass)], n + m)
     flow, pu, _, aug, unshipped = _flow.solve_transport(
-        matrix_floats(K, 1), mass[0, :n], mass[0, n:])
+        matrix_floats(K, 1), mass[0, :n], mass[0, n:],
+        levels=_coarse_levels(problem))
     plan = matrix_floats(flow, Q)
     del flow
 
@@ -268,14 +307,21 @@ def relative_volume_sum(phi: PotentialField, psi: PotentialField,
     sections = family.sections(l)
     n_dim = len(sections[0].terms[0].exponent)
 
-    def transform_at(pot: PotentialField, sec) -> Fraction:
-        return max(-F(val_at(sec, x)) / l - fv
-                   for x, fv in zip(pot.points, pot.values))
+    def scores(sec, points) -> list:
+        return [-F(val_at(sec, x)) / l for x in points]
 
+    def transform_at(pot: PotentialField, score: list) -> Fraction:
+        return max(s - fv for s, fv in zip(score, pot.values))
+
+    shared = phi.points == psi.points
     vol = F(0)
     for sec in sections:
+        # one val_at per (section, point) when the potentials share a grid
+        phi_score = scores(sec, phi.points)
+        psi_score = phi_score if shared else scores(sec, psi.points)
         mult = family.mult(l, sec.label)
-        vol += mult * (transform_at(psi, sec) - transform_at(phi, sec))
+        vol += mult * (transform_at(psi, psi_score)
+                       - transform_at(phi, phi_score))
     vol = l * vol
     scaled = F(factorial(n_dim)) / l ** (n_dim + 1) * vol
     return {"vol": float(vol), "scaled": float(scaled)}

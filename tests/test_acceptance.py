@@ -131,7 +131,7 @@ def test_criterion_02_strong_duality_oracle():
         diff = [float(u) - float(v) for u, v in
                 zip(lp.dual_potentials[0], res.phi.values)]
         ok = ok and (max(diff) - min(diff)) / 2 <= 1e-4
-        ok = ok and time.time() - t1 < 1
+        ok = ok and time.time() - t1 < 0.5
     _report(2, "strong-duality oracle", ok, t0)
 
 
@@ -218,7 +218,7 @@ def test_criterion_06_relative_volume_energy():
     a = F(3, 4)
     shift = tp.relative_volume_sum(phi.shifted(a), phi, fam, 32)["scaled"]
     ok = ok and abs(shift - prob.ln_norm * float(a)) <= 0.05 * float(a)
-    ok = ok and time.time() - t0 < 30
+    ok = ok and time.time() - t0 < 3
     _report(6, "relative-volume energy", ok, t0)
 
 
@@ -260,7 +260,7 @@ def test_criterion_08_real_ma_diagnostic():
     affine = tp.PotentialField(pts, tuple(2 * p[0] + 1 for p in pts))
     flagged = dg.ma_residual(affine, F(1, 16))
     ok = ok and all(flagged.degenerate)
-    ok = ok and time.time() - t0 < 10
+    ok = ok and time.time() - t0 < 1
     _report(8, "real MA diagnostic", ok, t0)
 
 
@@ -284,7 +284,7 @@ def test_criterion_09_mirror_duality():
     tdres = tp.minimize_kontorovich(tdual)
     tout = dg.duality_check(tprob, tdual, tres, tdres)
     ok = ok and tout["functional_gap"] <= 1e-9
-    ok = ok and time.time() - t0 < 10
+    ok = ok and time.time() - t0 < 1
     _report(9, "mirror duality", ok, t0)
 
 

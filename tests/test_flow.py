@@ -3,11 +3,11 @@
 `_reference_dijkstra` is the earlier vectorized pass: two full masks and two
 argmins per pop and a column scan per target pop, kept as it was except
 that masses are integers, so a node has mass left when it is > 0.  The
-wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`
-and requires the same bytes for both distance and predecessor arrays and
-the same end target, so the pop order, the tie rules and the rounding of
-every relaxation must match.  Every instance has integer marginals, as the
-finisher takes them.
+wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`,
+on every level of a multiscale solve, and requires the same bytes for both
+distance and predecessor arrays and the same end target, so the pop order,
+the tie rules and the rounding of every relaxation must match.  Every
+instance has integer marginals, as the finisher takes them.
 """
 
 import ast
@@ -20,6 +20,7 @@ import pytest
 from skelot import _flow
 from skelot import cost as co
 from skelot import families as fm
+from skelot import transport as tp
 
 F = Fraction
 
@@ -73,7 +74,7 @@ def _assert_same_pass(dijkstra, args):
     return new
 
 
-def _assert_same_solve(monkeypatch, C, a, b):
+def _assert_same_solve(monkeypatch, C, a, b, levels=()):
     """Every pass and the whole result equal the reference's.
 
     Returns the result and the number of passes."""
@@ -86,12 +87,15 @@ def _assert_same_solve(monkeypatch, C, a, b):
         return out
 
     monkeypatch.setattr(_flow, "_dijkstra", checked)
-    got = _flow.solve_transport(C, a, b)
+    got = _flow.solve_transport(C, a, b, levels=levels)
     monkeypatch.setattr(_flow, "_dijkstra", _reference_dijkstra)
-    want = _flow.solve_transport(C, a, b)
+    want = _flow.solve_transport(C, a, b, levels=levels)
     monkeypatch.setattr(_flow, "_dijkstra", dijkstra)
     for g, w in zip(got[:3], want[:3]):
-        assert g.tobytes() == w.tobytes()
+        assert g.dtype == w.dtype
+        # object flows hold Python ints: compare the values, not the pointers
+        assert (g.tolist() == w.tolist() if g.dtype == object
+                else g.tobytes() == w.tobytes())
     assert got[3:] == want[3:]
     return got, len(ends)
 
@@ -121,15 +125,32 @@ def _torus():
                              [1, 2], resolution=F(1, 8))[1]
 
 
-@pytest.mark.parametrize("build", [_toric, _rank1, _torus],
+@pytest.mark.parametrize("build, cold, ladder",
+                         [(_toric, (23, 144), (11, 279)),
+                          (_rank1, (64, 64), (12, 127)),
+                          (_torus, (32, 64), (7, 85))],
                          ids=["toric-1/16", "rank1-1/64", "torus-1/8"])
-def test_family_solves_match_reference(monkeypatch, build):
-    C, a, b = _problem_arrays(build())
-    (plan, _, _, aug, unshipped), passes = _assert_same_solve(
-        monkeypatch, C, a, b)
-    assert passes == aug == C.shape[1] and unshipped == 0
-    assert plan.dtype == np.int64
-    assert (plan.sum(axis=1) == a).all() and (plan.sum(axis=0) == b).all()
+def test_family_solves_match_reference(monkeypatch, build, cold, ladder):
+    """Cold and on the grid's ladder of coarser levels: every pass matches
+    the reference, and the passes and augmentations (Dijkstra paths plus
+    zero-reduced-cost paths, over all levels) are these exact counts."""
+    problem = build()
+    C, a, b = _problem_arrays(problem)
+    for levels, counts in (((), cold), (tp._coarse_levels(problem), ladder)):
+        (plan, _, _, aug, unshipped), passes = _assert_same_solve(
+            monkeypatch, C, a, b, levels)
+        assert (passes, aug) == counts and unshipped == 0
+        assert plan.dtype == np.int64
+        assert (plan.sum(axis=1) == a).all() and (plan.sum(axis=0) == b).all()
+
+
+def _assert_exact_optimum(C, flow, phi, psi):
+    """Integer duals that cover C exactly and are tight on the support."""
+    assert (phi == np.round(phi)).all() and (psi == np.round(psi)).all()
+    assert np.abs(phi).max() < 2 ** 53 and np.abs(psi).max() < 2 ** 53
+    slack = phi.astype(np.int64)[:, None] + psi.astype(np.int64) - C
+    assert (slack >= 0).all()
+    assert not slack[flow.astype(bool)].any()
 
 
 @pytest.mark.parametrize("build", [_toric, _rank1, _torus],
@@ -137,15 +158,13 @@ def test_family_solves_match_reference(monkeypatch, build):
 def test_duals_on_integer_costs_are_exact_integers(build):
     """On integer costs every sum the finisher forms is an integer far below
     2^53, so its duals are integers, cover K exactly and are tight on the
-    support of the flow."""
+    support of the flow, cold and warm-started from the coarser levels."""
     problem = build()
     K = problem._integer()[0]
-    flow, phi, psi, _, _ = _flow.solve_transport(*_problem_arrays(problem))
-    assert (phi == np.round(phi)).all() and (psi == np.round(psi)).all()
-    assert np.abs(phi).max() < 2 ** 53 and np.abs(psi).max() < 2 ** 53
-    slack = phi.astype(np.int64)[:, None] + psi.astype(np.int64) - K
-    assert (slack >= 0).all()
-    assert not slack[flow > 0].any()
+    for levels in ((), tp._coarse_levels(problem)):
+        flow, phi, psi, _, _ = _flow.solve_transport(
+            *_problem_arrays(problem), levels=levels)
+        _assert_exact_optimum(K, flow, phi, psi)
 
 
 def _tied_instance(seed):
@@ -175,6 +194,54 @@ def test_tied_random_solves_match_reference(monkeypatch, seed):
     assert unshipped == 0
     assert (flow.sum(axis=1) == a).all() and (flow.sum(axis=0) == b).all()
     assert not flow[:, b == 0].any()
+
+
+def _random_ladder(seed, n, m):
+    """One to three sub-problems on random index sets of an n x m instance,
+    with arbitrary balanced integer masses, zero demands among them."""
+    rng = np.random.default_rng(seed + 1000)
+    levels = []
+    for _ in range(rng.integers(1, 4)):
+        rows = np.flatnonzero(rng.random(n) < 0.6)
+        cols = np.flatnonzero(rng.random(m) < 0.6)
+        rows = rows if len(rows) else rng.integers(n, size=1)
+        cols = cols if len(cols) else rng.integers(m, size=1)
+        a = rng.integers(0, 4, size=len(rows))
+        b = rng.integers(0, 4, size=len(cols))
+        a[-1] += not a.any()
+        b[0] += not b.any()
+        levels.append((rows, cols, a * b.sum(), b * a.sum()))
+    return levels
+
+
+def _beyond_int64(v):
+    return np.array([int(x) << 70 for x in v], dtype=object)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_ladder_solves_reach_the_cold_optimum(monkeypatch, seed):
+    """Any ladder of sub-problems is only a warm start: every pass matches
+    the reference, and the flow meets the marginals exactly, has the cold
+    solve's exact value, and has integer duals that cover C exactly and are
+    tight on its support.  Odd seeds carry object masses beyond int64."""
+    C, a, b = _tied_instance(seed)
+    levels = _random_ladder(seed, *C.shape)
+    if seed % 2:
+        a, b = _beyond_int64(a), _beyond_int64(b)
+        levels = [(r, c, _beyond_int64(x), _beyond_int64(y))
+                  for r, c, x, y in levels]
+    (flow, phi, psi, _, unshipped), _ = _assert_same_solve(
+        monkeypatch, C, a, b, levels)
+    cold = _flow.solve_transport(C, a, b)[0]
+    assert flow.dtype == a.dtype and unshipped == 0
+    assert (flow.sum(axis=1) == a).all() and (flow.sum(axis=0) == b).all()
+
+    def value(f):
+        return sum(int(c) * int(x)
+                   for c, x in zip(C.ravel().tolist(), f.ravel().tolist()))
+
+    assert value(flow) == value(cold)
+    _assert_exact_optimum(C, flow, phi, psi)
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 9)])

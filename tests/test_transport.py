@@ -247,13 +247,71 @@ def test_minimize_phi_lies_on_the_lattice_of_d_times_q(build):
     assert all(D * Q % v.denominator == 0 for v in res.phi.values)
 
 
+def _grid(points, idx):
+    """The lcm of the coordinate denominators of the points at idx."""
+    return lcm(*(c.denominator for i in idx for c in points[i]))
+
+
+@pytest.mark.parametrize("build, shapes", [
+    (lambda: fm.toric_pair([(-1, -1), (2, -1), (-1, 2)],
+                           resolution=F(1, 16))[1],
+     [(3, 9), (6, 18), (12, 36), (24, 72)]),
+    (lambda: fm.intermediate_family(
+        fm.IntermediateData(n=3, m=1, d=(2, 2), hilbert_M=tuple(
+            comb(k + 3, 3) for k in range(12))), resolution=F(1, 16)),
+     [(2, 1), (3, 3), (5, 5), (9, 9)]),
+], ids=["toric-1/16", "intermediate-22-1/16"])
+def test_coarse_levels_are_nested_grids_with_renormalized_masses(build,
+                                                                 shapes):
+    """From the full grid down, each level keeps on each side exactly the
+    points at multiples of 2/l (l the lcm of the finer level's denominators)
+    while l is even, and its integer marginals are balanced and are the
+    restricted exact masses renormalized.  On the intermediate family the
+    two sides keep different shares of their mass (1/2 and 22/43 at the
+    finest level), so the renormalization shows."""
+    prob = build()
+    levels = tp._coarse_levels(prob)
+    assert [(len(r), len(c)) for r, c, _, _ in levels] == shapes
+    sides = ((prob.mu0.points, prob.mu0.weights),
+             (prob.nu0.points, prob.target_mass))
+    finer = [list(range(len(points))) for points, _ in sides]
+    for rows, cols, a, b in reversed(levels):
+        assert a.sum() == b.sum()
+        for (points, mass), idx, fine, q in zip(sides, (rows, cols), finer,
+                                                (a, b)):
+            l = _grid(points, fine)
+            assert idx.tolist() == (fine if l % 2 else [
+                i for i in fine if (l // 2) % _grid(points, [i]) == 0])
+            total = sum(mass[i] for i in idx)
+            assert [F(int(x), int(q.sum())) for x in q] == [
+                mass[i] / total for i in idx]
+        finer = [rows.tolist(), cols.tolist()]
+
+
+@pytest.mark.parametrize("build, optimum", [
+    (lambda: fm.mumford_family(co.MumfordData((co.PhiAxis(), co.PhiAxis())),
+                               [1, 2], resolution=F(1, 10))[1], F(41, 50)),
+    (lambda: fm.mumford_family(RANK1, [1], resolution=F(1, 64))[1], None),
+], ids=["torus-1/10", "rank1-1/64"])
+def test_multiscale_duals_reach_the_exact_optimum(build, optimum):
+    """Where the optimal duals are not unique, the multiscale finisher may
+    return other ones than a cold solve; they are still exactly optimal:
+    int phi dmu0 + int W phi^c dnu0 is the oracle's exact value."""
+    prob = build()
+    res = tp.minimize_kontorovich(prob)
+    value = (sum(w * v for w, v in zip(prob.mu0.weights, res.phi.values))
+             + sum(w * v for w, v in zip(prob.target_mass, res.psi.values)))
+    assert value == tp.lp_oracle(prob).exact_value
+    assert optimum is None or value == optimum
+
+
 def test_minimize_ships_masses_beyond_int64_exactly(monkeypatch):
     """Marginals over 2^70 reach the finisher as Python ints, and its flow
     meets them exactly."""
     solve, seen = _flow.solve_transport, []
 
-    def recorded(*args):
-        seen.append((args, solve(*args)))
+    def recorded(*args, **kwargs):
+        seen.append((args, solve(*args, **kwargs)))
         return seen[-1][1]
 
     monkeypatch.setattr(_flow, "solve_transport", recorded)
@@ -400,6 +458,34 @@ def test_relative_volume_missing_level():
     phi = field(prob.mu0.points, [0] * len(prob.mu0.points))
     with pytest.raises(MissingLevel):
         tp.relative_volume_sum(phi, phi, fam, 8)
+
+
+def test_relative_volume_evaluates_each_section_once_per_point(monkeypatch):
+    """On a shared grid each (section, point) pair costs one val_at call, and
+    the sum is the one the per-potential transforms give."""
+    prob = abelian_problem(32, 32)
+    fam = rank1_family([32])
+    pts = prob.mu0.points
+    phi = field(pts, [3 * abs(p[0] - F(1, 2)) / 2 for p in pts])
+    psi = field(pts, [F(k % 5, 7) for k in range(len(pts))])
+
+    def transform_at(pot, sec):
+        return max(-F(co.val_at(sec, x)) / 32 - fv
+                   for x, fv in zip(pot.points, pot.values))
+
+    vol = 32 * sum(fam.mult(32, sec.label)
+                   * (transform_at(psi, sec) - transform_at(phi, sec))
+                   for sec in fam.sections(32))
+    calls = []
+
+    def counted(sec, x):
+        calls.append(1)
+        return co.val_at(sec, x)
+
+    monkeypatch.setattr(tp, "val_at", counted)
+    out = tp.relative_volume_sum(phi, psi, fam, 32)
+    assert len(pts) == 32 and len(calls) == 32 * 32
+    assert out == {"vol": float(vol), "scaled": float(F(1, 32 ** 2) * vol)}
 
 
 def test_relative_volume_constant_shift_approaches_shift():
