@@ -181,10 +181,8 @@ def _ship_tight(W, pu, pv, flow, a, b):
         ks, js = np.divmod(np.flatnonzero(flow), m)
         for k, j in zip(ks.tolist(), js.tolist()):
             back[j].append(k)
-        queue = np.flatnonzero(a > 0).tolist()
-        seen_s = [False] * n
-        for i in queue:
-            seen_s[i] = True
+        seen_s = (a > 0).tolist()
+        queue = np.flatnonzero(seen_s).tolist()
         prev_s = [-1] * n
         prev_t = [-1] * m
         ends = []
