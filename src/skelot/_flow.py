@@ -1,4 +1,4 @@
-"""Dense multiscale successive-shortest-path transportation solver.
+"""Multiscale successive-shortest-path transportation solver.
 
 Maximizes <C, flow> subject to integer marginals (a, b) by running min-cost
 flow on the arc costs W = -C with Johnson potentials (pu, pv): every
@@ -40,13 +40,13 @@ range, each pass ends within 2M(2L + 1), source potentials stay in
 holds exactly, with equality on the flow's support; beyond that the sums
 round.  A cold solve is L = 0: within 2M(A + 2).
 
-The graph is a dense bipartite one, so Dijkstra keeps no heap: a popped
-source relaxes its whole row of forward arcs at once with numpy, and a
-popped target relaxes its few backward arcs, one per source that ships into
-it, in scalar arithmetic.  Ties go to the source, then to the lowest index,
-so the pop order, the duals and the flow do not depend on how a pass is
-vectorized.  The zero-reduced-cost search likewise finds a source's tight
-arcs with length-m vector work, and builds no n x m temporary.
+The flow is kept on its support alone, back[j] mapping each source that
+ships into target j to its flow.  The graph is dense bipartite, so Dijkstra
+keeps no heap: a popped source relaxes its row of forward arcs at once with
+numpy, a popped target its few backward arcs, back[j], in scalar arithmetic.
+Ties go to the source, then to the lowest index, so the pop order, the
+duals and the flow do not depend on how a pass is vectorized.  The
+zero-reduced-cost search finds a source's tight arcs with length-m vectors.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
-              flow: np.ndarray, rem_a: np.ndarray, rem_b: np.ndarray):
+def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
+              rem_a: np.ndarray, rem_b: np.ndarray):
     """One shortest-path pass in the residual graph.
 
     Returns (dist_s, dist_t, prev_s, prev_t, end_target) where end_target is
@@ -69,10 +69,10 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
     target with length-m vector work, (W[i] + pu[i] - pv) clipped at 0 and
     added to the source's distance, then searches the sources for the next
     minimum.  A target pop relaxes only the backward arcs from the sources
-    shipping into it, in scalar arithmetic: -(W[k, j] + pu[k] - pv[j])
-    clipped at 0, computed once per pass over the plan's support, is added
-    to the target's distance, and the source minimum is updated in O(1) per
-    arc.  Its only vector work is the length-m search for the next target.
+    shipping into it, the keys of back[j], in scalar arithmetic:
+    -(W[k, j] + pu[k] - pv[j]) clipped at 0 is added to the target's
+    distance, and the source minimum is updated in O(1) per arc.  Its only
+    vector work is the length-m search for the next target.
     """
     n, m = W.shape
     inf = np.inf
@@ -85,12 +85,6 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
     prev_s = np.full(n, -1, dtype=np.int64)
     open_s = [True] * n
     open_t = np.ones(m, dtype=bool)
-    # backward arcs j -> k, one for each source k shipping into target j
-    ks, js = np.divmod(np.flatnonzero(flow > 0), m)
-    rcb = np.maximum(-(W[ks, js] + pu[ks] - pv[js]), 0.0)
-    back = [[] for _ in range(m)]
-    for k, j, r in zip(ks.tolist(), js.tolist(), rcb.tolist()):
-        back[j].append((k, r))
     rc = np.empty(m)
     better = np.empty(m, dtype=bool)
     bi = int(ms.argmin())
@@ -123,8 +117,9 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
             if rem_b[j] > 0:
                 end = j
                 break
-            for k, r in back[j]:
-                c = tv + r
+            pvj = float(pv[j])
+            for k in back[j]:
+                c = tv + max(-(float(W[k, j]) + float(pu[k]) - pvj), 0.0)
                 if open_s[k] and c < ms[k]:
                     ms[k] = c
                     prev_s[k] = j
@@ -136,11 +131,12 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray,
     return ds, dt, prev_s, prev_t, end
 
 
-def _augment(flow, a, b, prev_s, prev_t, jend):
+def _augment(back, a, b, prev_s, prev_t, jend):
     """Ship along the path the predecessors give from a root source to the
     unsaturated target jend as much as it admits: the least of the root's
-    supply, jend's demand and the flows on its backward arcs.  Returns the
-    amount, 0 when some backward arc or the root has nothing left."""
+    supply, jend's demand and the flows in back on its backward arcs, where
+    an earlier path may have emptied one.  Returns the amount, 0 when some
+    backward arc or the root has nothing left."""
     fwd, bwd = [], []
     j = jend
     while True:
@@ -150,18 +146,20 @@ def _augment(flow, a, b, prev_s, prev_t, jend):
         if j < 0:
             break
         bwd.append((i, j))
-    delta = min(a[i], b[jend], *(flow[k, j] for k, j in bwd))
+    delta = min(a[i], b[jend], *(back[j].get(k, 0) for k, j in bwd))
     if delta > 0:
         for k, j in fwd:
-            flow[k, j] += delta
+            back[j][k] = back[j].get(k, 0) + delta
         for k, j in bwd:
-            flow[k, j] -= delta
+            back[j][k] -= delta
+            if not back[j][k]:
+                del back[j][k]
         a[i] -= delta
         b[jend] -= delta
     return delta
 
 
-def _ship_tight(W, pu, pv, flow, a, b):
+def _ship_tight(W, pu, pv, back, a, b):
     """Ship along zero-reduced-cost paths until none joins supply to demand.
 
     The admissible arcs are the forward arcs with W + pu - pv <= 0, found a
@@ -177,10 +175,6 @@ def _ship_tight(W, pu, pv, flow, a, b):
     rc = np.empty(m)
     paths = 0
     while True:
-        back = [[] for _ in range(m)]
-        ks, js = np.divmod(np.flatnonzero(flow), m)
-        for k, j in zip(ks.tolist(), js.tolist()):
-            back[j].append(k)
         seen_s = (a > 0).tolist()
         queue = np.flatnonzero(seen_s).tolist()
         prev_s = [-1] * n
@@ -199,7 +193,7 @@ def _ship_tight(W, pu, pv, flow, a, b):
                 if b[j] > 0:
                     ends.append(j)
                     continue
-                for k in back[j]:
+                for k in sorted(back[j]):
                     if not seen_s[k]:
                         seen_s[k] = True
                         prev_s[k] = j
@@ -207,7 +201,7 @@ def _ship_tight(W, pu, pv, flow, a, b):
         if not ends:
             return paths
         for j in ends:
-            if _augment(flow, a, b, prev_s, prev_t, j) > 0:
+            if _augment(back, a, b, prev_s, prev_t, j) > 0:
                 paths += 1
 
 
@@ -216,19 +210,19 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Optimal integer flow and dual potentials for max <C, flow>.
 
     a and b are non-negative integer arrays, int64 (enough while every entry
-    is below 2^62, since no flow exceeds its row's supply) or object; the
-    flow has their dtype.  levels lists coarse-to-fine sub-problems
-    (rows, cols, a_l, b_l) of C, index arrays and their balanced integer
-    marginals, solved before the full problem, each warm-started from the
-    duals of the one before.  Returns (flow, phi, psi, n_augmentations,
-    unshipped) of the full problem, with the augmentations summed over all
-    levels, phi[i] + psi[j] >= C[i, j] everywhere and equality on the
-    support of the flow, exactly on integer C within the module's bound,
-    else up to round-off.  Each level's loop runs while supply is left; it
-    stops early only at the augmentation budget or when no target with
-    demand left is reachable.  unshipped is min(supply left, demand left)
-    of the full problem, a Python int: 0 when the flow meets balanced
-    marginals.
+    is below 2^62, since no flow exceeds its row's supply) or object.
+    levels lists coarse-to-fine sub-problems (rows, cols, a_l, b_l) of C,
+    index arrays and their balanced integer marginals, solved before the
+    full problem, each warm-started from the duals of the one before.
+    Returns ((rows, cols, flows), phi, psi, n_augmentations, unshipped) of
+    the full problem: the flow's support row-major, flows in the marginals'
+    dtype; the augmentations summed over all levels; phi[i] + psi[j] >=
+    C[i, j] everywhere, equal on the support, exactly on integer C within
+    the module's bound, else up to round-off.  Each level's loop runs while
+    supply is left; it stops early only at the augmentation budget or when
+    no target with demand left is reachable.  unshipped is min(supply left,
+    demand left) of the full problem, a Python int: 0 when the flow meets
+    balanced marginals.
     """
     C = np.asarray(C, dtype=float)
     n, m = C.shape
@@ -248,20 +242,24 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
         pv = W[0] + pu[0]
         for i in range(1, len(rows)):
             np.minimum(pv, W[i] + pu[i], out=pv)
-        flow = np.zeros(W.shape, dtype=a.dtype)
+        back = [{} for _ in cols]
         max_aug = aug + 60 * sum(W.shape) + 2000
         while a.any() and aug < max_aug:
-            ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, flow, a, b)
+            ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, back, a, b)
             if jend < 0:
                 break
-            _augment(flow, a, b, prev_s, prev_t, jend)
+            _augment(back, a, b, prev_s, prev_t, jend)
             D = dt[jend]
             pu += np.minimum(ds, D)
             pv += np.minimum(dt, D)
-            aug += 1 + _ship_tight(W, pu, pv, flow, a, b)
+            aug += 1 + _ship_tight(W, pu, pv, back, a, b)
         carried = cols, pv
         del W  # before the next level allocates its own
     # in Python ints: int64 entries can sum past the int64 range
     unshipped = min(sum(a.tolist()), sum(b.tolist()))
+    cells = sorted((k, j) for j, col in enumerate(back) for k in col)
+    rows = np.array([k for k, _ in cells], dtype=np.int64)
+    cols = np.array([j for _, j in cells], dtype=np.int64)
+    flows = np.array([back[j][k] for k, j in cells], dtype=a.dtype)
     # duals for the covering problem: phi + psi >= C
-    return flow, pu, -pv, aug, unshipped
+    return (rows, cols, flows), pu, -pv, aug, unshipped

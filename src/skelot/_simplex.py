@@ -20,9 +20,10 @@ ints otherwise).  A pivot's leaving edge cuts one subtree off; its path to
 the entering cell reverses, each edge's flow moving to its new lower node,
 and one walk re-hangs the subtree below the entering cell.  Its duals shift
 by a constant, so only its rows and columns of K - U - V are updated.  The
-row-major first maximum enters and the lowest cell wins a leaving tie.  The
-solver stops only after a fresh walk from the root and a full pricing pass
-find no positive reduced cost, so the returned duals are exactly feasible.
+row-major first maximum enters.  The leaving edge is unique: two minus
+edges tied at theta would leave a degenerate basis.  The solver stops only
+after a fresh walk from the root and a full pricing pass find no positive
+reduced cost, so the returned duals are exactly feasible.
 """
 
 from __future__ import annotations
@@ -155,8 +156,7 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
             raise AssertionError("the cycle walk left the basis tree")
         minus = up_x[0::2] + up_y[0::2]
         theta = min(flow[x] for x in minus)
-        leave = min((x for x in minus if flow[x] == theta),
-                    key=lambda x: _cell(x, parent[x], n))
+        (leave,) = [x for x in minus if flow[x] == theta]
         for x in minus:
             flow[x] -= theta
         for x in up_x[1::2] + up_y[1::2]:

@@ -206,9 +206,8 @@ def _write_plan_csv(path: str, plan) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["source_index", "target_index", "mass"])
-        rows, cols = (plan > 0).nonzero()  # row-major, like the file
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            w.writerow([i, j, repr(float(plan[i, j]))])
+        for i, j, x in zip(*(v.tolist() for v in plan)):  # row-major
+            w.writerow([i, j, repr(x)])
 
 
 def _assertion(name, expected, observed, tolerance, ok) -> dict:

@@ -116,8 +116,8 @@ def matrix_floats(K: np.ndarray, D: int) -> np.ndarray:
     if K.dtype != object and D < limit and (K.size == 0 or
                                             int(np.abs(K).max()) < limit):
         return K / D
-    return np.array([[ratio_float(k, D) for k in row] for row in K.tolist()],
-                    dtype=float)
+    return np.array([ratio_float(k, D) for k in K.ravel().tolist()],
+                    dtype=float).reshape(K.shape)
 
 
 def pairing_cost(source: IntegralPolyhedralComplex,

@@ -38,7 +38,8 @@ def pushforward_residual(result: TransportResult, problem: TransportProblem,
     """
     target = np.array(problem.target_mass, dtype=float)
     if use == "plan":
-        marginal = result.plan.sum(axis=0)
+        _, cols, mass = result.plan
+        marginal = np.bincount(cols, weights=mass, minlength=len(target))
     elif use == "argmax":
         back = c_transform(result.psi, problem.cost, problem.mu0.points,
                            direction="target_to_source")

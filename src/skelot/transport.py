@@ -150,7 +150,7 @@ class TransportResult:
     phi: PotentialField
     psi: PotentialField
     value: float
-    plan: np.ndarray
+    plan: tuple  # (rows, cols, mass): positive masses, row-major
     gap: float
     iterations: int  # flow augmentations
     converged: bool = True
@@ -221,19 +221,20 @@ def minimize_kontorovich(problem: TransportProblem,
     The flow finisher runs on K of cost = K / D and on the marginals times
     Q, the lcm of their denominators, after the coarser levels of
     _coarse_levels, each warm-starting the next with its duals.  The plan
-    is the full level's integer flow over Q, correctly rounded, and phi its
-    source duals over D, shifted to mean zero; psi = phi^c is recomputed
-    exactly.  The result is converged when the plan ships all the mass and
-    its duality gap is within gap_tolerance(tol, value).
+    is the full level's integer flow over Q on its support, correctly
+    rounded, and phi its source duals over D, shifted to mean zero;
+    psi = phi^c is recomputed exactly.  The gap is value less the plan's
+    exact correlation, sum K x / (D Q) over the support, rounded once.  The
+    result is converged when the plan ships all the mass and its gap is
+    within gap_tolerance(tol, value).
     """
     K, D = problem._integer()
     n, m = K.shape
     mass, Q = over_lcm([(*problem.mu0.weights, *problem.target_mass)], n + m)
-    flow, pu, _, aug, unshipped = _flow.solve_transport(
+    (rows, cols, flow), pu, _, aug, unshipped = _flow.solve_transport(
         matrix_floats(K, 1), mass[0, :n], mass[0, n:],
         levels=_coarse_levels(problem))
-    plan = matrix_floats(flow, Q)
-    del flow
+    primal = sum(k * x for k, x in zip(K[rows, cols].tolist(), flow.tolist()))
 
     phi = [F(u) / D for u in pu.tolist()]
     phi_field = PotentialField(problem.mu0.points, _mean_zero(problem, phi))
@@ -241,8 +242,9 @@ def minimize_kontorovich(problem: TransportProblem,
     a = np.array(problem.mu0.weights, dtype=float)
     b = np.array(problem.target_mass, dtype=float)
     value = float(a @ phi_field.as_array() + b @ psi_field.as_array())
-    gap = value - float((problem.cost_array * plan).sum())
+    gap = value - ratio_float(primal, D * Q)
     converged = unshipped == 0 and gap <= gap_tolerance(tol, value)
+    plan = rows, cols, matrix_floats(flow, Q)
     return TransportResult(phi_field, psi_field, value, plan, gap, aug,
                            converged=converged,
                            unshipped=ratio_float(unshipped, Q))
@@ -250,7 +252,7 @@ def minimize_kontorovich(problem: TransportProblem,
 
 @dataclass(frozen=True)
 class LPOracleResult:
-    plan: np.ndarray
+    plan: tuple  # (rows, cols, mass): positive masses, row-major
     primal_value: float
     dual_potentials: tuple  # (u on source, v on target), exact rationals
     exact_value: Fraction
@@ -282,9 +284,9 @@ def lp_oracle(problem: TransportProblem,
     flows, u, _, value, pivots = _simplex.solve_exact(
         K[:, keep], D, problem.mu0.weights, [b[j] for j in keep])
     v = problem.transform(PotentialField(problem.mu0.points, u)).values
-    plan = np.zeros((n, m))
-    for (i, jk), fl in flows.items():
-        plan[i, keep[jk]] = float(fl)
+    cells = sorted((i, keep[jk], float(fl))
+                   for (i, jk), fl in flows.items() if fl)
+    plan = tuple(np.array(x) for x in zip(*cells))
     return LPOracleResult(plan=plan, primal_value=float(value),
                           dual_potentials=(tuple(u), tuple(v)),
                           exact_value=value, pivots=pivots)

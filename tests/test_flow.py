@@ -2,12 +2,18 @@
 
 `_reference_dijkstra` is the earlier vectorized pass: two full masks and two
 argmins per pop and a column scan per target pop, kept as it was except
-that masses are integers, so a node has mass left when it is > 0.  The
+that masses are integers, so a node has mass left when it is > 0.  It reads
+a dense n x m flow; the finisher keeps only the support back[j] = {source:
+flow}, so the reference gets the dense flow that support stands for.  The
 wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`,
 on every level of a multiscale solve, and requires the same bytes for both
 distance and predecessor arrays and the same end target, so the pop order,
-the tie rules and the rounding of every relaxation must match.  Every
-instance has integer marginals, as the finisher takes them.
+the tie rules and the rounding of every relaxation must match.
+`_reference_ship_tight` is likewise the zero-reduced-cost search as it was
+on the dense flow, which it re-scanned for its support every round; every
+search of a checked solve must leave the same flow and masses and ship the
+same number of paths.  Every instance has integer marginals, as the
+finisher takes them.
 """
 
 import ast
@@ -64,9 +70,100 @@ def _reference_dijkstra(W, pu, pv, flow, rem_a, rem_b):
             prev_s[better] = j
 
 
+def _reference_augment(flow, a, b, prev_s, prev_t, jend):
+    fwd, bwd = [], []
+    j = jend
+    while True:
+        i = int(prev_t[j])
+        fwd.append((i, j))
+        j = int(prev_s[i])
+        if j < 0:
+            break
+        bwd.append((i, j))
+    delta = min(a[i], b[jend], *(flow[k, j] for k, j in bwd))
+    if delta > 0:
+        for k, j in fwd:
+            flow[k, j] += delta
+        for k, j in bwd:
+            flow[k, j] -= delta
+        a[i] -= delta
+        b[jend] -= delta
+    return delta
+
+
+def _reference_ship_tight(W, pu, pv, flow, a, b):
+    n, m = W.shape
+    tight = {}
+    rc = np.empty(m)
+    paths = 0
+    while True:
+        back = [[] for _ in range(m)]
+        ks, js = np.divmod(np.flatnonzero(flow), m)
+        for k, j in zip(ks.tolist(), js.tolist()):
+            back[j].append(k)
+        seen_s = (a > 0).tolist()
+        queue = np.flatnonzero(seen_s).tolist()
+        prev_s = [-1] * n
+        prev_t = [-1] * m
+        ends = []
+        for i in queue:
+            arcs = tight.get(i)
+            if arcs is None:
+                np.add(W[i], pu[i], out=rc)
+                np.subtract(rc, pv, out=rc)
+                arcs = tight[i] = np.flatnonzero(rc <= 0).tolist()
+            for j in arcs:
+                if prev_t[j] >= 0:
+                    continue
+                prev_t[j] = i
+                if b[j] > 0:
+                    ends.append(j)
+                    continue
+                for k in back[j]:
+                    if not seen_s[k]:
+                        seen_s[k] = True
+                        prev_s[k] = j
+                        queue.append(k)
+        if not ends:
+            return paths
+        for j in ends:
+            if _reference_augment(flow, a, b, prev_s, prev_t, j) > 0:
+                paths += 1
+
+
+def _dense(back, n):
+    """The n x m flow of the support back[j] = {source: flow}."""
+    flow = np.zeros((n, len(back)), dtype=object)
+    for j, col in enumerate(back):
+        for k, x in col.items():
+            flow[k, j] = x
+    return flow
+
+
+def _back(flow):
+    """The support back[j] = {source: flow} of a dense flow."""
+    return [{k: flow[k, j] for k in np.flatnonzero(flow[:, j]).tolist()}
+            for j in range(flow.shape[1])]
+
+
+def _reference_pass(W, pu, pv, back, rem_a, rem_b):
+    return _reference_dijkstra(W, pu, pv, _dense(back, len(W)), rem_a, rem_b)
+
+
+def _flow_matrix(support, shape):
+    """The dense flow of solve_transport's support triples, which must be
+    row-major with positive flows."""
+    rows, cols, flows = support
+    assert rows.dtype == cols.dtype == np.int64
+    assert (np.diff(rows * shape[1] + cols) > 0).all() and (flows > 0).all()
+    flow = np.zeros(shape, dtype=flows.dtype)
+    flow[rows, cols] = flows
+    return flow
+
+
 def _assert_same_pass(dijkstra, args):
     new = dijkstra(*args)
-    ref = _reference_dijkstra(*args)
+    ref = _reference_pass(*args)
     for got, want in zip(new[:4], ref[:4]):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -75,10 +172,11 @@ def _assert_same_pass(dijkstra, args):
 
 
 def _assert_same_solve(monkeypatch, C, a, b, levels=()):
-    """Every pass and the whole result equal the reference's.
+    """Every pass, every zero-reduced-cost search and the whole result
+    equal the references'.
 
     Returns the result and the number of passes."""
-    dijkstra = _flow._dijkstra
+    dijkstra, ship_tight = _flow._dijkstra, _flow._ship_tight
     ends = []
 
     def checked(*args):
@@ -86,12 +184,22 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
         ends.append(out[4])
         return out
 
+    def checked_search(W, pu, pv, back, a, b):
+        flow, ref_a, ref_b = _dense(back, len(W)), a.copy(), b.copy()
+        want = _reference_ship_tight(W, pu, pv, flow, ref_a, ref_b)
+        assert ship_tight(W, pu, pv, back, a, b) == want
+        assert _dense(back, len(W)).tolist() == flow.tolist()
+        assert a.tolist() == ref_a.tolist() and b.tolist() == ref_b.tolist()
+        return want
+
     monkeypatch.setattr(_flow, "_dijkstra", checked)
+    monkeypatch.setattr(_flow, "_ship_tight", checked_search)
     got = _flow.solve_transport(C, a, b, levels=levels)
-    monkeypatch.setattr(_flow, "_dijkstra", _reference_dijkstra)
+    monkeypatch.setattr(_flow, "_dijkstra", _reference_pass)
+    monkeypatch.setattr(_flow, "_ship_tight", ship_tight)
     want = _flow.solve_transport(C, a, b, levels=levels)
     monkeypatch.setattr(_flow, "_dijkstra", dijkstra)
-    for g, w in zip(got[:3], want[:3]):
+    for g, w in zip((*got[0], *got[1:3]), (*want[0], *want[1:3])):
         assert g.dtype == w.dtype
         # object flows hold Python ints: compare the values, not the pointers
         assert (g.tolist() == w.tolist() if g.dtype == object
@@ -137,9 +245,10 @@ def test_family_solves_match_reference(monkeypatch, build, cold, ladder):
     problem = build()
     C, a, b = _problem_arrays(problem)
     for levels, counts in (((), cold), (tp._coarse_levels(problem), ladder)):
-        (plan, _, _, aug, unshipped), passes = _assert_same_solve(
+        (support, _, _, aug, unshipped), passes = _assert_same_solve(
             monkeypatch, C, a, b, levels)
         assert (passes, aug) == counts and unshipped == 0
+        plan = _flow_matrix(support, C.shape)
         assert plan.dtype == np.int64
         assert (plan.sum(axis=1) == a).all() and (plan.sum(axis=0) == b).all()
 
@@ -162,9 +271,9 @@ def test_duals_on_integer_costs_are_exact_integers(build):
     problem = build()
     K = problem._integer()[0]
     for levels in ((), tp._coarse_levels(problem)):
-        flow, phi, psi, _, _ = _flow.solve_transport(
+        support, phi, psi, _, _ = _flow.solve_transport(
             *_problem_arrays(problem), levels=levels)
-        _assert_exact_optimum(K, flow, phi, psi)
+        _assert_exact_optimum(K, _flow_matrix(support, K.shape), phi, psi)
 
 
 def _tied_instance(seed):
@@ -190,7 +299,8 @@ def _tied_instance(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_tied_random_solves_match_reference(monkeypatch, seed):
     C, a, b = _tied_instance(seed)
-    (flow, _, _, _, unshipped), _ = _assert_same_solve(monkeypatch, C, a, b)
+    (support, _, _, _, unshipped), _ = _assert_same_solve(monkeypatch, C, a, b)
+    flow = _flow_matrix(support, C.shape)
     assert unshipped == 0
     assert (flow.sum(axis=1) == a).all() and (flow.sum(axis=0) == b).all()
     assert not flow[:, b == 0].any()
@@ -230,9 +340,10 @@ def test_ladder_solves_reach_the_cold_optimum(monkeypatch, seed):
         a, b = _beyond_int64(a), _beyond_int64(b)
         levels = [(r, c, _beyond_int64(x), _beyond_int64(y))
                   for r, c, x, y in levels]
-    (flow, phi, psi, _, unshipped), _ = _assert_same_solve(
+    (support, phi, psi, _, unshipped), _ = _assert_same_solve(
         monkeypatch, C, a, b, levels)
-    cold = _flow.solve_transport(C, a, b)[0]
+    flow = _flow_matrix(support, C.shape)
+    cold = _flow_matrix(_flow.solve_transport(C, a, b)[0], C.shape)
     assert flow.dtype == a.dtype and unshipped == 0
     assert (flow.sum(axis=1) == a).all() and (flow.sum(axis=0) == b).all()
 
@@ -252,7 +363,8 @@ def test_point_mass_solves_match_reference(monkeypatch, shape):
     a = np.zeros(n, dtype=np.int64)
     a[n // 2] = m
     b = np.ones(m, dtype=np.int64)
-    (plan, _, _, aug, _), _ = _assert_same_solve(monkeypatch, C, a, b)
+    (support, _, _, aug, _), _ = _assert_same_solve(monkeypatch, C, a, b)
+    plan = _flow_matrix(support, C.shape)
     assert aug == m and (plan[n // 2] == b).all()
 
 
@@ -270,7 +382,8 @@ def test_arbitrary_passes_match_reference(seed):
         flow = (rng.random((n, m)) < 0.4).astype(np.int64)
         rem_a = rng.integers(0, 2, size=n)
         rem_b = (rng.random(m) < 0.2).astype(np.int64)
-        _assert_same_pass(_flow._dijkstra, (W, pu, pv, flow, rem_a, rem_b))
+        _assert_same_pass(_flow._dijkstra,
+                          (W, pu, pv, _back(flow), rem_a, rem_b))
 
 
 def test_backward_tie_pops_lower_source_first():
@@ -284,7 +397,7 @@ def test_backward_tie_pops_lower_source_first():
                      [1, 0, 0],
                      [0, 0, 0]])
     ds, dt, prev_s, prev_t, end = _assert_same_pass(
-        _flow._dijkstra, (W, np.zeros(3), np.zeros(3), flow,
+        _flow._dijkstra, (W, np.zeros(3), np.zeros(3), _back(flow),
                           np.array([0, 0, 1]), np.array([0, 0, 1])))
     assert list(ds) == [2.0, 2.0, 0.0] and list(dt) == [0.0, 1.0, 3.0]
     assert list(prev_s) == [1, 0, -1] and list(prev_t) == [2, 2, 0]
@@ -296,9 +409,9 @@ def test_unreachable_target_returns_minus_one():
     with no supply left it ends at -1 before any pop."""
     C, a, b = _tied_instance(7)
     n, m = C.shape
-    flow = _flow.solve_transport(C, a, b)[0]
+    flow = _flow_matrix(_flow.solve_transport(C, a, b)[0], C.shape)
     W = -C
-    args = (W, np.zeros(n), W.min(axis=0), flow)
+    args = (W, np.zeros(n), W.min(axis=0), _back(flow))
     ds, dt, _, _, end = _assert_same_pass(
         _flow._dijkstra, args + (np.ones(n, dtype=np.int64),
                                  np.zeros(m, dtype=np.int64)))

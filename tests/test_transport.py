@@ -203,11 +203,17 @@ def test_minimize_psi_is_exact_transform():
     assert res.psi.values == prob.transform(res.phi).values
 
 
-def _exact_flow(plan, Q):
-    """The integers k with plan == float(k / Q) entry by entry; fails if an
-    entry is not the float of such a ratio."""
-    k = [[round(F(x) * Q) for x in row] for row in plan.tolist()]
-    assert [[float(F(v, Q)) for v in row] for row in k] == plan.tolist()
+def _exact_flow(plan, shape, Q):
+    """The integers k with mass == float(k / Q) on the plan's support, as an
+    n x m list of rows; fails if the support is not row-major with positive
+    masses or a mass is not the float of such a ratio."""
+    rows, cols, mass = (v.tolist() for v in plan)
+    cells = [i * shape[1] + j for i, j in zip(rows, cols)]
+    assert cells == sorted(set(cells)) and all(x > 0 for x in mass)
+    k = [[0] * shape[1] for _ in range(shape[0])]
+    for i, j, x in zip(rows, cols, mass):
+        k[i][j] = round(F(x) * Q)
+        assert float(F(k[i][j], Q)) == x
     return k
 
 
@@ -223,7 +229,7 @@ def test_minimize_plan_is_the_exact_flow_over_q():
     res = tp.minimize_kontorovich(prob)
     assert res.converged and res.unshipped == 0
     Q = lcm(*(w.denominator for w in (*a, *b)))
-    k = _exact_flow(res.plan, Q)
+    k = _exact_flow(res.plan, (len(a), len(b)), Q)
     assert [sum(row) for row in k] == [w * Q for w in a]
     assert [sum(col) for col in zip(*k)] == [w * Q for w in b]
 
@@ -305,6 +311,43 @@ def test_multiscale_duals_reach_the_exact_optimum(build, optimum):
     assert optimum is None or value == optimum
 
 
+@pytest.mark.parametrize("build, optimum", [
+    (lambda: fm.toric_pair([(-1, -1), (2, -1), (-1, 2)],
+                           resolution=F(1, 16))[1], 1 + F(1, 3 * 16 ** 2)),
+    (lambda: fm.mumford_family(co.MumfordData((co.PhiAxis(), co.PhiAxis())),
+                               [1, 2], resolution=F(1, 10))[1], F(41, 50)),
+], ids=["toric-1/16", "torus-1/10"])
+def test_minimize_support_primal_is_the_exact_optimum(monkeypatch, build,
+                                                      optimum):
+    """The finisher's flow, summed exactly over its support as
+    sum K x / (D Q), is the oracle's exact optimum, and the reported gap is
+    value less that sum, rounded once."""
+    solve, seen = _flow.solve_transport, []
+
+    def recorded(*args, **kwargs):
+        seen.append(solve(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(_flow, "solve_transport", recorded)
+    prob = build()
+    res = tp.minimize_kontorovich(prob)
+    (rows, cols, flow), *_ = seen[0]
+    K, D = prob._integer()
+    Q = lcm(*(w.denominator for w in (*prob.mu0.weights, *prob.target_mass)))
+    primal = F(sum(int(K[i, j]) * int(x) for i, j, x in
+                   zip(rows.tolist(), cols.tolist(), flow.tolist())), D * Q)
+    assert primal == tp.lp_oracle(prob).exact_value == optimum
+    assert res.gap == res.value - float(primal)
+
+
+def test_minimize_builds_no_float_cost_matrix():
+    """The gap is summed over the flow's support in integers, so a solve
+    never fills the float cost matrix."""
+    prob = abelian_problem(8, 12)
+    assert tp.minimize_kontorovich(prob).converged
+    assert prob._cost_array is None
+
+
 def test_minimize_ships_masses_beyond_int64_exactly(monkeypatch):
     """Marginals over 2^70 reach the finisher as Python ints, and its flow
     meets them exactly."""
@@ -321,13 +364,15 @@ def test_minimize_ships_masses_beyond_int64_exactly(monkeypatch):
                                measure(pts, [F(1, Q), 1 - F(1, Q)]),
                                measure(pts, [1 - F(1, Q), F(1, Q)]))
     res = tp.minimize_kontorovich(prob)
-    (_, a, b), (flow, _, _, _, unshipped) = seen[0]
+    (_, a, b), ((rows, cols, flow), _, _, _, unshipped) = seen[0]
     assert a.dtype == b.dtype == flow.dtype == object
     assert a.tolist() == [1, Q - 1] and b.tolist() == [Q - 1, 1]
-    assert flow.tolist() == [[0, 1], [Q - 1, 0]] and unshipped == 0
+    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+    assert flow.tolist() == [1, Q - 1] and unshipped == 0
     assert res.converged and res.unshipped == 0
     assert res.value == pytest.approx(1.0)
-    assert res.plan.tolist() == [[0.0, 2.0 ** -70], [1.0, 0.0]]
+    assert [v.tolist() for v in res.plan] == [[0, 1], [1, 0],
+                                              [2.0 ** -70, 1.0]]
 
 
 def test_lp_two_by_two_antidiagonal():
@@ -339,8 +384,7 @@ def test_lp_two_by_two_antidiagonal():
                                measure(pts_p, [0.5, 0.5]))
     lp = tp.lp_oracle(prob)
     assert lp.exact_value == 1
-    assert lp.plan[0, 1] == pytest.approx(0.5)
-    assert lp.plan[1, 0] == pytest.approx(0.5)
+    assert [v.tolist() for v in lp.plan] == [[0, 1], [1, 0], [0.5, 0.5]]
 
 
 def test_lp_plan_marginals_exactly_feasible():
@@ -348,8 +392,10 @@ def test_lp_plan_marginals_exactly_feasible():
     lp = tp.lp_oracle(prob)
     a = np.array(prob.mu0.weights, dtype=float)
     b = np.array(prob.target_mass, dtype=float)
-    assert np.allclose(lp.plan.sum(axis=1), a, atol=1e-15)
-    assert np.allclose(lp.plan.sum(axis=0), b, atol=1e-15)
+    rows, cols, mass = lp.plan
+    assert (mass > 0).all()
+    assert np.allclose(np.bincount(rows, mass, len(a)), a, atol=1e-15)
+    assert np.allclose(np.bincount(cols, mass, len(b)), b, atol=1e-15)
 
 
 def test_lp_single_point():
@@ -357,7 +403,7 @@ def test_lp_single_point():
     nu = measure([(F(1, 2),)], [1.0])
     lp = tp.lp_oracle(tp.TransportProblem(PAIR, mu, nu))
     assert lp.exact_value == F(1, 6)
-    assert lp.plan[0, 0] == 1.0
+    assert [v.tolist() for v in lp.plan] == [[0], [0], [1.0]]
 
 
 def test_lp_size_cap():
