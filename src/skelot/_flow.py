@@ -1,11 +1,11 @@
 """Multiscale successive-shortest-path transportation solver.
 
 Maximizes <C, flow> subject to integer marginals (a, b) by running min-cost
-flow on the arc costs W = -C with Johnson potentials (pu, pv): every
-residual arc keeps a reduced cost W + pu - pv >= 0 (forward) or its
-negative >= 0 (backward, on the flow's support).  Masses stay integers, so
-each augmentation ships a positive integer and the flow meets the marginals
-exactly.
+flow on the arc costs -C, read from C in place, with Johnson potentials
+(pu, pv): every residual arc keeps a reduced cost pu - C - pv >= 0
+(forward) or its negative >= 0 (backward, on the flow's support).  Masses
+stay integers, so each augmentation ships a positive integer and the flow
+meets the marginals exactly.
 
 The loop: a Dijkstra pass from every source with supply left finds a
 shortest path to a target with demand left; the path ships, and the
@@ -21,13 +21,13 @@ Warm start: a solve may first run the same loop on coarser sub-problems of
 C (in practice the grid points at 2/l, 4/l, ...; Merigot 2011, "A multiscale
 approach to optimal transport").  Each level starts from
 pu = max over the previous level's targets of (C - psi), psi = -pv, and
-pv = the column minimum of W + pu, which is feasible by construction; the
+pv = the column minimum of pu - C, which is feasible by construction; the
 first level starts cold, from pu = 0.  A coarse level only shortens the
 next one's work, never decides its answer.
 
-Exactness: costs and potentials are floats, but on integer costs they stay
-integers (a pass only adds, subtracts, negates, compares and takes minima
-and maxima), exact while every magnitude is at most 2^53.  Let M = max|C|,
+Exactness: potentials are floats, but on integer costs they stay integers
+(a pass only adds, subtracts, negates, compares and takes minima and
+maxima), exact while every magnitude is at most 2^53.  Let M = max|C|,
 L the number of levels before the current one, and A <= 60(n + m) + 2000
 its augmentation budget, which bounds its passes.  A source with supply
 left has had distance 0 in every pass, so it keeps its starting potential,
@@ -54,9 +54,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
+def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
               rem_a: np.ndarray, rem_b: np.ndarray):
-    """One shortest-path pass in the residual graph.
+    """One shortest-path pass in the residual graph of the costs -C.
 
     Returns (dist_s, dist_t, prev_s, prev_t, end_target) where end_target is
     an unsaturated target popped with final distance, or -1 if unreachable.
@@ -66,15 +66,15 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
     Pop order: the lowest-index source of least tentative distance, unless
     a target's distance is strictly less, then the lowest-index target of
     least distance.  A source pop relaxes the forward arcs to every open
-    target with length-m vector work, (W[i] + pu[i] - pv) clipped at 0 and
+    target with length-m vector work, (pu[i] - C[i] - pv) clipped at 0 and
     added to the source's distance, then searches the sources for the next
     minimum.  A target pop relaxes only the backward arcs from the sources
     shipping into it, the keys of back[j], in scalar arithmetic:
-    -(W[k, j] + pu[k] - pv[j]) clipped at 0 is added to the target's
+    -(pu[k] - C[k, j] - pv[j]) clipped at 0 is added to the target's
     distance, and the source minimum is updated in O(1) per arc.  Its only
     vector work is the length-m search for the next target.
     """
-    n, m = W.shape
+    n, m = C.shape
     inf = np.inf
     # tentative distances of nodes not yet popped; inf once popped
     ms = np.where(rem_a > 0, 0.0, inf)
@@ -100,7 +100,7 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
             ds[i] = d
             ms[i] = inf
             open_s[i] = False
-            np.add(W[i], pu[i], out=rc)
+            np.subtract(pu[i], C[i], out=rc)
             np.subtract(rc, pv, out=rc)
             np.maximum(rc, 0.0, out=rc)
             np.add(d, rc, out=rc)
@@ -119,7 +119,7 @@ def _dijkstra(W: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
                 break
             pvj = float(pv[j])
             for k in back[j]:
-                c = tv + max(-(float(W[k, j]) + float(pu[k]) - pvj), 0.0)
+                c = tv + max(-(float(pu[k]) - float(C[k, j]) - pvj), 0.0)
                 if open_s[k] and c < ms[k]:
                     ms[k] = c
                     prev_s[k] = j
@@ -159,10 +159,10 @@ def _augment(back, a, b, prev_s, prev_t, jend):
     return delta
 
 
-def _ship_tight(W, pu, pv, back, a, b):
+def _ship_tight(C, pu, pv, back, a, b):
     """Ship along zero-reduced-cost paths until none joins supply to demand.
 
-    The admissible arcs are the forward arcs with W + pu - pv <= 0, found a
+    The admissible arcs are the forward arcs with pu - C - pv <= 0, found a
     source row at a time, and the backward arcs on the flow's support.  Each
     round is a breadth-first search from every source with supply left; it
     ships along the tree path to each target with demand left that it
@@ -170,7 +170,7 @@ def _ship_tight(W, pu, pv, back, a, b):
     potentials stay feasible and tight on the new support.  Returns the
     number of paths shipped.
     """
-    n, m = W.shape
+    n, m = C.shape
     tight = {}  # source -> admissible targets; the potentials do not move
     rc = np.empty(m)
     paths = 0
@@ -183,7 +183,7 @@ def _ship_tight(W, pu, pv, back, a, b):
         for i in queue:
             arcs = tight.get(i)
             if arcs is None:
-                np.add(W[i], pu[i], out=rc)
+                np.subtract(pu[i], C[i], out=rc)
                 np.subtract(rc, pv, out=rc)
                 arcs = tight[i] = np.flatnonzero(rc <= 0).tolist()
             for j in arcs:
@@ -209,6 +209,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
                     levels=()):
     """Optimal integer flow and dual potentials for max <C, flow>.
 
+    C, int64 or float, is read in place; each coarse level copies its slice.
     a and b are non-negative integer arrays, int64 (enough while every entry
     is below 2^62, since no flow exceeds its row's supply) or object.
     levels lists coarse-to-fine sub-problems (rows, cols, a_l, b_l) of C,
@@ -224,11 +225,11 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     demand left) of the full problem, a Python int: 0 when the flow meets
     balanced marginals.
     """
-    C = np.asarray(C, dtype=float)
     n, m = C.shape
     aug = 0
     carried = None  # (cols, pv) of the level solved last
-    for rows, cols, a, b in (*levels, (np.arange(n), np.arange(m), a, b)):
+    for k, (rows, cols, a, b) in enumerate(
+            (*levels, (np.arange(n), np.arange(m), a, b))):
         a, b = np.array(a), np.array(b)
         if carried is None:
             pu = np.zeros(len(rows))
@@ -236,25 +237,24 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
             # max over the last level's targets of C - psi, psi = -pv
             pu = np.array([(C[r, carried[0]] + carried[1]).max()
                            for r in rows])
-        W = C[np.ix_(rows, cols)]
-        np.negative(W, out=W)
-        # the column minimum of W + pu, a row at a time
-        pv = W[0] + pu[0]
+        Cl = C[np.ix_(rows, cols)] if k < len(levels) else C
+        # the column minimum of pu - C, a row at a time
+        pv = pu[0] - Cl[0]
         for i in range(1, len(rows)):
-            np.minimum(pv, W[i] + pu[i], out=pv)
+            np.minimum(pv, pu[i] - Cl[i], out=pv)
         back = [{} for _ in cols]
-        max_aug = aug + 60 * sum(W.shape) + 2000
+        max_aug = aug + 60 * sum(Cl.shape) + 2000
         while a.any() and aug < max_aug:
-            ds, dt, prev_s, prev_t, jend = _dijkstra(W, pu, pv, back, a, b)
+            ds, dt, prev_s, prev_t, jend = _dijkstra(Cl, pu, pv, back, a, b)
             if jend < 0:
                 break
             _augment(back, a, b, prev_s, prev_t, jend)
             D = dt[jend]
             pu += np.minimum(ds, D)
             pv += np.minimum(dt, D)
-            aug += 1 + _ship_tight(W, pu, pv, back, a, b)
+            aug += 1 + _ship_tight(Cl, pu, pv, back, a, b)
         carried = cols, pv
-        del W  # before the next level allocates its own
+        del Cl  # before the next level allocates its own
     # in Python ints: int64 entries can sum past the int64 range
     unshipped = min(sum(a.tolist()), sum(b.tolist()))
     cells = sorted((k, j) for j, col in enumerate(back) for k in col)

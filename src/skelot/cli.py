@@ -429,6 +429,8 @@ def diagnose_ma(run_dir: str) -> int:
     phi = _load_run_field(run_dir, "phi.csv")
     h = _fraction(_load_run_entry(run_dir, "result.json", "resolution"),
                   "resolution")
+    if h.numerator != 1:  # 1/l for a positive integer l
+        raise IncompleteRun(f"resolution {h} in result.json is not 1/l")
     field = dg.ma_residual(phi, h)
     payload = {"max_residual": field.max_residual,
                "constant": field.constant,

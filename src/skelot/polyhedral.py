@@ -370,21 +370,18 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
             if any((c * l).denominator != 1 for v in face.vertices for c in v):
                 raise ResolutionTooCoarse(
                     "2D quadrature requires vertices on the grid")
-            cell = Fraction(1, 2 * l * l)
 
             def corner(u0: Fraction, u1: Fraction) -> Point:
                 return tuple(c0 + (c1 - c0) * u0 + (c2 - c0) * u1
                              for c0, c1, c2 in zip(v0, v1, v2))
 
-            for a in range(l):
-                for b in range(l - a):
-                    tri = [(a, b), (a + 1, b), (a, b + 1)]
-                    for (ua, ub) in tri:
-                        add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
-                    if a + b <= l - 2:
-                        tri = [(a + 1, b), (a, b + 1), (a + 1, b + 1)]
-                        for (ua, ub) in tri:
-                            add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
+            # each triangle, of area 1/(2 l^2), gives a third to each corner;
+            # a corner on 0, 1 or 2 edge lines of the chart is in 6, 3 or 1
+            for a in range(l + 1):
+                for b in range(l + 1 - a):
+                    edges = (a == 0) + (b == 0) + (a + b == l)
+                    add(fi, corner(Fraction(a, l), Fraction(b, l)),
+                        w * (6, 3, 1)[edges] / (6 * l * l))
 
     points = _grid_sorted(acc, l)
     mass = sum(acc.values())

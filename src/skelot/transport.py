@@ -58,23 +58,23 @@ class PotentialField:
 def _exact_argmax(K: np.ndarray, D: int, values: Sequence) -> tuple:
     """Per column j, max over i of K[i, j] / D - values[i], exactly.
 
-    Every score goes over L, the lcm of D and the values' denominators, as
-    the integer matrix S = K (L / D) - V with V = values * L: int64 while
-    max|K| (L / D) + max|V| is below 2^62, Python ints otherwise.  argmax
-    keeps the first maximum, so ties go to the lowest index.  Returns the
-    maxima S / L and their indices.
+    Scores are the integers K[i] (L / D) - V[i], V = values * L, L the lcm
+    of D and the values' denominators: int64 while max|K| L / D + max|V| <
+    2^62, else Python ints.  A running column maximum over the rows keeps
+    the lowest index on ties.  Returns the maxima over L and their indices.
     """
     L = lcm(D, *(v.denominator for v in values))
     V = [v.numerator * (L // v.denominator) for v in values]
     r = L // D
-    k = max(int(K.max()), -int(K.min()))
+    k = max(int(K.max()), -int(K.min()), 1)  # r itself must fit
     dtype = _int_dtype(k * r + max(map(abs, V)))
-    # one n x m temporary where K is already of dtype; K is never written
-    S = K.astype(dtype, copy=False) * r
-    S -= np.array(V, dtype=dtype)[:, None]
-    arg = S.argmax(axis=0)
-    best = S[arg, np.arange(S.shape[1])].tolist()
-    return tuple(F(s, L) for s in best), tuple(arg.tolist())
+    best = K[0].astype(dtype) * r - V[0]
+    arg = np.zeros(K.shape[1], dtype=np.int64)
+    for i in range(1, len(K)):
+        score = K[i].astype(dtype, copy=False) * r - V[i]
+        up = score > best
+        best[up], arg[up] = score[up], i
+    return tuple(F(s, L) for s in best.tolist()), tuple(arg.tolist())
 
 
 def c_transform(f: PotentialField, cost: CostFunction, grid: Sequence,
@@ -218,22 +218,23 @@ def minimize_kontorovich(problem: TransportProblem,
                          tol: float = 1e-9) -> TransportResult:
     """Minimize F over P_c; result normalized to mean zero against mu0.
 
-    The flow finisher runs on K of cost = K / D and on the marginals times
-    Q, the lcm of their denominators, after the coarser levels of
-    _coarse_levels, each warm-starting the next with its duals.  The plan
-    is the full level's integer flow over Q on its support, correctly
-    rounded, and phi its source duals over D, shifted to mean zero;
-    psi = phi^c is recomputed exactly.  The gap is value less the plan's
-    exact correlation, sum K x / (D Q) over the support, rounded once.  The
-    result is converged when the plan ships all the mass and its gap is
-    within gap_tolerance(tol, value).
+    The flow finisher reads K of cost = K / D in place (its floats when K
+    holds Python ints) and the marginals times Q, the lcm of their
+    denominators, after the coarser levels of _coarse_levels, each
+    warm-starting the next with its duals.  The plan is the full level's
+    integer flow over Q on its support, correctly rounded, and phi its
+    source duals over D, shifted to mean zero; psi = phi^c is recomputed
+    exactly.  The gap is value less the plan's exact correlation,
+    sum K x / (D Q) over the support, rounded once.  It is converged when
+    the plan ships all the mass and its gap is within
+    gap_tolerance(tol, value).
     """
     K, D = problem._integer()
     n, m = K.shape
     mass, Q = over_lcm([(*problem.mu0.weights, *problem.target_mass)], n + m)
+    C = matrix_floats(K, 1) if K.dtype == object else K
     (rows, cols, flow), pu, _, aug, unshipped = _flow.solve_transport(
-        matrix_floats(K, 1), mass[0, :n], mass[0, n:],
-        levels=_coarse_levels(problem))
+        C, mass[0, :n], mass[0, n:], levels=_coarse_levels(problem))
     primal = sum(k * x for k, x in zip(K[rows, cols].tolist(), flow.tolist()))
 
     phi = [F(u) / D for u in pu.tolist()]

@@ -390,6 +390,7 @@ def test_diagnose_ma_incomplete(tmp_path):
 
 
 PHI_CSV = "x0,value\n0,0.0\n1/4,0.03125\n1/2,0.125\n"
+PHI_CSV_2D = "x0,x1,value\n0,0,0.0\n0,1/2,0.5\n1/2,0,0.25\n1/2,1/2,1.0\n"
 RESULT_JSON = json.dumps({"resolution": "1/4"})
 
 
@@ -420,6 +421,16 @@ RESULT_JSON = json.dumps({"resolution": "1/4"})
     pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
                                  "result.json": "{not json"},
                  id="ma-result-not-json"),
+    pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
+                                 "result.json": json.dumps({"resolution": 5})},
+                 id="ma-resolution-integer"),
+    pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
+                                 "result.json": json.dumps(
+                                     {"resolution": "-1/4"})},
+                 id="ma-resolution-negative"),
+    pytest.param("diagnose-ma", {"phi.csv": PHI_CSV_2D,
+                                 "result.json": json.dumps({"resolution": 5})},
+                 id="ma-2d-resolution-integer"),
 ])
 def test_malformed_run_dir_exit_code(tmp_path, capsys, command, files):
     for name, text in files.items():

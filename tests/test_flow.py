@@ -3,8 +3,9 @@
 `_reference_dijkstra` is the earlier vectorized pass: two full masks and two
 argmins per pop and a column scan per target pop, kept as it was except
 that masses are integers, so a node has mass left when it is > 0.  It reads
-a dense n x m flow; the finisher keeps only the support back[j] = {source:
-flow}, so the reference gets the dense flow that support stands for.  The
+the arc costs W = -C and a dense n x m flow; the finisher reads C itself and
+keeps only the support back[j] = {source: flow}, so the reference gets -C
+and the dense flow that support stands for.  The
 wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`,
 on every level of a multiscale solve, and requires the same bytes for both
 distance and predecessor arrays and the same end target, so the pop order,
@@ -146,8 +147,8 @@ def _back(flow):
             for j in range(flow.shape[1])]
 
 
-def _reference_pass(W, pu, pv, back, rem_a, rem_b):
-    return _reference_dijkstra(W, pu, pv, _dense(back, len(W)), rem_a, rem_b)
+def _reference_pass(C, pu, pv, back, rem_a, rem_b):
+    return _reference_dijkstra(-C, pu, pv, _dense(back, len(C)), rem_a, rem_b)
 
 
 def _flow_matrix(support, shape):
@@ -184,11 +185,11 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
         ends.append(out[4])
         return out
 
-    def checked_search(W, pu, pv, back, a, b):
-        flow, ref_a, ref_b = _dense(back, len(W)), a.copy(), b.copy()
-        want = _reference_ship_tight(W, pu, pv, flow, ref_a, ref_b)
-        assert ship_tight(W, pu, pv, back, a, b) == want
-        assert _dense(back, len(W)).tolist() == flow.tolist()
+    def checked_search(C, pu, pv, back, a, b):
+        flow, ref_a, ref_b = _dense(back, len(C)), a.copy(), b.copy()
+        want = _reference_ship_tight(-C, pu, pv, flow, ref_a, ref_b)
+        assert ship_tight(C, pu, pv, back, a, b) == want
+        assert _dense(back, len(C)).tolist() == flow.tolist()
         assert a.tolist() == ref_a.tolist() and b.tolist() == ref_b.tolist()
         return want
 
@@ -209,10 +210,9 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
 
 
 def _problem_arrays(problem):
-    """The integer costs K of cost = K / D as floats and the exact marginals
-    times the lcm of their denominators, as minimize_kontorovich passes
-    them."""
-    C = co.matrix_floats(problem._integer()[0], 1)
+    """The integer costs K of cost = K / D and the exact marginals times the
+    lcm of their denominators, as minimize_kontorovich passes them."""
+    C = problem._integer()[0]
     n, m = C.shape
     mass, _ = co.over_lcm([(*problem.mu0.weights, *problem.target_mass)],
                           n + m)
@@ -383,7 +383,7 @@ def test_arbitrary_passes_match_reference(seed):
         rem_a = rng.integers(0, 2, size=n)
         rem_b = (rng.random(m) < 0.2).astype(np.int64)
         _assert_same_pass(_flow._dijkstra,
-                          (W, pu, pv, _back(flow), rem_a, rem_b))
+                          (-W, pu, pv, _back(flow), rem_a, rem_b))
 
 
 def test_backward_tie_pops_lower_source_first():
@@ -397,7 +397,7 @@ def test_backward_tie_pops_lower_source_first():
                      [1, 0, 0],
                      [0, 0, 0]])
     ds, dt, prev_s, prev_t, end = _assert_same_pass(
-        _flow._dijkstra, (W, np.zeros(3), np.zeros(3), _back(flow),
+        _flow._dijkstra, (-W, np.zeros(3), np.zeros(3), _back(flow),
                           np.array([0, 0, 1]), np.array([0, 0, 1])))
     assert list(ds) == [2.0, 2.0, 0.0] and list(dt) == [0.0, 1.0, 3.0]
     assert list(prev_s) == [1, 0, -1] and list(prev_t) == [2, 2, 0]
@@ -410,8 +410,7 @@ def test_unreachable_target_returns_minus_one():
     C, a, b = _tied_instance(7)
     n, m = C.shape
     flow = _flow_matrix(_flow.solve_transport(C, a, b)[0], C.shape)
-    W = -C
-    args = (W, np.zeros(n), W.min(axis=0), _back(flow))
+    args = (C, np.zeros(n), (-C).min(axis=0), _back(flow))
     ds, dt, _, _, end = _assert_same_pass(
         _flow._dijkstra, args + (np.ones(n, dtype=np.int64),
                                  np.zeros(m, dtype=np.int64)))

@@ -220,3 +220,13 @@ def test_scores_beyond_the_float_range_stay_exact():
     problem, phi = table_problem(table, values)
     got = problem.transform(phi)
     assert (got.values, got.argmax) == naive_transform(table, values)
+
+
+def test_zero_costs_under_fine_values_stay_exact():
+    """With K = 0 the score bound is max|V| alone, yet the scale L / D is
+    2^70: it must still choose Python ints."""
+    table = [[F(0), F(0)], [F(0), F(0)]]
+    values = (F(1, 2 ** 70), F(0))
+    problem, phi = table_problem(table, values)
+    got = problem.transform(phi)
+    assert (got.values, got.argmax) == naive_transform(table, values)

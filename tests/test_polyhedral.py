@@ -237,6 +237,56 @@ def test_quadrature_mass_resolution_independent(l):
     assert abs(sum(q.weights) - 3.0) < 1e-12  # three primitive edges
 
 
+def _reference_quadrature_2d(cx, l):
+    """The 2D branch of quadrature as it was: w * cell / 3 onto each corner
+    of every up and every down triangle, one canonical_point per corner."""
+    acc, tags = {}, {}
+
+    def add(face_idx, pt, w):
+        cp = cx.canonical_point(pt)
+        acc[cp] = acc.get(cp, Fraction(0)) + w
+        tags.setdefault(cp, face_idx)
+
+    for fi in cx.top_faces():
+        face = cx.faces[fi]
+        w = face.weight
+        v0, v1, v2 = face.vertices
+        cell = Fraction(1, 2 * l * l)
+
+        def corner(u0, u1):
+            return tuple(c0 + (c1 - c0) * u0 + (c2 - c0) * u1
+                         for c0, c1, c2 in zip(v0, v1, v2))
+
+        for a in range(l):
+            for b in range(l - a):
+                tri = [(a, b), (a + 1, b), (a, b + 1)]
+                for (ua, ub) in tri:
+                    add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
+                if a + b <= l - 2:
+                    tri = [(a + 1, b), (a, b + 1), (a + 1, b + 1)]
+                    for (ua, ub) in tri:
+                        add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
+    points = ph._grid_sorted(acc, l)
+    return points, [acc[p] for p in points], [tags[p] for p in points]
+
+
+SKEWED_TRIANGLE = ph.IntegralPolyhedralComplex((
+    ph.Face(((F(1), F(-1)), (F(3), F(0)), (F(2), F(0))), weight=F(3, 2)),))
+
+
+@pytest.mark.parametrize("cx", [fm._torus_unit(), SKEWED_TRIANGLE],
+                         ids=["torus", "skewed-triangle"])
+@pytest.mark.parametrize("l", [1, 2, 3, 10, 16])
+def test_quadrature_2d_matches_triangle_loop(cx, l):
+    """Each corner, weighted by the number of triangles it lies in, gives
+    the points, exact weights and tags the per-triangle loop gave."""
+    q = ph.quadrature(cx, F(1, l))
+    points, weights, tags = _reference_quadrature_2d(cx, l)
+    assert list(q.points) == points
+    assert list(q.weights) == weights
+    assert list(q.face_tags) == tags
+
+
 def test_quadrature_too_coarse():
     # a face with irrational-level endpoints has no level-1 grid points
     seg = ph.segment_complex(F(1, 3), F(5, 12))

@@ -1,6 +1,7 @@
 """c-transforms, dual minimization, the exact LP route, energy sums."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, lcm
 
@@ -346,6 +347,72 @@ def test_minimize_builds_no_float_cost_matrix():
     prob = abelian_problem(8, 12)
     assert tp.minimize_kontorovich(prob).converged
     assert prob._cost_array is None
+
+
+def _toric_64():
+    return fm.toric_pair([(-1, -1), (2, -1), (-1, 2)],
+                         resolution=F(1, 64))[1]
+
+
+def _traced_peak(call):
+    """call's result and the tracemalloc peak of what it allocates."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_minimize_reads_the_integer_costs_in_place(monkeypatch):
+    """The finisher gets the cached K itself, and the whole solve,
+    transform included, allocates less than one more copy of K."""
+    solve, seen = _flow.solve_transport, []
+
+    def recorded(C, *args, **kwargs):
+        seen.append(C)
+        return solve(C, *args, **kwargs)
+
+    monkeypatch.setattr(_flow, "solve_transport", recorded)
+    prob = _toric_64()
+    K = prob._integer()[0]
+    res, peak = _traced_peak(lambda: tp.minimize_kontorovich(prob))
+    assert res.converged and peak < K.nbytes
+    assert seen[0] is K
+
+
+def test_exact_transform_builds_no_score_matrix():
+    """The exact transform keeps a running column maximum, so it allocates
+    a small fraction of the n x m cost matrix it reads."""
+    prob = _toric_64()
+    K, D = prob._integer()
+    phi = tp.minimize_kontorovich(prob).phi
+    (vals, args), peak = _traced_peak(
+        lambda: tp._exact_argmax(K, D, phi.values))
+    assert (vals, args) == (prob.transform(phi).values,
+                            prob.transform(phi).argmax)
+    assert peak < K.nbytes / 4
+
+
+def test_minimize_rounds_costs_beyond_int64_once(monkeypatch):
+    """A cost entry of 3^50 puts K in Python ints; the finisher then gets
+    its floats, and the solve converges to the oracle's exact optimum."""
+    solve, seen = _flow.solve_transport, []
+
+    def recorded(C, *args, **kwargs):
+        seen.append(C)
+        return solve(C, *args, **kwargs)
+
+    monkeypatch.setattr(_flow, "solve_transport", recorded)
+    pts = [(F(k),) for k in range(3)]
+    table = {(x, p): int(x != p) for x in pts for p in pts}
+    table[pts[0], pts[0]] = 3 ** 50
+    prob = tp.TransportProblem(table_cost(table), measure(pts, [F(1, 3)] * 3),
+                               measure(pts, [F(1, 3)] * 3))
+    res = tp.minimize_kontorovich(prob)
+    assert prob._integer()[0].dtype == object and seen[0].dtype == float
+    assert res.converged
+    assert res.value == float(tp.lp_oracle(prob).exact_value)
 
 
 def test_minimize_ships_masses_beyond_int64_exactly(monkeypatch):
