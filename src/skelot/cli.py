@@ -28,6 +28,7 @@ from . import tropical as tr
 from .errors import (
     AssertionFailed,
     ConfigError,
+    GridMismatch,
     IncompleteRun,
     SeriesDepthExceeded,
     SkelotError,
@@ -43,7 +44,7 @@ F = Fraction
 
 def _fraction(value, name: str) -> Fraction:
     try:
-        if isinstance(value, float):
+        if isinstance(value, (bool, float)):
             raise TypeError
         return F(value)
     except (ValueError, TypeError, ZeroDivisionError):
@@ -431,7 +432,10 @@ def diagnose_ma(run_dir: str) -> int:
                   "resolution")
     if h.numerator != 1:  # 1/l for a positive integer l
         raise IncompleteRun(f"resolution {h} in result.json is not 1/l")
-    field = dg.ma_residual(phi, h)
+    try:
+        field = dg.ma_residual(phi, h)
+    except GridMismatch as exc:
+        raise IncompleteRun(f"phi.csv does not match resolution {h}: {exc}")
     payload = {"max_residual": field.max_residual,
                "constant": field.constant,
                "degenerate_cells": sum(field.degenerate)}

@@ -8,7 +8,10 @@ already equals the limit).
 Every cost builds whole matrices exactly, as one integer array K and one
 common denominator D with entries c = K[i, j] / D.  The pairing and theta
 costs have closed-form builders (on grids in (1/l)Z^d); any other cost gets
-an entrywise builder that calls the cost once per pair.
+an entrywise builder that calls the cost once per pair.  The theta cost's
+per-axis minimum over lattice shifts has one closed form, `_axis_minima`,
+and no window search: the matrix builder, the per-pair evaluator and
+`certified_window` all call it.
 """
 
 from __future__ import annotations
@@ -209,95 +212,87 @@ class MumfordData:
 
     def reduce(self, m: Sequence) -> Point:
         """Canonical lift into the fundamental domain prod [0, period)."""
-        pt = as_point(m)
-        out = []
-        for a, c in zip(self.axes, pt):
-            g = a.period
-            out.append(c - g * floor(c / g))
-        return tuple(out)
+        return tuple(c - a.period * floor(c / a.period)
+                     for a, c in zip(self.axes, as_point(m)))
 
 
 _MAX_RADIUS = 4096
 
 
-def _axis_argmin(axis: PhiAxis, x: Fraction, p: Fraction,
-                 max_radius: int = _MAX_RADIUS) -> tuple[Fraction, int]:
-    """min over k of x*(p + g*k) + Phi(p + g*k); certified by convexity."""
-    g = axis.period
-    radius = 4
-    while radius <= max_radius:
-        vals = {k: x * (p + g * k) + axis.value(p + g * k)
-                for k in range(-radius, radius + 1)}
-        kbest = min(vals, key=lambda k: (vals[k], k))
-        if -radius < kbest < radius:
-            return vals[kbest], kbest
-        radius *= 2
-    raise WindowNotConverged("theta window did not certify an interior minimum")
+def _axis_bound(axis: PhiAxis, L: int) -> int:
+    """Bound on every intermediate of `_axis_minima` for X in [0, g*L]:
+    |j0| <= g + |b| + 1, so |q| <= J at both candidates, and each term of
+    an axis value is at most L^2 (g + |b| + quad) (J + 2)^2."""
+    g, b = axis.period, abs(axis.base_slope)
+    J = g * (2 * g + b + 4)
+    return 2 * L * L * (g + b + axis.quad) * (J + 2) ** 2
+
+
+def _axis_minima(axis: PhiAxis, X: np.ndarray, P: np.ndarray,
+                 L: int) -> tuple[np.ndarray, np.ndarray]:
+    """L^2 min over k of x*q + Phi(q), q = p + g*k, and the minimising k (the
+    lower on a tie), at x = X/L and p = P/L for an integer column X and row P.
+
+    At q = Q/L, j = floor(q), L^2 (x*q + Phi(q)) is X*Q + L^2*Phi(j) +
+    L*slope(j)*(Q - j*L), where Phi(j) = base*j + quad*j(j-1)/2.  x*q + Phi(q)
+    falls up to j0, the first integer whose slope x + base + quad*j0 is >= 0,
+    and rises after it, so the minimum over q in p + gZ sits at the last
+    lattice point <= j0 or the next one: a closed form, with no window
+    search.  A minimum at |k| >= _MAX_RADIUS is refused.
+    """
+    b, quad, gL = axis.base_slope, axis.quad, axis.period * L
+    j0 = -((X + b * L) // (quad * L))
+    k_lo = (j0 * L - P) // gL
+
+    def scaled_value(kk):
+        Q = P + gL * kk
+        j = Q // L
+        return (X * Q + L * L * (b * j + quad * (j * (j - 1) // 2))
+                + L * (b + quad * j) * (Q - j * L))
+
+    lo, hi = scaled_value(k_lo), scaled_value(k_lo + 1)
+    up = hi < lo
+    kbest = np.where(up, k_lo + 1, k_lo)
+    if kbest.size and int(np.abs(kbest).max()) >= _MAX_RADIUS:
+        raise WindowNotConverged(
+            "theta window did not certify an interior minimum")
+    return np.where(up, hi, lo), kbest
 
 
 def abelian_theta_cost(data: MumfordData, x: Sequence, p: Sequence) -> Fraction:
-    """c(x, p) = - min_gamma [<x, p+gamma> + Phi(p+gamma)] on the quotient.
+    """c(x, p) = - min_gamma [<x, p+gamma> + Phi(p+gamma)] on the quotient,
+    the 1 x 1 `theta_matrix` (the `_axis_minima` closed form, no search).
 
     Both arguments are reduced to the canonical fundamental-domain lift
     first, so the value is invariant under lattice translations in either
     slot.  Level-homogeneous: the level-1 value equals the limit value.
     """
-    xr = data.reduce(x)
-    pr = data.reduce(p)
-    total = F(0)
-    for axis, xi, pi in zip(data.axes, xr, pr):
-        v, _ = _axis_argmin(axis, xi, pi)
-        total += v
-    return -total
+    K, D = theta_matrix(data, [x], [p])
+    return F(int(K[0, 0]), D)
 
 
 def theta_matrix(data: MumfordData, xs: Sequence,
                  ps: Sequence) -> tuple[np.ndarray, int]:
     """abelian_theta_cost over the grids as (K, D), in integer arithmetic.
 
-    With L the common denominator and X, P the reduced numerators in
-    [0, g*L), an axis value times L^2 at q = Q/L, j = floor(q), is
-    X*Q + L^2*Phi(j) + L*slope(j)*(Q - j*L), where Phi(j) = base*j +
-    quad*j(j-1)/2.  x*q + Phi(q) falls up to j0, the first integer whose
-    slope x + base + quad*j0 is >= 0, and rises after it, so the minimum
-    over q in p + gZ sits at the last lattice point <= j0 or the next one.
+    With L the common denominator, each axis reduces the numerators into
+    [0, g*L), tabulates the closed form `_axis_minima` over the distinct
+    values on either side (no window search), and subtracts the table,
+    gathered to n x m, from K in place: the n x m work is the gather.
     """
     xs, dx, lx = _lattice(xs, "source")
     ps, dp, lp = _lattice(ps, "target")
     L = lcm(lx, lp)
     axes = data.axes[:min(dx, dp)]
-    # |j0| <= g + |b| + 1, so |q| <= J at both candidates, and each term of
-    # an axis value is at most L^2 (g + |b| + quad) (J + 2)^2
-    bound = 0
-    for a in axes:
-        g, b = a.period, abs(a.base_slope)
-        J = g * (2 * g + b + 4)
-        bound += 2 * L * L * (g + b + a.quad) * (J + 2) ** 2
-    dtype = _int_dtype(bound)
+    dtype = _int_dtype(sum(_axis_bound(a, L) for a in axes))
     K = np.zeros((len(xs), len(ps)), dtype=dtype)
     for k, a in enumerate(axes):
-        b, quad, gL = a.base_slope, a.quad, a.period * L
-        X = np.array([x[k].numerator * (L // x[k].denominator) % gL
-                      for x in xs], dtype=dtype).reshape(len(xs), 1)
-        P = np.array([p[k].numerator * (L // p[k].denominator) % gL
-                      for p in ps], dtype=dtype).reshape(1, len(ps))
-        j0 = -((X + b * L) // (quad * L))
-        k_lo = (j0 * L - P) // gL
-
-        def scaled_value(kk):
-            Q = P + gL * kk
-            j = Q // L
-            return (X * Q + L * L * (b * j + quad * (j * (j - 1) // 2))
-                    + L * (b + quad * j) * (Q - j * L))
-
-        lo, hi = scaled_value(k_lo), scaled_value(k_lo + 1)
-        up = hi < lo  # ties keep the lower shift, as _axis_argmin does
-        kbest = np.where(up, k_lo + 1, k_lo)
-        if kbest.size and int(np.abs(kbest).max()) >= _MAX_RADIUS:
-            raise WindowNotConverged(
-                "theta window did not certify an interior minimum")
-        best = np.where(up, hi, lo)
-        K = K - best
+        gL = a.period * L
+        (X, ix), (P, ip) = (np.unique(np.array(
+            [c[k].numerator * (L // c[k].denominator) % gL for c in pts],
+            dtype=dtype), return_inverse=True) for pts in (xs, ps))
+        table, _ = _axis_minima(a, X[:, None], P[None, :], L)
+        K -= table[np.ix_(ix, ip)]
     return K, L * L
 
 
@@ -315,16 +310,16 @@ def abelian_cost(data: MumfordData,
 
 def certified_window(data: MumfordData, level: int) -> int:
     """Window radius whose argmin stays interior for all fundamental-domain
-    evaluations; the per-axis argmin is monotone in x, so the endpoints
-    certify everything in between."""
+    evaluations: the shifts of the closed form `_axis_minima` (no window
+    search) at x = 0 and x = g over every level-l p in [0, g).  The per-axis
+    argmin is monotone in x, so the endpoints certify everything between."""
     radius = 4
     for axis in data.axes:
-        g = axis.period
-        for p_num in range(level * g):
-            p = F(p_num, level)
-            for x in (F(0), F(g)):
-                _, k = _axis_argmin(axis, x, p)
-                radius = max(radius, abs(k) + 2)
+        gl = axis.period * level
+        dtype = _int_dtype(_axis_bound(axis, level))
+        _, k = _axis_minima(axis, np.array([[0], [gl]], dtype=dtype),
+                            np.array([range(gl)], dtype=dtype), level)
+        radius = max(radius, int(np.abs(k).max()) + 2)
     return radius
 
 

@@ -352,6 +352,8 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
                  id="solve-ln-norm-list"),
     pytest.param("solve", {"family": {**TRIANGLE, "resolution": "0"}},
                  id="solve-resolution-zero"),
+    pytest.param("solve", {"family": {**TRIANGLE, "resolution": True}},
+                 id="solve-resolution-bool"),
     pytest.param("solve", {"family": {**CIRCLE, "levels": [0]},
                            "diagnostics": {"cost_bounds": True}},
                  id="solve-level-zero"),
@@ -428,6 +430,14 @@ RESULT_JSON = json.dumps({"resolution": "1/4"})
                                  "result.json": json.dumps(
                                      {"resolution": "-1/4"})},
                  id="ma-resolution-negative"),
+    pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
+                                 "result.json": json.dumps(
+                                     {"resolution": True})},
+                 id="ma-resolution-bool"),
+    pytest.param("diagnose-ma", {"phi.csv": PHI_CSV,
+                                 "result.json": json.dumps(
+                                     {"resolution": "1/2"})},
+                 id="ma-resolution-not-phi-spacing"),
     pytest.param("diagnose-ma", {"phi.csv": PHI_CSV_2D,
                                  "result.json": json.dumps({"resolution": 5})},
                  id="ma-2d-resolution-integer"),

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,9 +135,9 @@ def test_theta_cost_rank2_separates():
 
 
 def test_window_refuses_far_arguments():
-    # private argmin helper: unreduced inputs can push the minimizer past the cap
+    # private minimiser: unreduced inputs can push the minimizer past the cap
     with pytest.raises(WindowNotConverged):
-        co._axis_argmin(co.PhiAxis(), F(-10**7), F(0))
+        co._axis_minima(co.PhiAxis(), np.array([[-10**7]]), np.array([[0]]), 1)
 
 
 def test_window_doubling_is_bit_exact():

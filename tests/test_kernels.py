@@ -1,9 +1,13 @@
 """Exact integer cost matrices and the integer argmax of the c-transform.
 
 The per-entry evaluators (`CostFunction.__call__`) and a plain double loop
-over Fractions serve as the references.
+over Fractions serve as the references.  The theta cost's evaluator and
+matrix share one closed form, so both are checked against
+`_reference_axis_argmin`, the Fraction window search that the closed form
+replaced: it doubles its radius until the minimum is interior.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,8 +93,49 @@ def test_transpose_carries_the_transposed_matrix():
 # -- theta kernel -------------------------------------------------------------------
 
 
+def _reference_axis_argmin(axis, x, p, max_radius=co._MAX_RADIUS):
+    """min over k of x*(p + g*k) + Phi(p + g*k); certified by convexity."""
+    g = axis.period
+    radius = 4
+    while radius <= max_radius:
+        vals = {k: x * (p + g * k) + axis.value(p + g * k)
+                for k in range(-radius, radius + 1)}
+        kbest = min(vals, key=lambda k: (vals[k], k))
+        if -radius < kbest < radius:
+            return vals[kbest], kbest
+        radius *= 2
+    raise WindowNotConverged("theta window did not certify an interior minimum")
+
+
+def _reference_theta_cost(data, x, p):
+    """-sum over axes of the window-search minima at the reduced lifts."""
+    return -sum((_reference_axis_argmin(a, xi, pi)[0] for a, xi, pi in
+                 zip(data.axes, data.reduce(x), data.reduce(p))), F(0))
+
+
+def _reference_certified_window(data, level):
+    radius = 4
+    for axis in data.axes:
+        g = axis.period
+        for p_num in range(level * g):
+            p = F(p_num, level)
+            for x in (F(0), F(g)):
+                _, k = _reference_axis_argmin(axis, x, p)
+                radius = max(radius, abs(k) + 2)
+    return radius
+
+
 axes = st.builds(co.PhiAxis, st.integers(-5, 5), st.integers(1, 4),
                  st.integers(1, 3))
+
+
+def assert_matches_window_search(data, xs, ps):
+    cost = co.abelian_cost(data)
+    K, D = assert_matches_evaluator(cost, xs, ps)
+    for x in xs:
+        for p in ps:
+            assert cost(x, p) == _reference_theta_cost(data, x, p)
+    return K, D
 
 
 @given(st.lists(axes, min_size=1, max_size=2).flatmap(
@@ -98,16 +143,39 @@ axes = st.builds(co.PhiAxis, st.integers(-5, 5), st.integers(1, 4),
                          points(len(ax), -7, 7), points(len(ax), -7, 7))))
 @settings(deadline=None, max_examples=60)
 def test_theta_matrix_matches_evaluator(case):
-    data, xs, ps = case
-    assert_matches_evaluator(co.abelian_cost(data), xs, ps)
+    assert_matches_window_search(*case)
 
 
 def test_theta_matrix_large_denominators_use_python_ints():
     data = co.MumfordData((co.PhiAxis(2, 3, 2),))
     xs = [(F(10 ** 12 + 1, 10 ** 9 + 7),), (F(1, 3),)]
     ps = [(F(5, 999983),), (F(-7, 11),)]
-    K, _ = assert_matches_evaluator(co.abelian_cost(data), xs, ps)
+    K, _ = assert_matches_window_search(data, xs, ps)
     assert K.dtype == object
+
+
+@given(st.lists(axes, min_size=1, max_size=2), st.integers(1, 12))
+@settings(deadline=None, max_examples=60)
+def test_certified_window_matches_window_search(ax, level):
+    data = co.MumfordData(tuple(ax))
+    assert co.certified_window(data, level) == \
+        _reference_certified_window(data, level)
+
+
+def test_theta_matrix_peak_stays_near_its_output():
+    """The per-axis tables keep the build's peak at K plus one gathered
+    n x m term, not the n x m temporaries of a full broadcast."""
+    data = co.MumfordData((co.PhiAxis(), co.PhiAxis()))
+    _, problem = fm.mumford_family(data, [1, 2], resolution=F(1, 32))
+    xs, ps = problem.mu0.points, problem.nu0.points
+    tracemalloc.start()
+    try:
+        K, _ = co.theta_matrix(data, xs, ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (1024, 1024) and K.dtype == np.int64
+    assert peak < 3 * K.nbytes
 
 
 def test_theta_matrix_refuses_minima_outside_the_window():
