@@ -6,7 +6,9 @@ feasible potentials satisfy phi(x) + psi(p) >= c(x, p) with equality on the
 support of an optimal plan.  Two independent routes compute the optimum: a
 flow-based finisher inside minimize_kontorovich and an exact simplex in
 lp_oracle; their agreement is a standing cross-check, so neither may call
-the other.
+the other.  Each route certifies itself exactly: the finisher's plan is
+optimal when its integer flows meet the marginals and its exact duality
+gap against psi = phi^c is 0.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ class PotentialField:
         object.__setattr__(self, "values", tuple(F(v) for v in self.values))
         if len(self.points) != len(self.values):
             raise GridMismatch("points and values differ in length")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
 
     def shifted(self, a) -> "PotentialField":
         a = F(a)
@@ -149,12 +148,14 @@ class TransportProblem:
 class TransportResult:
     phi: PotentialField
     psi: PotentialField
-    value: float
+    value: float  # exact_value, correctly rounded
     plan: tuple  # (rows, cols, mass): positive masses, row-major
-    gap: float
+    gap: float  # exact_gap, correctly rounded
     iterations: int  # flow augmentations
-    converged: bool = True
-    unshipped: float = 0.0  # mass the plan leaves unshipped
+    converged: bool  # the flows are balanced and exact_gap == 0
+    unshipped: float  # mass the plan leaves unshipped
+    exact_value: Fraction
+    exact_gap: Fraction
 
 
 def kontorovich_value(problem: TransportProblem, phi: PotentialField) -> float:
@@ -170,11 +171,6 @@ def kontorovich_value(problem: TransportProblem, phi: PotentialField) -> float:
 def _mean_zero(problem: TransportProblem, values: list) -> tuple:
     mean = sum(w * v for w, v in zip(problem.mu0.weights, values))
     return tuple(v - mean for v in values)
-
-
-def gap_tolerance(tol: float, value: float) -> float:
-    """Largest duality gap a plan of the given value is certified with."""
-    return max(tol, 1e-7 * (1.0 + abs(value)))
 
 
 def _coarse_levels(problem: TransportProblem) -> list:
@@ -214,8 +210,7 @@ def _coarse_levels(problem: TransportProblem) -> list:
     return levels[::-1]
 
 
-def minimize_kontorovich(problem: TransportProblem,
-                         tol: float = 1e-9) -> TransportResult:
+def minimize_kontorovich(problem: TransportProblem) -> TransportResult:
     """Minimize F over P_c; result normalized to mean zero against mu0.
 
     The flow finisher reads K of cost = K / D in place (its floats when K
@@ -224,10 +219,12 @@ def minimize_kontorovich(problem: TransportProblem,
     warm-starting the next with its duals.  The plan is the full level's
     integer flow over Q on its support, correctly rounded, and phi its
     source duals over D, shifted to mean zero; psi = phi^c is recomputed
-    exactly.  The gap is value less the plan's exact correlation,
-    sum K x / (D Q) over the support, rounded once.  It is converged when
-    the plan ships all the mass and its gap is within
-    gap_tolerance(tol, value).
+    exactly, so phi + psi >= cost holds exactly.  phi has mean zero, so the
+    exact value is sum W psi dnu0, and the exact gap is that value less the
+    plan's correlation sum K x / (D Q) over the support.  By weak duality
+    the plan is optimal, and converged, exactly when its flows are positive,
+    meet the marginals times Q and the gap is 0.  value and gap are the
+    correctly rounded floats of the exact ones.
     """
     K, D = problem._integer()
     n, m = K.shape
@@ -240,15 +237,20 @@ def minimize_kontorovich(problem: TransportProblem,
     phi = [F(u) / D for u in pu.tolist()]
     phi_field = PotentialField(problem.mu0.points, _mean_zero(problem, phi))
     psi_field = problem.transform(phi_field)
-    a = np.array(problem.mu0.weights, dtype=float)
-    b = np.array(problem.target_mass, dtype=float)
-    value = float(a @ phi_field.as_array() + b @ psi_field.as_array())
-    gap = value - ratio_float(primal, D * Q)
-    converged = unshipped == 0 and gap <= gap_tolerance(tol, value)
+    S, L = over_lcm([psi_field.values], m)
+    marginals = mass[0].tolist()
+    value = F(sum(x * s for x, s in zip(marginals[n:], S[0].tolist())), Q * L)
+    gap = value - F(primal, D * Q)
+    shipped = [0] * (n + m)
+    for i, j, x in zip(rows.tolist(), cols.tolist(), flow.tolist()):
+        shipped[i] += x
+        shipped[n + j] += x
+    balanced = shipped == marginals and all(x > 0 for x in flow.tolist())
     plan = rows, cols, matrix_floats(flow, Q)
-    return TransportResult(phi_field, psi_field, value, plan, gap, aug,
-                           converged=converged,
-                           unshipped=ratio_float(unshipped, Q))
+    return TransportResult(
+        phi_field, psi_field, ratio_float(*value.as_integer_ratio()), plan,
+        ratio_float(*gap.as_integer_ratio()), aug, balanced and gap == 0,
+        ratio_float(unshipped, Q), value, gap)
 
 
 @dataclass(frozen=True)

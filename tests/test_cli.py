@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ from skelot import _flow, cli
 ABELIAN_CFG = {
     "family": {"kind": "abelian", "axes": [{}], "levels": [1, 2],
                "resolution": "1/8"},
-    "solver": {"method": "auto", "tol": 1e-9},
+    "solver": {"method": "auto"},
     "oracle": True,
     "diagnostics": {"pushforward": True, "cost_bounds": True,
                     "cost_bound_samples": 50},
@@ -22,6 +23,11 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def read_json(out, name):
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def run_cfg(tmp_path, cfg, extra=()):
@@ -49,12 +55,10 @@ def test_unknown_family_kind(tmp_path):
 
 
 @pytest.mark.parametrize("fields", [
-    pytest.param({"solver": {"tol": -1}}, id="tol-negative"),
     pytest.param({"solver": {"method": "magic"}}, id="method-unknown"),
     pytest.param({"solver": {"method": "ascent"}}, id="method-ascent"),
     pytest.param({"solver": "fast"}, id="solver-not-object"),
-    pytest.param({"solver": {"tol": "abc"}}, id="tol-string"),
-    pytest.param({"solver": {"tol": None}}, id="tol-null"),
+    pytest.param({"solver": {"tol": 1e-9}}, id="key-tol"),
     pytest.param({"solver": {"max_iter": 60}}, id="key-max_iter"),
     pytest.param({"solver": {"damping": 0.5}}, id="key-damping"),
     pytest.param({"seed": "x"}, id="seed-string"),
@@ -83,7 +87,7 @@ def test_missing_family_field(tmp_path):
 def test_solve_zero_smoke(tmp_path):
     code, out = run_cfg(tmp_path, {"family": {"kind": "zero"}, "oracle": True})
     assert code == 0
-    result = json.loads(open(os.path.join(out, "result.json")).read())
+    result = read_json(out, "result.json")
     assert result["value"] == 0.0
     assert result["converged"] is True
     assert result["seed"] == 0
@@ -94,7 +98,7 @@ def test_solve_zero_smoke(tmp_path):
 def test_solve_abelian_with_oracle(tmp_path):
     code, out = run_cfg(tmp_path, ABELIAN_CFG)
     assert code == 0
-    diag = json.loads(open(os.path.join(out, "diagnostics.json")).read())
+    diag = read_json(out, "diagnostics.json")
     names = {a["name"] for a in diag["assertions"]}
     assert {"gap_nonnegative", "strong_duality", "cost_bounds"} <= names
     assert all(a["pass"] for a in diag["assertions"])
@@ -113,10 +117,10 @@ def test_solve_intermediate_with_oracle(tmp_path):
     }
     code, out = run_cfg(tmp_path, cfg)
     assert code == 0
-    result = json.loads(open(os.path.join(out, "result.json")).read())
+    result = read_json(out, "result.json")
     assert result["converged"] is True
     assert abs(result["value"] - result["lp_value"]) <= 1e-9
-    diag = json.loads(open(os.path.join(out, "diagnostics.json")).read())
+    diag = read_json(out, "diagnostics.json")
     duality = [a for a in diag["assertions"] if a["name"] == "strong_duality"]
     assert len(duality) == 1 and duality[0]["pass"]
 
@@ -124,7 +128,7 @@ def test_solve_intermediate_with_oracle(tmp_path):
 def test_solve_seed_override_recorded(tmp_path):
     code, out = run_cfg(tmp_path, ABELIAN_CFG, extra=["--seed", "99"])
     assert code == 0
-    result = json.loads(open(os.path.join(out, "result.json")).read())
+    result = read_json(out, "result.json")
     assert result["seed"] == 99
 
 
@@ -132,11 +136,11 @@ def test_rerun_byte_identical(tmp_path):
     _, out = run_cfg(tmp_path, ABELIAN_CFG)
     first = {}
     for name in os.listdir(out):
-        first[name] = open(os.path.join(out, name), "rb").read()
+        first[name] = Path(out, name).read_bytes()
     code, out2 = run_cfg(tmp_path, ABELIAN_CFG)
     assert code == 0 and out2 == out
     for name, blob in first.items():
-        assert open(os.path.join(out, name), "rb").read() == blob
+        assert Path(out, name).read_bytes() == blob
 
 
 def test_nonconverged_exit_code(tmp_path, capsys, monkeypatch):
@@ -152,8 +156,23 @@ def test_nonconverged_exit_code(tmp_path, capsys, monkeypatch):
     assert "mass 1.0 unshipped" in capsys.readouterr().err
     code, out = run_cfg(tmp_path, cfg, extra=["--allow-nonconverged"])
     assert code == 0
-    result = json.loads(open(os.path.join(out, "result.json")).read())
+    result = read_json(out, "result.json")
     assert result["converged"] is False
+
+
+def test_nonzero_exact_gap_exit_code(tmp_path, capsys, monkeypatch):
+    """Duals moved off the optimum leave every unit of mass shipped but an
+    exact gap of 1/2 on the zero cost; the message names it exactly."""
+    solve = _flow.solve_transport
+
+    def off_optimum(*args, **kwargs):
+        plan, pu, *rest = solve(*args, **kwargs)
+        return (plan, pu + [0, 1], *rest)
+
+    monkeypatch.setattr(_flow, "solve_transport", off_optimum)
+    code, _ = run_cfg(tmp_path, {"family": {"kind": "zero"}})
+    assert code == 3
+    assert "exact duality gap 1/2 is not zero" in capsys.readouterr().err
 
 
 # -- report --------------------------------------------------------------------
@@ -167,7 +186,7 @@ def test_solve_toric_end_to_end(tmp_path):
     }
     code, out = run_cfg(tmp_path, cfg)
     assert code == 0
-    result = json.loads(open(os.path.join(out, "result.json")).read())
+    result = read_json(out, "result.json")
     assert result["lp_value"] == pytest.approx(result["value"], abs=1e-9)
     for name in ("phi.csv", "phic.csv", "plan.csv"):
         assert os.path.exists(os.path.join(out, name))
@@ -342,8 +361,6 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
                  id="solve-seed-fraction"),
     pytest.param("solve", {"family": CIRCLE, "seed": True},
                  id="solve-seed-bool"),
-    pytest.param("solve", {"family": CIRCLE, "solver": {"tol": True}},
-                 id="solve-tol-bool"),
     pytest.param("solve", {"family": {**TRIANGLE, "delta": None}},
                  id="solve-delta-null"),
     pytest.param("solve", {"family": {**TRIANGLE, "delta": [1, 2]}},
@@ -375,6 +392,18 @@ def test_malformed_output_dir_exit_code(tmp_path, capsys, output_dir):
     cfg = {"family": CIRCLE, "output_dir": output_dir}
     assert cli.main(["solve", write_cfg(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_output_dir_naming_a_file_exit_code(tmp_path, capsys):
+    """An output_dir that is an existing file fails on writing, after the
+    solve, with a config error instead of a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    cfg = {"family": {"kind": "zero"}, "output_dir": str(taken)}
+    assert cli.main(["solve", write_cfg(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write output_dir {str(taken)!r}")
+    assert taken.read_text() == "not a directory"
 
 
 def test_diagnose_ma(tmp_path, capsys):

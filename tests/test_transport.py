@@ -194,7 +194,8 @@ def test_minimize_matches_lp_on_abelian_circle():
     assert res.gap >= -1e-9
     assert res.converged
     # duals agree up to a constant
-    diff = res.phi.as_array() - np.array([float(x) for x in lp.dual_potentials[0]])
+    diff = (np.array([float(x) for x in res.phi.values])
+            - np.array([float(x) for x in lp.dual_potentials[0]]))
     assert diff.max() - diff.min() <= 1e-9
 
 
@@ -295,20 +296,35 @@ def test_coarse_levels_are_nested_grids_with_renormalized_masses(build,
         finer = [rows.tolist(), cols.tolist()]
 
 
+INTERMEDIATE_22 = fm.IntermediateData(n=3, m=1, d=(2, 2), hilbert_M=tuple(
+    comb(k + 3, 3) for k in range(12)))
+
+
 @pytest.mark.parametrize("build, optimum", [
-    (lambda: fm.mumford_family(co.MumfordData((co.PhiAxis(), co.PhiAxis())),
-                               [1, 2], resolution=F(1, 10))[1], F(41, 50)),
-    (lambda: fm.mumford_family(RANK1, [1], resolution=F(1, 64))[1], None),
-], ids=["torus-1/10", "rank1-1/64"])
+    pytest.param(lambda: fm.mumford_family(
+        co.MumfordData((co.PhiAxis(), co.PhiAxis())), [1, 2],
+        resolution=F(1, 10))[1], F(41, 50), id="torus-1/10"),
+    pytest.param(lambda: fm.mumford_family(RANK1, [1],
+                                           resolution=F(1, 64))[1], None,
+                 id="rank1-1/64"),
+    pytest.param(lambda: fm.intermediate_family(INTERMEDIATE_22, F(1, 8)),
+                 None, id="intermediate-22-1/8"),
+    pytest.param(lambda: fm.intermediate_family(INTERMEDIATE_22, F(1, 16)),
+                 None, id="intermediate-22-1/16"),
+])
 def test_multiscale_duals_reach_the_exact_optimum(build, optimum):
     """Where the optimal duals are not unique, the multiscale finisher may
     return other ones than a cold solve; they are still exactly optimal:
-    int phi dmu0 + int W phi^c dnu0 is the oracle's exact value."""
+    int phi dmu0 + int W phi^c dnu0 is the oracle's exact value, and the
+    solve reports it with an exact gap of 0.  Some intermediate targets
+    have zero mass: they ship nothing, but their psi must still cover the
+    cost."""
     prob = build()
     res = tp.minimize_kontorovich(prob)
     value = (sum(w * v for w, v in zip(prob.mu0.weights, res.phi.values))
              + sum(w * v for w, v in zip(prob.target_mass, res.psi.values)))
-    assert value == tp.lp_oracle(prob).exact_value
+    assert value == tp.lp_oracle(prob).exact_value == res.exact_value
+    assert res.converged and res.exact_gap == 0
     assert optimum is None or value == optimum
 
 
@@ -339,6 +355,45 @@ def test_minimize_support_primal_is_the_exact_optimum(monkeypatch, build,
                    zip(rows.tolist(), cols.tolist(), flow.tolist())), D * Q)
     assert primal == tp.lp_oracle(prob).exact_value == optimum
     assert res.gap == res.value - float(primal)
+
+
+@pytest.mark.parametrize("top, cells, gap", [
+    pytest.param(1, ([0, 1], [1, 0], [1, 1]), F(1, 2), id="antidiagonal"),
+    pytest.param(0, ([0, 0, 1, 1], [0, 1, 0, 1], [2, -1, -1, 2]), 0,
+                 id="negative-flow"),
+])
+def test_minimize_refuses_a_suboptimal_plan(monkeypatch, top, cells, gap):
+    """A finisher that hands back balanced flows that are not an optimal
+    plan is caught exactly at any scale.  With costs 10^9 + 1 and 10^9 the
+    anti-diagonal plan falls short of the optimum by exactly 1/2; signed
+    flows that balance with a gap of 0 are no plan at all."""
+    solve = _flow.solve_transport
+
+    def faked(*args, **kwargs):
+        _, *rest = solve(*args, **kwargs)
+        return tuple(np.array(v) for v in cells), *rest
+
+    monkeypatch.setattr(_flow, "solve_transport", faked)
+    pts = [(F(0),), (F(1),)]
+    table = {(x, p): 10 ** 9 + top * (x == p == pts[0])
+             for x in pts for p in pts}
+    half = [F(1, 2)] * 2
+    prob = tp.TransportProblem(table_cost(table), measure(pts, half),
+                               measure(pts, half))
+    res = tp.minimize_kontorovich(prob)
+    assert res.unshipped == 0 and res.converged is False
+    assert res.exact_value == 10 ** 9 + F(top, 2)
+    assert res.exact_gap == gap and res.gap == float(gap)
+
+
+@pytest.mark.parametrize("l", [128, 256])
+def test_minimize_certifies_the_toric_optimum_without_the_oracle(l):
+    """Beyond the oracle's cap, the exact value is the grid's known optimum
+    1 + 1/(3 l^2), certified by an exact gap of 0."""
+    prob = fm.toric_pair([(-1, -1), (2, -1), (-1, 2)], resolution=F(1, l))[1]
+    res = tp.minimize_kontorovich(prob)
+    assert res.converged and res.exact_gap == 0
+    assert res.exact_value == 1 + F(1, 3 * l ** 2)
 
 
 def test_minimize_builds_no_float_cost_matrix():
