@@ -1,4 +1,4 @@
-"""Multiscale successive-shortest-path transportation solver.
+"""Multiscale primal-dual transportation solver.
 
 Maximizes <C, flow> subject to integer marginals (a, b) by running min-cost
 flow on the arc costs -C, read from C in place, with Johnson potentials
@@ -7,15 +7,15 @@ flow on the arc costs -C, read from C in place, with Johnson potentials
 stay integers, so each augmentation ships a positive integer and the flow
 meets the marginals exactly.
 
-The loop: a Dijkstra pass from every source with supply left finds a
-shortest path to a target with demand left; the path ships, and the
-potentials move by the distances capped at the path's length, which keeps
-every reduced cost >= 0 and makes the path's arcs tight.  Then, with the
-potentials fixed, the flow ships along zero-reduced-cost paths from supply
-to demand until none is left (the primal-dual phase of Ahuja, Magnanti and
-Orlin, "Network Flows", ch. 9), so the next pass starts where a positive
-distance is needed.  A flow meeting the marginals with reduced costs >= 0
-is optimal, whatever feasible potentials the loop started from.
+The loop: a Dijkstra pass from every source with supply left finds the
+distance D to the nearest target with demand left, and the potentials move
+by the distances capped at D, which keeps every reduced cost >= 0 and makes
+a shortest path tight.  The pass only prices; it ships nothing.  Then, with
+the potentials fixed, the flow ships along zero-reduced-cost paths from
+supply to demand until none is left (the primal-dual method of Ahuja,
+Magnanti and Orlin, "Network Flows", ch. 9), the pass's path among them.  A
+flow meeting the marginals with reduced costs >= 0 is optimal, whatever
+feasible potentials the loop started from.
 
 Warm start: a solve may first run the same loop on coarser sub-problems of
 C (in practice the grid points at 2/l, 4/l, ...; Merigot 2011, "A multiscale
@@ -44,9 +44,8 @@ The flow is kept on its support alone, back[j] mapping each source that
 ships into target j to its flow.  The graph is dense bipartite, so Dijkstra
 keeps no heap: a popped source relaxes its row of forward arcs at once with
 numpy, a popped target its few backward arcs, back[j], in scalar arithmetic.
-Ties go to the source, then to the lowest index, so the pop order, the
-duals and the flow do not depend on how a pass is vectorized.  The
-zero-reduced-cost search finds a source's tight arcs with length-m vectors.
+The zero-reduced-cost search finds a source's tight arcs with length-m
+vectors.
 """
 
 from __future__ import annotations
@@ -56,23 +55,23 @@ import numpy as np
 
 def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
               rem_a: np.ndarray, rem_b: np.ndarray):
-    """One shortest-path pass in the residual graph of the costs -C.
+    """One pricing pass in the residual graph of the costs -C.
 
-    Returns (dist_s, dist_t, prev_s, prev_t, end_target) where end_target is
-    an unsaturated target popped with final distance, or -1 if unreachable.
-    Popped nodes carry their final distance, the others their tentative one
-    (inf if never reached).
+    Returns the potential step (step_s, step_t): every node's distance from
+    the sources with supply left, capped at D, the distance to the nearest
+    target with demand left; None when no such target can be reached.  The
+    step does not depend on the pop order among equal distances: every node
+    nearer than D pops, with its exact distance, before the first target
+    with demand left, and every other node reads D.
 
-    Pop order: the lowest-index source of least tentative distance, unless
-    a target's distance is strictly less, then the lowest-index target of
-    least distance.  A source pop relaxes the forward arcs to every open
-    target with length-m vector work, (pu[i] - C[i] - pv) clipped at 0 and
-    added to the source's distance, then searches the sources for the next
-    minimum.  A target pop relaxes only the backward arcs from the sources
-    shipping into it, the keys of back[j], in scalar arithmetic:
-    -(pu[k] - C[k, j] - pv[j]) clipped at 0 is added to the target's
-    distance, and the source minimum is updated in O(1) per arc.  Its only
-    vector work is the length-m search for the next target.
+    A source pop relaxes the forward arcs to every open target with
+    length-m vector work, (pu[i] - C[i] - pv) clipped at 0 and added to the
+    source's distance, then searches the sources for the next minimum.  A
+    target pop relaxes only the backward arcs from the sources shipping into
+    it, the keys of back[j], in scalar arithmetic: -(pu[k] - C[k, j] -
+    pv[j]) clipped at 0 is added to the target's distance, and the source
+    minimum is updated in O(1) per arc.  Its only vector work is the
+    length-m search for the next target.
     """
     n, m = C.shape
     inf = np.inf
@@ -81,20 +80,17 @@ def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
     mt = np.full(m, inf)
     ds = np.full(n, inf)
     dt = np.full(m, inf)
-    prev_t = np.full(m, -1, dtype=np.int64)
-    prev_s = np.full(n, -1, dtype=np.int64)
     open_s = [True] * n
     open_t = np.ones(m, dtype=bool)
     rc = np.empty(m)
     better = np.empty(m, dtype=bool)
     bi = int(ms.argmin())
     bv = float(ms[bi])
-    end = -1
     while True:
         j = int(mt.argmin())
         tv = float(mt[j])
         if tv == bv == inf:
-            break
+            return None
         if bv <= tv:
             i, d = bi, bv
             ds[i] = d
@@ -107,32 +103,25 @@ def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
             np.less(rc, mt, out=better)
             np.logical_and(better, open_t, out=better)
             np.putmask(mt, better, rc)
-            np.putmask(prev_t, better, i)
             bi = int(ms.argmin())
             bv = float(ms[bi])
         else:
             dt[j] = tv
+            if rem_b[j] > 0:
+                return np.minimum(ds, tv), np.minimum(dt, tv)
             mt[j] = inf
             open_t[j] = False
-            if rem_b[j] > 0:
-                end = j
-                break
             pvj = float(pv[j])
             for k in back[j]:
                 c = tv + max(-(float(pu[k]) - float(C[k, j]) - pvj), 0.0)
                 if open_s[k] and c < ms[k]:
                     ms[k] = c
-                    prev_s[k] = j
-                    if c < bv or (c == bv and k < bi):
+                    if c < bv:
                         bi, bv = k, c
-    # unpopped nodes report their tentative distance
-    np.minimum(ds, ms, out=ds)
-    np.minimum(dt, mt, out=dt)
-    return ds, dt, prev_s, prev_t, end
 
 
 def _augment(back, a, b, prev_s, prev_t, jend):
-    """Ship along the path the predecessors give from a root source to the
+    """Ship along the search tree's path from a root source to the
     unsaturated target jend as much as it admits: the least of the root's
     supply, jend's demand and the flows in back on its backward arcs, where
     an earlier path may have emptied one.  Returns the amount, 0 when some
@@ -220,10 +209,14 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     dtype; the augmentations summed over all levels; phi[i] + psi[j] >=
     C[i, j] everywhere, equal on the support, exactly on integer C within
     the module's bound, else up to round-off.  Each level's loop runs while
-    supply is left; it stops early only at the augmentation budget or when
-    no target with demand left is reachable.  unshipped is min(supply left,
-    demand left) of the full problem, a Python int: 0 when the flow meets
-    balanced marginals.
+    supply is left; it stops early only at the augmentation budget, when no
+    target with demand left is reachable, or when a search after a pass
+    ships nothing, which integer C within the module's bound never causes.
+    unshipped is min(supply left, demand left) of the full problem, a
+    Python int: 0 when the flow meets balanced marginals.  The flow is
+    optimal when a and b balance; on unbalanced marginals it need not be
+    the best flow of its value (C = [[-2, -1]], a = [1], b = [2, 1] ships
+    to target 0, value -2, though -1 is possible).
     """
     n, m = C.shape
     aug = 0
@@ -245,14 +238,15 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
         back = [{} for _ in cols]
         max_aug = aug + 60 * sum(Cl.shape) + 2000
         while a.any() and aug < max_aug:
-            ds, dt, prev_s, prev_t, jend = _dijkstra(Cl, pu, pv, back, a, b)
-            if jend < 0:
+            step = _dijkstra(Cl, pu, pv, back, a, b)
+            if step is None:
                 break
-            _augment(back, a, b, prev_s, prev_t, jend)
-            D = dt[jend]
-            pu += np.minimum(ds, D)
-            pv += np.minimum(dt, D)
-            aug += 1 + _ship_tight(Cl, pu, pv, back, a, b)
+            pu += step[0]
+            pv += step[1]
+            shipped = _ship_tight(Cl, pu, pv, back, a, b)
+            if not shipped:  # a rounded path that did not test tight
+                break
+            aug += shipped
         carried = cols, pv
         del Cl  # before the next level allocates its own
     # in Python ints: int64 entries can sum past the int64 range

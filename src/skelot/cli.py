@@ -73,6 +73,23 @@ def _numbers(values, kind, name: str) -> list:
     return [_number(v, kind, name) for v in values]
 
 
+def _known_keys(block: dict, known, name: str) -> None:
+    unknown = set(block) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
+
+
+# the top-level keys every subcommand that reads a config validates
+CONFIG_KEYS = {"family", "solver", "oracle", "diagnostics", "output_dir",
+               "seed"}
+FAMILY_KEYS = {
+    "toric": {"delta", "ln_norm"},
+    "intermediate": {"n", "m", "d", "hilbert_M", "ln_norm"},
+    "abelian": {"axes", "levels"},
+    "zero": set(),
+}
+
+
 class ExperimentConfig:
     """Validated view of one experiment description."""
 
@@ -83,12 +100,15 @@ class ExperimentConfig:
         self.family = raw.get("family")
         if not isinstance(self.family, dict) or "kind" not in self.family:
             raise ConfigError("config needs a family block with a kind")
+        kind = self.family["kind"]
+        if isinstance(kind, str) and kind in FAMILY_KEYS:
+            _known_keys(self.family,
+                        {"kind", "resolution", *FAMILY_KEYS[kind]},
+                        f"{kind} family")
         solver = raw.get("solver", {})
         if not isinstance(solver, dict):
             raise ConfigError("solver must be a JSON object")
-        unknown = set(solver) - {"method"}
-        if unknown:
-            raise ConfigError(f"unknown solver keys {sorted(unknown)}")
+        _known_keys(solver, {"method"}, "solver")
         # both spellings run the one flow finisher
         if solver.get("method", "auto") not in ("auto", "exact"):
             raise ConfigError(f"unknown solver method {solver['method']!r}")
@@ -96,6 +116,8 @@ class ExperimentConfig:
         diagnostics = raw.get("diagnostics", {})
         if not isinstance(diagnostics, dict):
             raise ConfigError("diagnostics must be a JSON object")
+        _known_keys(diagnostics, {"pushforward", "cost_bounds",
+                                  "cost_bound_samples"}, "diagnostics")
         self.pushforward = _flag(diagnostics, "pushforward")
         self.cost_bounds = _flag(diagnostics, "cost_bounds")
         self.cost_bound_samples = _number(
@@ -137,6 +159,8 @@ def _mumford_data(block: dict) -> co.MumfordData:
     axes = block.get("axes", [{}])
     if not isinstance(axes, list) or not all(isinstance(a, dict) for a in axes):
         raise ConfigError("family axes must be a list of objects")
+    for a in axes:
+        _known_keys(a, {"base_slope", "quad", "period"}, "axis")
     return co.MumfordData(tuple(
         co.PhiAxis(base_slope=_number(a.get("base_slope", 1), int, "base_slope"),
                    quad=_number(a.get("quad", 1), int, "quad"),
@@ -158,8 +182,12 @@ def build_problem(cfg: ExperimentConfig):
     kind = blk["kind"]
     with _family_block():
         if kind == "toric":
-            pair, problem = fm.toric_pair(blk["delta"], resolution=cfg.resolution(),
-                                          ln_norm=blk.get("ln_norm"))
+            ln_norm = blk.get("ln_norm")
+            pair, problem = fm.toric_pair(
+                [_numbers(v, int, "delta") for v in blk["delta"]],
+                resolution=cfg.resolution(),
+                ln_norm=None if ln_norm is None
+                else _number(ln_norm, float, "ln_norm"))
             return problem, {"pair": pair}
         if kind == "intermediate":
             data = _intermediate_data(blk)
@@ -218,6 +246,7 @@ def _assertion(name, expected, observed, tolerance, ok) -> dict:
 def run(config_path: str, seed_override=None,
         allow_nonconverged: bool = False) -> int:
     cfg = load_config(config_path, seed_override)
+    _known_keys(cfg.raw, CONFIG_KEYS, "config")
     problem, extras = build_problem(cfg)
     shape = (len(problem.mu0.points), len(problem.nu0.points))
     if cfg.oracle and max(shape) > tp.ORACLE_SIZE_CAP:
@@ -339,6 +368,7 @@ def check_independence(path: str) -> int:
 
 def count_sections(config_path: str) -> int:
     cfg = load_config(config_path)
+    _known_keys(cfg.raw, CONFIG_KEYS | {"levels"}, "config")
     blk = cfg.family
     if blk["kind"] != "intermediate":
         raise ConfigError("count-sections needs an intermediate family")
@@ -362,6 +392,8 @@ def count_sections(config_path: str) -> int:
 
 def hybrid(config_path: str) -> int:
     cfg = load_config(config_path)
+    _known_keys(cfg.raw, CONFIG_KEYS | {"level", "grid_steps", "t_schedule",
+                                        "assert_decreasing"}, "config")
     blk = cfg.family
     if blk["kind"] != "abelian":
         raise ConfigError("hybrid needs an abelian family")
@@ -445,6 +477,7 @@ def diagnose_ma(run_dir: str) -> int:
 
 def diagnose_duality(run_dir: str) -> int:
     cfg = load_config(_run_file(run_dir, "config.json"))
+    _known_keys(cfg.raw, CONFIG_KEYS, "config")
     problem, _ = build_problem(cfg)
     result = tp.minimize_kontorovich(problem)
     dual = tp.TransportProblem(problem.cost.transpose(), problem.nu0,

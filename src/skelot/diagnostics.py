@@ -185,16 +185,19 @@ def hybrid_potential_curve(data: MumfordData, level: int,
 
     For each t, (1/(l |log t|)) max_p log|theta_p(t^x; t)| along |z| = |t|^x
     is compared with max_p (-val_x(theta_p)/l); the summation window expands
-    until boundary terms drop below the 1e-12 tail threshold.
+    until boundary terms drop below the 1e-12 tail threshold.  The tropical
+    sections are truncated at the larger of that window and
+    `certified_window(data, level)`, so their minimising shift stays inside.
     """
-    from .cost import theta_section
+    from .cost import certified_window, theta_section
     from .polyhedral import as_point
     from .tropical import val_at
 
     base_window = window if window is not None else 8
     labels = [as_point(lab) for lab in labels]
     sections = {lab: theta_section(data, level, lab,
-                                   window=max(base_window, 8))
+                                   window=max(base_window,
+                                              certified_window(data, level)))
                 for lab in labels}
     grid_pts = [as_point(x) for x in grid]
     errors = []

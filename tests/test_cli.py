@@ -144,12 +144,7 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_nonconverged_exit_code(tmp_path, capsys, monkeypatch):
-    dijkstra = _flow._dijkstra
-
-    def unreachable(*args):
-        return dijkstra(*args)[:4] + (-1,)
-
-    monkeypatch.setattr(_flow, "_dijkstra", unreachable)
+    monkeypatch.setattr(_flow, "_dijkstra", lambda *args: None)
     cfg = {"family": {"kind": "zero"}}
     code, _ = run_cfg(tmp_path, cfg)
     assert code == 3
@@ -380,11 +375,86 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
     pytest.param("solve", {"family": {**INTERMEDIATE, "n": 4, "m": 3,
                                       "d": [1, 1, 1, 1]}},
                  id="solve-intermediate-m3"),
+    pytest.param("solve", {"family": {**TRIANGLE, "resolutoin": "1/64"}},
+                 id="solve-toric-key-misspelled"),
+    pytest.param("solve", {"family": {**TRIANGLE, "axes": [{}]}},
+                 id="solve-toric-key-of-abelian"),
+    pytest.param("solve", {"family": {**INTERMEDIATE, "delta": []}},
+                 id="solve-intermediate-key-of-toric"),
+    pytest.param("solve", {"family": {**CIRCLE, "ln_norm": 2.0}},
+                 id="solve-abelian-key-of-toric"),
+    pytest.param("solve", {"family": {"kind": "zero", "n": 3}},
+                 id="solve-zero-key"),
+    pytest.param("solve", {"family": CIRCLE, "oracel": True},
+                 id="solve-top-key-misspelled"),
+    pytest.param("solve", {"family": CIRCLE, "level": 1},
+                 id="solve-top-key-of-hybrid"),
+    pytest.param("solve", {"family": CIRCLE,
+                           "diagnostics": {"pushfoward": True}},
+                 id="solve-diagnostics-key-misspelled"),
+    pytest.param("solve", {"family": {**CIRCLE, "axes": [{"bse_slope": 3}]}},
+                 id="solve-axis-key-misspelled"),
+    pytest.param("hybrid", {"family": {**CIRCLE, "axes": [{"bse_slope": 3}]}},
+                 id="hybrid-axis-key-misspelled"),
+    pytest.param("hybrid", {"family": CIRCLE, "t_shedule": [1e-2]},
+                 id="hybrid-top-key-misspelled"),
+    pytest.param("hybrid", {"family": CIRCLE, "levels": [1]},
+                 id="hybrid-top-key-of-count"),
+    pytest.param("count-sections", {"family": INTERMEDIATE,
+                                    "levels": [0, 1, 2], "level": 1},
+                 id="count-top-key-of-hybrid"),
+    pytest.param("count-sections", {"family": {**INTERMEDIATE,
+                                               "hilbert_m": [1]},
+                                    "levels": [0, 1, 2]},
+                 id="count-intermediate-key-misspelled"),
+    pytest.param("solve", {"family": {**TRIANGLE, "ln_norm": True}},
+                 id="solve-toric-ln-norm-bool"),
+    pytest.param("solve", {"family": {**TRIANGLE, "ln_norm": "x"}},
+                 id="solve-toric-ln-norm-string"),
+    pytest.param("solve", {"family": {
+        **TRIANGLE, "delta": [[-1, -1], [2, -1], [-1, True]]}},
+                 id="solve-delta-bool"),
+    pytest.param("solve", {"family": {
+        **TRIANGLE, "delta": [[-1, -1], [2, -1], [-1, 2.5]]}},
+                 id="solve-delta-fraction"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, command, cfg):
     cfg = {**cfg, "output_dir": str(tmp_path / "run")}
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class Accepted(Exception):
+    pass
+
+
+def _accept(*args):
+    raise Accepted
+
+
+BENCHMARK_CONFIGS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" /
+     "workloads.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CONFIGS))
+def test_benchmark_configs_pass_validation(tmp_path, monkeypatch, name):
+    """Every benchmark workload's config gets through validation and the
+    family build to the solve."""
+    monkeypatch.setattr(cli.tp, "minimize_kontorovich", _accept)
+    with pytest.raises(Accepted):
+        run_cfg(tmp_path, BENCHMARK_CONFIGS[name]["config"])
+
+
+@pytest.mark.parametrize("family, expected", [
+    pytest.param({**TRIANGLE, "ln_norm": 2}, 2.0, id="toric-ln-norm-int"),
+    pytest.param({**TRIANGLE, "ln_norm": None}, 9.0, id="toric-ln-norm-null"),
+    pytest.param({**TRIANGLE, "delta": [[-1, -1], ["2", -1], [-1, 2.0]]},
+                 9.0, id="toric-delta-integral"),
+])
+def test_toric_numbers_accepted(family, expected):
+    problem, _ = cli.build_problem(cli.ExperimentConfig({"family": family}))
+    assert problem.ln_norm == expected
 
 
 @pytest.mark.parametrize("output_dir", [5, ""], ids=["number", "empty"])
@@ -470,6 +540,9 @@ RESULT_JSON = json.dumps({"resolution": "1/4"})
     pytest.param("diagnose-ma", {"phi.csv": PHI_CSV_2D,
                                  "result.json": json.dumps({"resolution": 5})},
                  id="ma-2d-resolution-integer"),
+    pytest.param("diagnose-duality", {"config.json": json.dumps(
+        {"family": {"kind": "zero"}, "oracel": True})},
+                 id="duality-config-key-misspelled"),
 ])
 def test_malformed_run_dir_exit_code(tmp_path, capsys, command, files):
     for name, text in files.items():

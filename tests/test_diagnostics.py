@@ -186,6 +186,21 @@ def test_hybrid_window_doubling_stable():
     assert abs(a["sup_error"][0] - b["sup_error"][0]) < 1e-10
 
 
+@pytest.mark.parametrize("base_slope", [20, 40])
+def test_hybrid_steep_base_slope_matches_slope_one(base_slope):
+    """A steep base slope moves the minimising shift far past the default
+    window of 8; the tropical sections still hold it, so the errors are
+    base slope 1's."""
+    grid = [(F(j, 16),) for j in range(16)]
+    steep = co.MumfordData((co.PhiAxis(base_slope=base_slope),))
+    schedule = [1e-2, 1e-4, 1e-8]
+    want = dg.hybrid_potential_curve(RANK1, 1, schedule, grid,
+                                     level_labels(1))["sup_error"]
+    got = dg.hybrid_potential_curve(steep, 1, schedule, grid,
+                                    level_labels(1))["sup_error"]
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_hybrid_dominant_margin_scaling():
     # at x=0 the lattice shifts 0 and -1 tie: error ~ log(2)/(l L)
     import math

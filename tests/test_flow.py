@@ -5,11 +5,13 @@ argmins per pop and a column scan per target pop, kept as it was except
 that masses are integers, so a node has mass left when it is > 0.  It reads
 the arc costs W = -C and a dense n x m flow; the finisher reads C itself and
 keeps only the support back[j] = {source: flow}, so the reference gets -C
-and the dense flow that support stands for.  The
+and the dense flow that support stands for.  `_reference_pass` turns its
+result into the potential step `_flow._dijkstra` returns: the distances
+capped at the end target's, or None when no target is reached.  The
 wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`,
 on every level of a multiscale solve, and requires the same bytes for both
-distance and predecessor arrays and the same end target, so the pop order,
-the tie rules and the rounding of every relaxation must match.
+capped distance arrays, so the rounding of every relaxation must match
+while the pop order among equal distances may differ.
 `_reference_ship_tight` is likewise the zero-reduced-cost search as it was
 on the dense flow, which it re-scanned for its support every round; every
 search of a checked solve must leave the same flow and masses and ship the
@@ -148,7 +150,11 @@ def _back(flow):
 
 
 def _reference_pass(C, pu, pv, back, rem_a, rem_b):
-    return _reference_dijkstra(-C, pu, pv, _dense(back, len(C)), rem_a, rem_b)
+    ds, dt, _, _, end = _reference_dijkstra(-C, pu, pv, _dense(back, len(C)),
+                                            rem_a, rem_b)
+    if end < 0:
+        return None
+    return np.minimum(ds, dt[end]), np.minimum(dt, dt[end])
 
 
 def _flow_matrix(support, shape):
@@ -165,10 +171,10 @@ def _flow_matrix(support, shape):
 def _assert_same_pass(dijkstra, args):
     new = dijkstra(*args)
     ref = _reference_pass(*args)
-    for got, want in zip(new[:4], ref[:4]):
+    assert (new is None) == (ref is None)
+    for got, want in zip(new or (), ref or ()):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert new[4] == ref[4]
     return new
 
 
@@ -178,12 +184,11 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
 
     Returns the result and the number of passes."""
     dijkstra, ship_tight = _flow._dijkstra, _flow._ship_tight
-    ends = []
+    passes = []
 
     def checked(*args):
-        out = _assert_same_pass(dijkstra, args)
-        ends.append(out[4])
-        return out
+        passes.append(_assert_same_pass(dijkstra, args))
+        return passes[-1]
 
     def checked_search(C, pu, pv, back, a, b):
         flow, ref_a, ref_b = _dense(back, len(C)), a.copy(), b.copy()
@@ -206,7 +211,7 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
         assert (g.tolist() == w.tolist() if g.dtype == object
                 else g.tobytes() == w.tobytes())
     assert got[3:] == want[3:]
-    return got, len(ends)
+    return got, len(passes)
 
 
 def _problem_arrays(problem):
@@ -240,8 +245,9 @@ def _torus():
                          ids=["toric-1/16", "rank1-1/64", "torus-1/8"])
 def test_family_solves_match_reference(monkeypatch, build, cold, ladder):
     """Cold and on the grid's ladder of coarser levels: every pass matches
-    the reference, and the passes and augmentations (Dijkstra paths plus
-    zero-reduced-cost paths, over all levels) are these exact counts."""
+    the reference, and the passes and augmentations (the paths the
+    zero-reduced-cost searches ship, over all levels) are these exact
+    counts."""
     problem = build()
     C, a, b = _problem_arrays(problem)
     for levels, counts in (((), cold), (tp._coarse_levels(problem), ladder)):
@@ -386,39 +392,52 @@ def test_arbitrary_passes_match_reference(seed):
                           (-W, pu, pv, _back(flow), rem_a, rem_b))
 
 
-def test_backward_tie_pops_lower_source_first():
+def test_backward_tie_gives_the_same_step():
     """Target 1's backward arc brings source 0 level with source 1, the
-    current source minimum; source 0 must pop first and so become target
-    2's predecessor."""
+    current source minimum; either may pop first, and the step is the
+    reference's: the distances capped at target 2's, 3."""
     W = np.array([[9.0, -1.0, 1.0],
                   [-2.0, 9.0, 1.0],
                   [0.0, 1.0, 5.0]])
     flow = np.array([[0, 1, 0],
                      [1, 0, 0],
                      [0, 0, 0]])
-    ds, dt, prev_s, prev_t, end = _assert_same_pass(
+    step_s, step_t = _assert_same_pass(
         _flow._dijkstra, (-W, np.zeros(3), np.zeros(3), _back(flow),
                           np.array([0, 0, 1]), np.array([0, 0, 1])))
-    assert list(ds) == [2.0, 2.0, 0.0] and list(dt) == [0.0, 1.0, 3.0]
-    assert list(prev_s) == [1, 0, -1] and list(prev_t) == [2, 2, 0]
-    assert end == 2
+    assert list(step_s) == [2.0, 2.0, 0.0] and list(step_t) == [0.0, 1.0, 3.0]
 
 
-def test_unreachable_target_returns_minus_one():
-    """With all demand met a pass pops every node it reaches and ends at -1;
-    with no supply left it ends at -1 before any pop."""
+def test_unreachable_target_returns_none():
+    """With all demand met a pass pops every node it reaches and returns
+    None; with no supply left it returns None before any pop."""
     C, a, b = _tied_instance(7)
     n, m = C.shape
     flow = _flow_matrix(_flow.solve_transport(C, a, b)[0], C.shape)
     args = (C, np.zeros(n), (-C).min(axis=0), _back(flow))
-    ds, dt, _, _, end = _assert_same_pass(
-        _flow._dijkstra, args + (np.ones(n, dtype=np.int64),
-                                 np.zeros(m, dtype=np.int64)))
-    assert end == -1 and np.isfinite(dt).all()
-    ds, dt, _, _, end = _assert_same_pass(
-        _flow._dijkstra, args + (np.zeros(n, dtype=np.int64),
-                                 np.ones(m, dtype=np.int64)))
-    assert end == -1 and np.isinf(ds).all() and np.isinf(dt).all()
+    supply, demand = np.ones(n, dtype=np.int64), np.ones(m, dtype=np.int64)
+    for rem in ((supply, 0 * demand), (0 * supply, demand)):
+        assert _assert_same_pass(_flow._dijkstra, args + rem) is None
+
+
+def test_search_that_ships_nothing_ends_the_level(monkeypatch):
+    """If a search after a pass ships nothing (a rounded path that fails
+    the tight test), the level stops instead of repeating the same pass,
+    and the solve reports the mass it left unshipped."""
+    C, a, b = _tied_instance(2)
+    dijkstra, calls = _flow._dijkstra, []
+
+    def bounded(*args):
+        calls.append(None)
+        if len(calls) > 10:
+            raise AssertionError("the loop keeps pricing without shipping")
+        return dijkstra(*args)
+
+    monkeypatch.setattr(_flow, "_dijkstra", bounded)
+    monkeypatch.setattr(_flow, "_ship_tight", lambda *args: 0)
+    support, _, _, aug, unshipped = _flow.solve_transport(C, a, b)
+    assert len(calls) == 1 and aug == 0 and len(support[0]) == 0
+    assert unshipped == min(a.sum(), b.sum()) > 0
 
 
 SOLVERS = Path(_flow.__file__).parent
