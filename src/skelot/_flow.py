@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InfeasibleMarginals
+
 
 def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
               rem_a: np.ndarray, rem_b: np.ndarray):
@@ -212,11 +214,8 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     supply is left; it stops early only at the augmentation budget, when no
     target with demand left is reachable, or when a search after a pass
     ships nothing, which integer C within the module's bound never causes.
-    unshipped is min(supply left, demand left) of the full problem, a
-    Python int: 0 when the flow meets balanced marginals.  The flow is
-    optimal when a and b balance; on unbalanced marginals it need not be
-    the best flow of its value (C = [[-2, -1]], a = [1], b = [2, 1] ships
-    to target 0, value -2, though -1 is possible).
+    unshipped, a Python int, is the full problem's supply left.  Unbalanced
+    a and b, on any level, raise InfeasibleMarginals.
     """
     n, m = C.shape
     aug = 0
@@ -224,6 +223,8 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     for k, (rows, cols, a, b) in enumerate(
             (*levels, (np.arange(n), np.arange(m), a, b))):
         a, b = np.array(a), np.array(b)
+        if sum(a.tolist()) != sum(b.tolist()):  # Python ints: no overflow
+            raise InfeasibleMarginals("supply and demand differ")
         if carried is None:
             pu = np.zeros(len(rows))
         else:
@@ -249,8 +250,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
             aug += shipped
         carried = cols, pv
         del Cl  # before the next level allocates its own
-    # in Python ints: int64 entries can sum past the int64 range
-    unshipped = min(sum(a.tolist()), sum(b.tolist()))
+    unshipped = sum(a.tolist())
     cells = sorted((k, j) for j, col in enumerate(back) for k in col)
     rows = np.array([k for k, _ in cells], dtype=np.int64)
     cols = np.array([j for _, j in cells], dtype=np.int64)

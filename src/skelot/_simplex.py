@@ -12,6 +12,13 @@ degenerate and pivoting cannot cycle.  main = (f + n) // M, and main / Q is
 the exact flow of the unperturbed problem, since tree flows are linear in
 the marginals.
 
+The start is greedy (Dantzig, "Linear Programming and Extensions", ch. 15,
+in max form): by K, largest first, each cell whose row and column have mass
+left ships the lesser.  Each component of the shipped cells keeps one open
+node, so a row and a column closing together close a component, rows S and
+columns T, of equal perturbed mass: |S| = n [last target in T] mod 2n + 1,
+so S is every row and the cell the last.  The n + m - 1 cells are a tree.
+
 The basis tree is rooted at source 0 and kept once, per node: the parent,
 the depth, the flow on the edge to the parent, and the integer dual W = u D
 of a source or v D of a target (basic duals lie in (1/D)Z), with the reduced
@@ -39,30 +46,24 @@ from .errors import InfeasibleMarginals, NotConverged
 F = Fraction
 
 
-def _northwest_corner(ap: list, bp: list) -> tuple:
-    """Initial basis tree: parent[x] and the flow on the edge x-parent[x].
-
-    Nodes 0..n-1 are sources, n.. targets.  Each cell adds the node whose row
-    or column it starts, below the other end; with the perturbation a supply
-    and a demand run out together only at the last cell, so the tree has
-    n + m - 1 edges.
-    """
+def _greedy_start(Kp: np.ndarray, ap: list, bp: list) -> tuple:
+    """The greedy start's adjacency (sources 0..n-1, targets n..) and the
+    flow of each cell, visited by K, largest first, row-major on ties."""
     n, m = len(ap), len(bp)
-    rem_a, rem_b = list(ap), list(bp)
-    parent, flow = [0] * (n + m), [0] * (n + m)
-    i, j, x = 0, 0, n
-    while i < n and j < m:
-        parent[x] = i if x >= n else n + j
-        take = flow[x] = min(rem_a[i], rem_b[j])
-        rem_a[i] -= take
-        rem_b[j] -= take
-        if rem_a[i] == 0:
-            i += 1
-            x = i
-        else:
-            j += 1
-            x = n + j
-    return parent, flow
+    rem = [*ap, *bp]
+    adj = [set() for _ in range(n + m)]
+    shipped = {}
+    for c in np.argsort(-Kp, axis=None, kind="stable"):
+        i, j = divmod(int(c), m)
+        if rem[i] and rem[n + j]:
+            take = shipped[i, j] = min(rem[i], rem[n + j])
+            rem[i], rem[n + j] = rem[i] - take, rem[n + j] - take
+            adj[i].add(n + j)
+            adj[n + j].add(i)
+            if len(shipped) == n + m - 1:
+                break
+            assert rem[i] or rem[n + j], "a row and a column closed early"
+    return adj, shipped
 
 
 def _cell(x: int, y: int, n: int) -> tuple:
@@ -108,11 +109,6 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
     M = 2 * n + 1
     bp = [int(y * Q) * M for y in b]
     bp[-1] += n
-    parent, flow = _northwest_corner([int(x * Q) * M + 1 for x in a], bp)
-    adj = [set() for _ in range(n + m)]
-    for x in range(1, n + m):
-        adj[x].add(parent[x])
-        adj[parent[x]].add(x)
 
     Kl = K.tolist()
     kmax = max((abs(k) for row in Kl for k in row), default=0)
@@ -121,8 +117,10 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
     Kp = K.astype(dtype, order="C")  # row-major, so pivots scan rows fast
     max_pivots = 60 * (n + m) + 2000
 
-    depth, W = [0] * (n + m), [0] * (n + m)
+    adj, shipped = _greedy_start(Kp, [int(x * Q) * M + 1 for x in a], bp)
+    parent, depth, W = [0] * (n + m), [0] * (n + m), [0] * (n + m)
     _hang(adj, Kl, n, parent, depth, W, 0)
+    flow = [0] + [shipped[_cell(x, parent[x], n)] for x in range(1, n + m)]
     R = _reduced(Kp, W, n)
     for pivot in range(max_pivots + 1):
         best = int(np.argmax(R))  # row-major lowest index on ties
@@ -131,6 +129,7 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
             kept = list(W)
             _hang(adj, Kl, n, parent, depth, W, 0)
             assert W == kept, "incremental duals differ from a fresh walk"
+            del R  # one n x m array fewer at the oracle's peak
             R = _reduced(Kp, W, n)
             best = int(np.argmax(R))
             if R.flat[best] <= 0:

@@ -186,18 +186,17 @@ def hybrid_potential_curve(data: MumfordData, level: int,
     For each t, (1/(l |log t|)) max_p log|theta_p(t^x; t)| along |z| = |t|^x
     is compared with max_p (-val_x(theta_p)/l); the summation window expands
     until boundary terms drop below the 1e-12 tail threshold.  The tropical
-    sections are truncated at the larger of that window and
-    `certified_window(data, level)`, so their minimising shift stays inside.
+    sections are truncated at the returned "window", the larger of that
+    window and `certified_window(data, level)`: their minimising shift fits.
     """
     from .cost import certified_window, theta_section
     from .polyhedral import as_point
     from .tropical import val_at
 
     base_window = window if window is not None else 8
+    section_window = max(base_window, certified_window(data, level))
     labels = [as_point(lab) for lab in labels]
-    sections = {lab: theta_section(data, level, lab,
-                                   window=max(base_window,
-                                              certified_window(data, level)))
+    sections = {lab: theta_section(data, level, lab, window=section_window)
                 for lab in labels}
     grid_pts = [as_point(x) for x in grid]
     errors = []
@@ -216,4 +215,4 @@ def hybrid_potential_curve(data: MumfordData, level: int,
             sup_err = max(sup_err, abs(finite - na))
         errors.append(sup_err)
     return {"t": [float(t) for t in t_schedule], "sup_error": errors,
-            "window": base_window}
+            "window": section_window}

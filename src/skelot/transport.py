@@ -262,12 +262,11 @@ class LPOracleResult:
     pivots: int
 
 
-# the largest source or target grid the exact oracle takes by default
+# the largest source or target grid the exact oracle takes, read per call
 ORACLE_SIZE_CAP = 600
 
 
-def lp_oracle(problem: TransportProblem,
-              size_cap: int = ORACLE_SIZE_CAP) -> LPOracleResult:
+def lp_oracle(problem: TransportProblem) -> LPOracleResult:
     """Exact transportation simplex for max plan correlation.
 
     The simplex runs on the integer costs (K, D) and the exact marginals,
@@ -275,12 +274,12 @@ def lp_oracle(problem: TransportProblem,
     exactly feasible and the value a rational certificate of the optimum.
     v = u^c, exactly: the simplex's duals where it solved (each target has a
     tight basic cell), the least feasible ones elsewhere.  A grid above
-    size_cap points raises SizeCapExceeded; the default admits toric 1/64.
+    ORACLE_SIZE_CAP points a side raises SizeCapExceeded.
     """
-    n = len(problem.mu0.points)
-    m = len(problem.nu0.points)
-    if n > size_cap or m > size_cap:
-        raise SizeCapExceeded(f"{n}x{m} exceeds the {size_cap}x{size_cap} cap")
+    n, m = len(problem.mu0.points), len(problem.nu0.points)
+    if max(n, m) > ORACLE_SIZE_CAP:
+        cap = ORACLE_SIZE_CAP
+        raise SizeCapExceeded(f"{n}x{m} exceeds the {cap}x{cap} cap")
     K, D = problem._integer()
     b = problem.target_mass
     keep = [j for j in range(m) if b[j]]

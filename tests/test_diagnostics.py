@@ -197,8 +197,9 @@ def test_hybrid_steep_base_slope_matches_slope_one(base_slope):
     want = dg.hybrid_potential_curve(RANK1, 1, schedule, grid,
                                      level_labels(1))["sup_error"]
     got = dg.hybrid_potential_curve(steep, 1, schedule, grid,
-                                    level_labels(1))["sup_error"]
-    assert got == pytest.approx(want, abs=1e-12)
+                                    level_labels(1))
+    assert got["sup_error"] == pytest.approx(want, abs=1e-12)
+    assert got["window"] == co.certified_window(steep, 1) > 8
 
 
 def test_hybrid_dominant_margin_scaling():

@@ -30,6 +30,7 @@ from skelot import _flow
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
+from skelot.errors import InfeasibleMarginals
 
 F = Fraction
 
@@ -437,7 +438,21 @@ def test_search_that_ships_nothing_ends_the_level(monkeypatch):
     monkeypatch.setattr(_flow, "_ship_tight", lambda *args: 0)
     support, _, _, aug, unshipped = _flow.solve_transport(C, a, b)
     assert len(calls) == 1 and aug == 0 and len(support[0]) == 0
-    assert unshipped == min(a.sum(), b.sum()) > 0
+    assert unshipped == a.sum() > 0
+
+
+def test_unbalanced_marginals_are_rejected():
+    """The finisher solves balanced marginals only: on C = [[-2, -1]],
+    a = [1], b = [2, 1] it would ship to target 0 (value -2) though -1 is
+    possible, so it raises, and so it does when a coarse level is
+    unbalanced."""
+    C = np.array([[-2, -1]], dtype=np.int64)
+    with pytest.raises(InfeasibleMarginals):
+        _flow.solve_transport(C, np.array([1]), np.array([2, 1]))
+    coarse = (np.arange(1), np.arange(2), np.array([1]), np.array([2, 1]))
+    with pytest.raises(InfeasibleMarginals):
+        _flow.solve_transport(C, np.array([3]), np.array([2, 1]),
+                              levels=(coarse,))
 
 
 SOLVERS = Path(_flow.__file__).parent

@@ -528,10 +528,11 @@ def test_lp_single_point():
     assert [v.tolist() for v in lp.plan] == [[0], [0], [1.0]]
 
 
-def test_lp_size_cap():
+def test_lp_size_cap(monkeypatch):
     prob = abelian_problem(8, 12)
-    with pytest.raises(SizeCapExceeded):
-        tp.lp_oracle(prob, size_cap=4)
+    monkeypatch.setattr(tp, "ORACLE_SIZE_CAP", 4)
+    with pytest.raises(SizeCapExceeded, match="8x12 exceeds the 4x4 cap"):
+        tp.lp_oracle(prob)
 
 
 def test_lp_duals_cover_cost():
@@ -562,11 +563,14 @@ def assert_certified(C, a, b):
 
 
 def test_simplex_exact_pricing_on_wide_range_costs():
-    # float pricing stops here with duals violated by 200
-    C = [[F(0), F(100)], [F(100), F(0)], [F(10 ** 15), F(0)]]
-    value, pivots = assert_certified(C, [F(1, 3)] * 3, [F(1, 2)] * 2)
-    assert value == F(1000000000000150, 3)
-    assert pivots == 3
+    # the greedy start ships (0, 0), which is not optimal: its one positive
+    # reduced cost, 800, is 8e-13 of max |C|, where pricing in floats with a
+    # tolerance relative to the costs stops
+    C = [[F(1000), F(900), F(0)], [F(900), F(0), F(0)],
+         [F(0), F(0), F(10 ** 15)]]
+    value, pivots = assert_certified(C, [F(1, 3)] * 3, [F(1, 3)] * 3)
+    assert value == F(10 ** 15 + 1800, 3)
+    assert pivots == 1
 
 
 def test_simplex_certified_on_random_wide_range_costs():
