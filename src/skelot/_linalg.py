@@ -2,7 +2,8 @@
 
 Used for lattice bases, face frames, lattice anchors, wall detection and
 independence testing.  Everything here is dense and meant for the tiny
-matrices that show up in polyhedral/tropical bookkeeping.
+matrices that show up in polyhedral/tropical bookkeeping.  `_int_dtype`
+picks the integer dtype of the exact numpy kernels elsewhere.
 """
 
 from __future__ import annotations
@@ -11,7 +12,17 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+import numpy as np
+
 Row = list[Fraction]
+
+# bound below which every intermediate of a kernel fits int64 with room to spare
+_INT64_SAFE = 2 ** 62
+
+
+def _int_dtype(bound: int):
+    """int64 when `bound` proves the kernel cannot overflow, else Python ints."""
+    return np.int64 if bound < _INT64_SAFE else object
 
 
 def _frac_rows(mat: Sequence[Sequence]) -> list[Row]:

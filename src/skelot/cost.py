@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._linalg import _int_dtype
 from .errors import DimensionMismatch, MissingLevel, WindowNotConverged
 from .polyhedral import IntegralPolyhedralComplex, Point, as_point
 from .tropical import MonomialTerm, TropicalSection, val_at
@@ -71,10 +72,6 @@ class CostFunction:
 
 # -- exact integer matrices --------------------------------------------------------
 
-# bound below which every intermediate of a kernel fits int64 with room to spare
-_INT64_SAFE = 2 ** 62
-
-
 def _lattice(points: Sequence, name: str) -> tuple[list[Point], int, int]:
     """Exact points, their common dimension and the lcm of their denominators."""
     pts = [as_point(p) for p in points]
@@ -86,11 +83,6 @@ def _lattice(points: Sequence, name: str) -> tuple[list[Point], int, int]:
         for c in p:
             den = lcm(den, c.denominator)
     return pts, dims.pop() if dims else 0, den
-
-
-def _int_dtype(bound: int):
-    """int64 when `bound` proves the kernel cannot overflow, else Python ints."""
-    return np.int64 if bound < _INT64_SAFE else object
 
 
 def over_lcm(rows: Sequence[Sequence[Fraction]],
@@ -271,14 +263,19 @@ def abelian_theta_cost(data: MumfordData, x: Sequence, p: Sequence) -> Fraction:
     return F(int(K[0, 0]), D)
 
 
+# entries of one gathered block of theta_matrix rows (8 MB at int64)
+_GATHER_ENTRIES = 1 << 20
+
+
 def theta_matrix(data: MumfordData, xs: Sequence,
                  ps: Sequence) -> tuple[np.ndarray, int]:
     """abelian_theta_cost over the grids as (K, D), in integer arithmetic.
 
     With L the common denominator, each axis reduces the numerators into
     [0, g*L), tabulates the closed form `_axis_minima` over the distinct
-    values on either side (no window search), and subtracts the table,
-    gathered to n x m, from K in place: the n x m work is the gather.
+    values on either side (no window search), and subtracts the table from
+    K in place, gathered one block of rows at a time: the n x m work is the
+    gather, and no n x m temporary is held besides K.
     """
     xs, dx, lx = _lattice(xs, "source")
     ps, dp, lp = _lattice(ps, "target")
@@ -286,13 +283,15 @@ def theta_matrix(data: MumfordData, xs: Sequence,
     axes = data.axes[:min(dx, dp)]
     dtype = _int_dtype(sum(_axis_bound(a, L) for a in axes))
     K = np.zeros((len(xs), len(ps)), dtype=dtype)
+    rows = max(1, _GATHER_ENTRIES // max(len(ps), 1))
     for k, a in enumerate(axes):
         gL = a.period * L
         (X, ix), (P, ip) = (np.unique(np.array(
             [c[k].numerator * (L // c[k].denominator) % gL for c in pts],
             dtype=dtype), return_inverse=True) for pts in (xs, ps))
         table, _ = _axis_minima(a, X[:, None], P[None, :], L)
-        K -= table[np.ix_(ix, ip)]
+        for r in range(0, len(xs), rows):
+            K[r:r + rows] -= table[np.ix_(ix[r:r + rows], ip)]
     return K, L * L
 
 
@@ -407,41 +406,87 @@ def verify_cost_bounds(family: ThetaFamily, cost: CostFunction,
                        samples: Sequence[tuple], tolerance=F(1, 10**9)) -> CostBoundReport:
     """Check -val/l >= c and the midpoint subadditivity of valuations.
 
-    samples are (x, p, l) triples; subadditivity is tested on every pair of
-    triples sharing the same x whose combined level and midpoint label exist
-    in the family.  Violations are reported, never raised.
+    samples are (x, p, l) triples, p taken to its nearest label at level l;
+    subadditivity is tested on every pair of triples sharing the same x
+    whose combined level and midpoint label exist in the family.  Violations
+    are reported, never raised, in sample order and then pair order.
+
+    Each distinct piece of exact work is done once: the costs are one
+    `cost.exact_matrix` over the distinct points and labels, a label is
+    resolved through a per-level dict (`nearest_label`'s scan only for a p
+    that is not a label), and each midpoint section, each val_at(section, x)
+    and each pair verdict at one x is computed once.
     """
     tol = F(tolerance)
-    violations = []
-    n_bound = 0
-    n_sub = 0
-    prepared = []
-    for x, p, l in samples:
-        label = family.nearest_label(l, as_point(p))
-        sec = family.section_at(l, label)
-        v = F(val_at(sec, x))
-        prepared.append((as_point(x), label, int(l), sec, v))
-        n_bound += 1
-        if -v / l < F(cost(x, label)) - tol:
-            violations.append(("lower_bound", x, label, l, -v / l))
+    tables: dict = {}
 
+    def nearest_section(level, p: Point) -> TropicalSection:
+        """section_at(level, nearest_label(level, p)), a dict hit when p is a
+        label (the first section with it, as section_at returns)."""
+        if level not in tables:
+            table: dict = {}
+            for s in family.sections(level):
+                table.setdefault(s.label, s)
+            # nearest_label's zip truncates, so among labels of mixed length
+            # a shorter one can beat p itself: then every lookup scans
+            tables[level] = table if len({len(lab) for lab in table}) <= 1 else {}
+        sec = tables[level].get(p)
+        if sec is None:
+            sec = family.section_at(level, family.nearest_label(level, p))
+        return sec
+
+    vals: dict = {}
+
+    def val(sec: TropicalSection, x: Point) -> Fraction:
+        key = (id(sec), x)
+        if key not in vals:
+            vals[key] = F(val_at(sec, x))
+        return vals[key]
+
+    resolved = [(x, as_point(x), nearest_section(l, as_point(p)), l)
+                for x, p, l in samples]
+    rows = {px: i for i, px in enumerate(dict.fromkeys(r[1] for r in resolved))}
+    cols = {lab: j for j, lab in
+            enumerate(dict.fromkeys(r[2].label for r in resolved))}
+    if resolved:
+        K, D = cost.exact_matrix(list(rows), list(cols))
+    violations = []
     by_x: dict[Point, list] = {}
-    for entry in prepared:
-        by_x.setdefault(entry[0], []).append(entry)
+    for x, px, sec, l in resolved:
+        v = val(sec, px)
+        if -v / l < F(int(K[rows[px], cols[sec.label]]), D) - tol:
+            violations.append(("lower_bound", x, sec.label, l, -v / l))
+        by_x.setdefault(px, []).append((int(l), sec, v))
+
+    mids: dict = {}
+
+    def midpoint_section(l1, s1, l2, s2) -> Optional[TropicalSection]:
+        lsum = l1 + l2
+        mid = as_point((l1 * a + l2 * b) / lsum
+                       for a, b in zip(s1.label, s2.label))
+        try:
+            smid = nearest_section(lsum, mid)
+        except MissingLevel:
+            return None
+        return smid if smid.label == mid else None
+
+    n_sub = 0
     for x, group in by_x.items():
-        for i in range(len(group)):
-            for j in range(i, len(group)):
-                _, p1, l1, s1, v1 = group[i]
-                _, p2, l2, s2, v2 = group[j]
-                lsum = l1 + l2
-                mid = tuple((l1 * a + l2 * b) / lsum for a, b in zip(p1, p2))
-                try:
-                    smid = family.section_at(lsum, family.nearest_label(lsum, mid))
-                except MissingLevel:
-                    continue
-                if smid.label != as_point(mid):
+        verdicts: dict = {}
+        for i, (l1, s1, v1) in enumerate(group):
+            for l2, s2, v2 in group[i:]:
+                key = (l1, id(s1), l2, id(s2))
+                if key not in verdicts:
+                    if key not in mids:
+                        mids[key] = midpoint_section(l1, s1, l2, s2)
+                    smid = mids[key]
+                    verdicts[key] = None if smid is None else \
+                        v1 + v2 > val(smid, x) + tol
+                verdict = verdicts[key]
+                if verdict is None:
                     continue
                 n_sub += 1
-                if v1 + v2 > F(val_at(smid, x)) + tol:
-                    violations.append(("subadditivity", x, p1, l1, p2, l2))
-    return CostBoundReport(n_bound, n_sub, tuple(violations))
+                if verdict:
+                    violations.append(("subadditivity", x, s1.label, l1,
+                                       s2.label, l2))
+    return CostBoundReport(len(resolved), n_sub, tuple(violations))

@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _flow, _simplex
-from .cost import (CostFunction, ThetaFamily, _int_dtype, matrix_floats,
+from ._linalg import _int_dtype
+from .cost import (CostFunction, ThetaFamily, matrix_floats,
                    over_lcm, ratio_float)
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point

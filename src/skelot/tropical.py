@@ -1,17 +1,22 @@
 """Min-plus valuations of monomial sections and their linear algebra.
 
 A section is a finite set of monomial terms; its valuation at a point x of a
-face is min over terms of <x, alpha> + t_order.  Wall detection, equivalence
-classes of exponents and the independence verdict are exact (Fraction).
+face is min over terms of <x, alpha> + t_order, one integer product over the
+section's exponent table.  Wall detection, equivalence classes of exponents
+and the independence verdict are exact (Fraction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
+from ._linalg import _int_dtype
 from .errors import PointOffFace, TieOnRegion
 from .polyhedral import Face, Point, as_point
 
@@ -55,16 +60,38 @@ class TropicalSection:
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate (exponent, t_order) pair in section")
 
+    @cached_property
+    def valuation_table(self) -> tuple:
+        """(E, t, max|E|, max|t|): the exponents as rows, zero-padded to the
+        longest (zip truncates, so a missing coordinate weighs nothing), and
+        the t-orders; int64 where they fit, else Python ints.  Built on the
+        first `val_at`, never with the section."""
+        width = max(len(t.exponent) for t in self.terms)
+        E = [t.exponent + (0,) * (width - len(t.exponent)) for t in self.terms]
+        t = [term.t_order for term in self.terms]
+        e_max = max((abs(a) for row in E for a in row), default=0)
+        t_max = max(map(abs, t))
+        return (np.array(E, dtype=_int_dtype(e_max)).reshape(len(E), width),
+                np.array(t, dtype=_int_dtype(t_max)), e_max, t_max)
+
 
 def val_at(section: TropicalSection, x: Sequence, face: Optional[Face] = None) -> Fraction:
     """Minimal weighted vanishing order of the section at x (exact).
 
-    Every term is valued in integers over x's common denominator."""
+    With x = nums / L over its common denominator, L times the valuation is
+    the least entry of one integer product E nums + t L over the section's
+    `valuation_table`.  Every factor and partial sum is below (max|E| + 1)
+    (sum|nums| + 1) + (max|t| + 1) L, which picks int64 or Python ints."""
     pt = as_point(x)
     if face is not None and not face.contains(pt):
         raise PointOffFace(f"{pt} is not on the face")
     nums, L = _over_lcm(pt)
-    return Fraction(min(t.scaled_value(nums, L) for t in section.terms), L)
+    E, t, e_max, t_max = section.valuation_table
+    nums = nums[:E.shape[1]]
+    dtype = _int_dtype((e_max + 1) * (sum(map(abs, nums)) + 1) + (t_max + 1) * L)
+    vals = E[:, :len(nums)].astype(dtype, copy=False) @ np.array(nums, dtype=dtype) \
+        + t.astype(dtype, copy=False) * L
+    return Fraction(int(vals.min()), L)
 
 
 def val_argmin(section: TropicalSection, x: Sequence) -> tuple[Fraction, list[int]]:

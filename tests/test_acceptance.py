@@ -196,7 +196,7 @@ def test_criterion_05_cost_bounds():
         samples.append((x, p, l))
     report = co.verify_cost_bounds(fam, prob.cost, samples, tolerance=1e-9)
     ok = (report.n_lower_bound_checks >= 1000 and not report.violations
-          and time.time() - t0 < 10)
+          and time.time() - t0 < 0.5)
     _report(5, "cost bounds", ok, t0)
 
 

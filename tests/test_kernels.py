@@ -178,6 +178,26 @@ def test_theta_matrix_peak_stays_near_its_output():
     assert peak < 3 * K.nbytes
 
 
+def test_theta_matrix_gathers_by_row_blocks(monkeypatch):
+    """Gathered a block of rows at a time (here 100, the last block short),
+    K is the same array and the build's peak stays near K: no gathered
+    n x m temporary."""
+    data = co.MumfordData((co.PhiAxis(), co.PhiAxis()))
+    _, problem = fm.mumford_family(data, [1], resolution=F(1, 32))
+    xs = problem.mu0.points
+    whole, D = co.theta_matrix(data, xs, xs)
+    monkeypatch.setattr(co, "_GATHER_ENTRIES", 100 * len(xs) + 1)
+    tracemalloc.start()
+    try:
+        K, D_blocks = co.theta_matrix(data, xs, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(K, whole) and K.dtype == whole.dtype
+    assert D_blocks == D
+    assert peak < 1.25 * K.nbytes
+
+
 def test_theta_matrix_refuses_minima_outside_the_window():
     data = co.MumfordData((co.PhiAxis(base_slope=-10 ** 4),))
     with pytest.raises(WindowNotConverged):

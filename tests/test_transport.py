@@ -386,7 +386,7 @@ def test_minimize_refuses_a_suboptimal_plan(monkeypatch, top, cells, gap):
     assert res.exact_gap == gap and res.gap == float(gap)
 
 
-@pytest.mark.parametrize("l", [128, 256])
+@pytest.mark.parametrize("l", [128, 256, 512])
 def test_minimize_certifies_the_toric_optimum_without_the_oracle(l):
     """Beyond the oracle's cap, the exact value is the grid's known optimum
     1 + 1/(3 l^2), certified by an exact gap of 0."""

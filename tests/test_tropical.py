@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,48 @@ def test_val_at_matches_fraction_formula(data):
     assert tr.val_at(s, x) == want
     assert [t.value_at(x) for t in s.terms] == \
         [sum(c * a for c, a in zip(x, e)) + k for e, k in terms]
+
+
+# near and beyond the int64 edge, so both dtypes of the table are drawn
+BIG = st.one_of(st.integers(-9, 9),
+                st.sampled_from([2 ** 62 - 1, 2 ** 62, -2 ** 62, 2 ** 63,
+                                 -2 ** 63 - 1, 2 ** 80]),
+                st.integers(-2 ** 70, 2 ** 70))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_val_at_matches_term_by_term_minimum(data):
+    """The table's integer product gives the minimum of the terms'
+    scaled values, for exponents, t-orders and denominators past int64 and
+    for exponents and points of different lengths (zip truncates)."""
+    terms = data.draw(st.lists(
+        st.tuples(st.lists(BIG, max_size=3).map(tuple), BIG),
+        min_size=1, max_size=6, unique=True))
+    s = tr.TropicalSection(tuple(
+        tr.MonomialTerm(e, k, str(i)) for i, (e, k) in enumerate(terms)))
+    x = data.draw(st.lists(st.one_of(
+        st.fractions(-5, 5, max_denominator=60),
+        st.fractions(-5, 5, max_denominator=2 ** 70)), max_size=3))
+    nums, L = tr._over_lcm(x)
+    want = F(min(t.scaled_value(nums, L) for t in s.terms), L)
+    assert tr.val_at(s, x) == want == min(t.value_at(x) for t in s.terms)
+
+
+def test_valuation_table_dtype_and_laziness():
+    """The table is built on the first val_at, int64 below 2^62, else
+    Python ints; a point whose numerators pass the bound switches the
+    product to Python ints."""
+    s = section(((1, 2), 3, "a"), ((0, -1), 0, "b"))
+    assert "valuation_table" not in vars(s)
+    assert tr.val_at(s, (F(1, 3), F(1, 3))) == F(-1, 3)
+    assert s.valuation_table[0].dtype == np.int64
+    big = section(((2 ** 62, 0), 0, "a"), ((0, 1), 2 ** 63, "b"))
+    assert big.valuation_table[0].dtype == object
+    assert big.valuation_table[1].dtype == object
+    assert tr.val_at(big, (F(-1), F(0))) == -2 ** 62
+    x = (F(1, 2 ** 61 + 1), F(2 ** 62, 3))
+    assert tr.val_at(s, x) == min(t.value_at(x) for t in s.terms)
 
 
 # -- dominant regions --------------------------------------------------------
