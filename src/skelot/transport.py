@@ -285,7 +285,7 @@ def lp_oracle(problem: TransportProblem) -> LPOracleResult:
     b = problem.target_mass
     keep = [j for j in range(m) if b[j]]
     flows, u, _, value, pivots = _simplex.solve_exact(
-        K[:, keep], D, problem.mu0.weights, [b[j] for j in keep])
+        K.take(keep, axis=1), D, problem.mu0.weights, [b[j] for j in keep])
     v = problem.transform(PotentialField(problem.mu0.points, u)).values
     cells = sorted((i, keep[jk], float(fl))
                    for (i, jk), fl in flows.items() if fl)

@@ -9,9 +9,15 @@ and the same shipping rule.  `_simplex.solve_exact` keeps one integer flow
 per tree node and re-hangs only the subtree the leaving edge cuts off, so
 with the same start and pivot rule it must return the same flows, duals,
 value and pivot count on every instance.
+
+`_argsort_greedy_start` is the earlier form of `_simplex._greedy_start`,
+kept verbatim: a stable argsort of every cell by -K.  The heap start must
+ship the same cells in the same order, so both return the same adjacency
+and flows.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -152,12 +158,33 @@ def _oracle_args(problem):
     marginals, with the targets of zero mass set aside."""
     K, D = problem._integer()
     keep = [j for j, y in enumerate(problem.target_mass) if y]
-    return (K[:, keep], D, problem.mu0.weights,
+    return (K.take(keep, axis=1), D, problem.mu0.weights,
             [problem.target_mass[j] for j in keep])
 
 
 def _toric(l):
     return fm.toric_pair([(-1, -1), (2, -1), (-1, 2)], resolution=F(1, l))[1]
+
+
+def test_toric_1_128_pivots_and_value():
+    K, D, a, b = _oracle_args(_toric(128))
+    assert K.shape == (384, 1152)
+    _, _, _, value, pivots = _simplex.solve_exact(K, D, a, b)
+    assert pivots == 201 and value == 1 + F(1, 3 * 128 * 128)
+
+
+def test_solve_exact_peak_memory_toric_1_64():
+    """The oracle holds K once and the reduced costs R: its traced peak is
+    about 1.9 K.nbytes (8.5 with a Python-int copy of K, a C-order copy
+    and an argsort of every cell)."""
+    K, D, a, b = _oracle_args(_toric(64))
+    tracemalloc.start()
+    try:
+        _simplex.solve_exact(K, D, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * K.nbytes
 
 
 @pytest.mark.parametrize("l", [16, 32, 64],
@@ -216,6 +243,75 @@ def test_tied_instances_match_reference(seed):
         a[0] = F(1)
     b = [F(rng.randint(1, 3)) for _ in range(m)]
     _assert_same(K, rng.randint(1, 3), a, [y * sum(a) / sum(b) for y in b])
+
+
+def _argsort_greedy_start(Kp: np.ndarray, ap: list, bp: list) -> tuple:
+    """The greedy start's adjacency (sources 0..n-1, targets n..) and the
+    flow of each cell, visited by K, largest first, row-major on ties."""
+    n, m = len(ap), len(bp)
+    rem = [*ap, *bp]
+    adj = [set() for _ in range(n + m)]
+    shipped = {}
+    for c in np.argsort(-Kp, axis=None, kind="stable"):
+        i, j = divmod(int(c), m)
+        if rem[i] and rem[n + j]:
+            take = shipped[i, j] = min(rem[i], rem[n + j])
+            rem[i], rem[n + j] = rem[i] - take, rem[n + j] - take
+            adj[i].add(n + j)
+            adj[n + j].add(i)
+            if len(shipped) == n + m - 1:
+                break
+            assert rem[i] or rem[n + j], "a row and a column closed early"
+    return adj, shipped
+
+
+def _perturbed(a, b):
+    """Integer marginals as solve_exact builds them: scaled by Q and
+    M = 2n + 1, +1 on every supply and +n on the last demand."""
+    n = len(a)
+    Q, M = lcm(*(F(x).denominator for x in (*a, *b))), 2 * n + 1
+    bp = [int(y * Q) * M for y in b]
+    bp[-1] += n
+    return [int(x * Q) * M + 1 for x in a], bp
+
+
+def _start_instances(seed):
+    """Seeded (K, a, b): entries in {-2..2}, so ties are common, times
+    3^50 in every third instance (an object K beyond int64); every fourth
+    instance has one row or one column."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 15), rng.randint(1, 15)
+    if seed % 4 == 0:
+        n, m = (1, m) if seed % 8 == 0 else (n, 1)
+    K = np.array([[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)],
+                 dtype=np.int64)
+    if seed % 3 == 0:
+        K = K.astype(object) * 3 ** 50
+    a = [F(rng.randint(0, 3)) for _ in range(n)]
+    if sum(a) == 0:
+        a[0] = F(1)
+    b = [F(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(m)]
+    return K, a, [y * sum(a) / sum(b) for y in b]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_heap_start_matches_argsort_start(seed):
+    K, a, b = _start_instances(seed)
+    ap, bp = _perturbed(a, b)
+    assert _simplex._greedy_start(K, ap, bp) == \
+        _argsort_greedy_start(K, ap, bp)
+
+
+def test_object_dtype_matches_reference():
+    """Entries at and above 2^63 take the object path end to end."""
+    rng = random.Random(3)
+    K = np.array([[2 ** 63 + rng.randint(0, 5) * 2 ** 60 for _ in range(9)]
+                  for _ in range(7)], dtype=object)
+    a = [F(rng.randint(1, 4)) for _ in range(7)]
+    b = [F(rng.randint(1, 4)) for _ in range(9)]
+    b = [y * sum(a) / sum(b) for y in b]
+    out = _assert_same(K, 5, a, b)
+    assert out[4] > 0
 
 
 def test_constant_cost_matches_reference():
