@@ -2,14 +2,15 @@
 
 Used for lattice bases, face frames, lattice anchors, wall detection and
 independence testing.  Everything here is dense and meant for the tiny
-matrices that show up in polyhedral/tropical bookkeeping.  `_int_dtype`
-picks the integer dtype of the exact numpy kernels elsewhere.
+matrices that show up in polyhedral/tropical bookkeeping.  `over_lcm` is
+the one integer encoding of the exact solve path (rationals over one common
+denominator), and `_int_dtype` picks the integer dtype of its kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,18 @@ _INT64_SAFE = 2 ** 62
 def _int_dtype(bound: int):
     """int64 when `bound` proves the kernel cannot overflow, else Python ints."""
     return np.int64 if bound < _INT64_SAFE else object
+
+
+def _int_array(nums: Sequence[int]) -> np.ndarray:
+    """Integers as one array, int64 when `_int_dtype` allows it."""
+    return np.array(nums, dtype=_int_dtype(max(map(abs, nums), default=0)))
+
+
+def over_lcm(values: Sequence, den: int = 1) -> tuple[list[int], int]:
+    """Rationals (Fractions or ints) as integer numerators over L, the lcm
+    of den and their denominators."""
+    L = lcm(den, *(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def _frac_rows(mat: Sequence[Sequence]) -> list[Row]:
@@ -178,11 +191,7 @@ def primitive(vec: Sequence[int]) -> list[int]:
 
 def clear_denominators(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to a primitive integer vector."""
-    fracs = [Fraction(v) for v in vec]
-    lcm = 1
-    for v in fracs:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    return primitive([int(v * lcm) for v in fracs])
+    return primitive(over_lcm([Fraction(v) for v in vec])[0])
 
 
 def saturated_lattice_basis(directions: Sequence[Sequence[Fraction]]) -> list[list[int]]:

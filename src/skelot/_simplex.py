@@ -1,16 +1,16 @@
 """Exact transportation simplex (dual / MODI pivoting) on an integer matrix.
 
 Independent of the flow-based solver on purpose: the two routes cross-check
-each other.  The cost is C = K / D with K integral.  The marginals are scaled
-by the lcm Q of their denominators and then by M = 2n + 1, and the problem is
-perturbed lexicographically: +1 on every supply, +n on the last demand.  A
-basic flow is then one integer f = main M + eps, where eps, the number of
-sources on one side of its edge less n if the last target is there too, lies
-in [-n, n].  So integer order is the order of the pairs (main, eps) and f
-is 0 only when both are; demands must be positive, so no basis is
-degenerate and pivoting cannot cycle.  main = (f + n) // M, and main / Q is
-the exact flow of the unperturbed problem, since tree flows are linear in
-the marginals.
+each other.  The cost is C = K / D with K integral.  The marginals are put
+over Q, the lcm of their denominators (`_linalg.over_lcm`), their numerators
+scaled by M = 2n + 1, and the problem is perturbed lexicographically: +1 on
+every supply, +n on the last demand.  A basic flow is then one integer
+f = main M + eps, where eps, the number of sources on one side of its edge
+less n if the last target is there too, lies in [-n, n].  So integer order
+is the order of the pairs (main, eps) and f is 0 only when both are;
+demands must be positive, so no basis is degenerate and pivoting cannot
+cycle.  main = (f + n) // M, and main / Q is the exact flow of the
+unperturbed problem, since tree flows are linear in the marginals.
 
 The start is greedy (Dantzig, "Linear Programming and Extensions", ch. 15,
 in max form): by K, largest first, each cell whose row and column have mass
@@ -28,27 +28,27 @@ The basis tree is rooted at source 0 and kept once, per node: the parent,
 the depth, the flow on the edge to the parent, and the integer dual W = u D
 of a source or v D of a target (basic duals lie in (1/D)Z).  Besides K,
 read in place when it is C-ordered in the working dtype, the solver holds
-one n x m array, the reduced costs K - U - V of every cell, exactly (int64
-under a proven bound, Python ints otherwise); it reads entries of K one at
-a time, as Python ints.  A pivot's leaving edge cuts one subtree off; its
-path to the entering cell reverses, each edge's flow moving to its new
-lower node, and one walk re-hangs the subtree below the entering cell.
-Its duals shift by a constant, so only its rows and columns of K - U - V
-are updated, each in place.  The row-major first maximum enters.  The
-leaving edge is unique: two minus edges tied at theta would leave a
-degenerate basis.  The solver stops only after a fresh walk from the root
-and a full pricing pass find no positive reduced cost, so the returned
-duals are exactly feasible.
+one n x m array, the reduced costs K - U - V of every cell, exactly:
+|K - U - V| < max|K| (2 (n + m) + 1), and `_linalg._int_dtype` of that
+bound picks int64 or Python ints.  It reads entries of K one at a time, as
+Python ints.  A pivot's leaving edge cuts one subtree off; its path to the
+entering cell reverses, each edge's flow moving to its new lower node, and
+one walk re-hangs the subtree below the entering cell.  Its duals shift by
+a constant, so only its rows and columns of K - U - V are updated, each in
+place.  The row-major first maximum enters.  The leaving edge is unique:
+two minus edges tied at theta would leave a degenerate basis.  The solver
+stops only after a fresh walk from the root and a full pricing pass find no
+positive reduced cost, so the returned duals are exactly feasible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
+from ._linalg import _int_dtype, over_lcm
 from .errors import InfeasibleMarginals, NotConverged
 
 F = Fraction
@@ -134,20 +134,20 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
     n, m = len(a), len(b)
     if sum(a) != sum(b) or not all(y > 0 for y in b):
         raise InfeasibleMarginals("masses must balance, every demand > 0")
-    Q = lcm(*(F(x).denominator for x in (*a, *b)))
+    mass, Q = over_lcm([F(x) for x in (*a, *b)])
     M = 2 * n + 1
-    bp = [int(y * Q) * M for y in b]
+    bp = [y * M for y in mass[n:]]
     bp[-1] += n
 
     kmax = max(int(K.max()), -int(K.min()))
     # |U|, |V| <= (n + m - 1) kmax, so |K - U - V| < kmax (2 (n + m) + 1)
-    dtype = np.int64 if kmax * (2 * (n + m) + 1) < 2 ** 63 else object
+    dtype = _int_dtype(kmax * (2 * (n + m) + 1))
     # row-major, so pivots scan rows fast; never written, so a K already
     # C-ordered in this dtype is used as it is
     Kp = K.astype(dtype, order="C", copy=False)
     max_pivots = 60 * (n + m) + 2000
 
-    adj, shipped = _greedy_start(Kp, [int(x * Q) * M + 1 for x in a], bp)
+    adj, shipped = _greedy_start(Kp, [x * M + 1 for x in mass[:n]], bp)
     parent, depth, W = [0] * (n + m), [0] * (n + m), [0] * (n + m)
     _hang(adj, Kp, n, parent, depth, W, 0)
     flow = [0] + [shipped[_cell(x, parent[x], n)] for x in range(1, n + m)]

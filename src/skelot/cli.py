@@ -56,7 +56,7 @@ def _number(value, kind, name: str):
         if isinstance(value, bool) or kind is int and int(value) != F(value):
             raise TypeError
         return kind(value)
-    except (ValueError, TypeError, OverflowError):
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
         raise ConfigError(f"{name}: {value!r} is not a valid {kind.__name__}")
 
 
@@ -324,7 +324,8 @@ def run(config_path: str, seed_override=None,
 
 
 def _independence_spec(path: str) -> tuple:
-    """Sections, face and coefficients of a check-independence file."""
+    """Sections, face and coefficients of a check-independence file, its
+    numbers parsed as `solve` parses a config's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -333,24 +334,37 @@ def _independence_spec(path: str) -> tuple:
     try:
         secs = []
         for s in spec["sections"]:
-            terms = tuple(tr.MonomialTerm(tuple(t["exponent"]),
-                                          int(t.get("t_order", 0)),
-                                          t["coeff_id"]) for t in s["terms"])
-            secs.append(tr.TropicalSection(terms, level=int(s.get("level", 1))))
+            terms = tuple(tr.MonomialTerm(
+                tuple(_numbers(t["exponent"], int, "exponent")),
+                _number(t.get("t_order", 0), int, "t_order"),
+                t["coeff_id"]) for t in s["terms"])
+            secs.append(tr.TropicalSection(
+                terms, level=_number(s.get("level", 1), int, "level")))
         face_spec = spec["face"]
-        face = Face(tuple(tuple(F(c) for c in v)
+        mult = face_spec.get("multiplicities")
+        face = Face(tuple(tuple(_numbers(v, F, "vertices"))
                           for v in face_spec["vertices"]),
-                    multiplicities=tuple(face_spec["multiplicities"])
-                    if face_spec.get("multiplicities") else None)
-        coeffs = {k: tuple(F(c) for c in v)
+                    multiplicities=tuple(_numbers(mult, int, "multiplicities"))
+                    if mult else None)
+        coeffs = {k: tuple(_numbers(v, F, "coefficients"))
                   for k, v in spec["coefficients"].items()}
         missing = {t.coeff_id for s in secs for t in s.terms} - set(coeffs)
     except KeyError as exc:
         raise ConfigError(f"sections file is missing {exc}")
     except (TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
         raise ConfigError(f"sections file invalid: {exc}")
+    if not secs:
+        raise ConfigError("sections file lists no sections")
+    dim = face.ambient_dim
+    if any(len(t.exponent) != dim for s in secs for t in s.terms) or \
+            face.multiplicities and len(face.multiplicities) != dim:
+        raise ConfigError(f"exponents and multiplicities need {dim} entries, "
+                          f"the face's ambient dimension")
     if missing:
         raise ConfigError(f"no coefficients for {sorted(map(str, missing))}")
+    lengths = {len(v) for v in coeffs.values()}
+    if len(lengths) > 1 or 0 in lengths:
+        raise ConfigError("coefficient vectors need one common, positive length")
     return secs, face, coeffs
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, inf, lcm
+from math import floor, inf
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import _int_dtype
+from ._linalg import _int_array, _int_dtype, over_lcm
 from .errors import DimensionMismatch, MissingLevel, WindowNotConverged
 from .polyhedral import IntegralPolyhedralComplex, Point, as_point
 from .tropical import MonomialTerm, TropicalSection, val_at
@@ -51,7 +51,8 @@ class CostFunction:
 
     def _entrywise_matrix(self, xs: Sequence, ps: Sequence) -> tuple:
         """(K, D) from one call per pair."""
-        return over_lcm([[F(self(x, p)) for p in ps] for x in xs], len(ps))
+        K, D = over_lcm([F(self(x, p)) for x in xs for p in ps])
+        return _int_array(K).reshape(len(xs), len(ps)), D
 
     def transpose(self) -> "CostFunction":
         """Swapped-role cost c^T(p, x) = c(x, p)."""
@@ -72,27 +73,15 @@ class CostFunction:
 
 # -- exact integer matrices --------------------------------------------------------
 
-def _lattice(points: Sequence, name: str) -> tuple[list[Point], int, int]:
-    """Exact points, their common dimension and the lcm of their denominators."""
+def _lattice(points: Sequence, name: str, den: int = 1) -> tuple:
+    """Exact points, their common dimension and the lcm of den and their
+    denominators."""
     pts = [as_point(p) for p in points]
     dims = {len(p) for p in pts}
     if len(dims) > 1:
         raise DimensionMismatch(f"{name} points of mixed dimension {sorted(dims)}")
-    den = 1
-    for p in pts:
-        for c in p:
-            den = lcm(den, c.denominator)
+    _, den = over_lcm([c for p in pts for c in p], den)
     return pts, dims.pop() if dims else 0, den
-
-
-def over_lcm(rows: Sequence[Sequence[Fraction]],
-             width: int) -> tuple[np.ndarray, int]:
-    """A Fraction matrix of `width` columns as (K, D), D the lcm of its
-    denominators."""
-    D = lcm(*(c.denominator for row in rows for c in row))
-    K = [[c.numerator * (D // c.denominator) for c in row] for row in rows]
-    bound = max((abs(k) for row in K for k in row), default=0)
-    return np.array(K, dtype=_int_dtype(bound)).reshape(len(rows), width), D
 
 
 def ratio_float(k: int, d: int) -> float:
@@ -138,11 +127,10 @@ def pairing_matrix(xs: Sequence, ps: Sequence) -> tuple[np.ndarray, int]:
     xs, dx, lx = _lattice(xs, "source")
     ps, dp, lp = _lattice(ps, "target")
     d = min(dx, dp)  # the evaluator zips, so extra coordinates drop out
-    X = [[c.numerator * (lx // c.denominator) for c in x[:d]] for x in xs]
-    P = [[c.numerator * (lp // c.denominator) for c in p[:d]] for p in ps]
-    mx = max((abs(c) for r in X for c in r), default=0)
-    mp = max((abs(c) for r in P for c in r), default=0)
-    dtype = _int_dtype(d * mx * mp)
+    X, _ = over_lcm([c for x in xs for c in x[:d]], lx)
+    P, _ = over_lcm([c for p in ps for c in p[:d]], lp)
+    dtype = _int_dtype(d * max(map(abs, X), default=0)
+                       * max(map(abs, P), default=0))
     X = np.array(X, dtype=dtype).reshape(len(xs), d)
     P = np.array(P, dtype=dtype).reshape(len(ps), d)
     return X @ P.T, lx * lp
@@ -278,8 +266,7 @@ def theta_matrix(data: MumfordData, xs: Sequence,
     gather, and no n x m temporary is held besides K.
     """
     xs, dx, lx = _lattice(xs, "source")
-    ps, dp, lp = _lattice(ps, "target")
-    L = lcm(lx, lp)
+    ps, dp, L = _lattice(ps, "target", lx)
     axes = data.axes[:min(dx, dp)]
     dtype = _int_dtype(sum(_axis_bound(a, L) for a in axes))
     K = np.zeros((len(xs), len(ps)), dtype=dtype)
@@ -287,7 +274,7 @@ def theta_matrix(data: MumfordData, xs: Sequence,
     for k, a in enumerate(axes):
         gL = a.period * L
         (X, ix), (P, ip) = (np.unique(np.array(
-            [c[k].numerator * (L // c[k].denominator) % gL for c in pts],
+            [v % gL for v in over_lcm([c[k] for c in pts], L)[0]],
             dtype=dtype), return_inverse=True) for pts in (xs, ps))
         table, _ = _axis_minima(a, X[:, None], P[None, :], L)
         for r in range(0, len(xs), rows):

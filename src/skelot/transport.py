@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _flow, _simplex
-from ._linalg import _int_dtype
-from .cost import (CostFunction, ThetaFamily, matrix_floats,
-                   over_lcm, ratio_float)
+from ._linalg import _int_array, _int_dtype, over_lcm
+from .cost import CostFunction, ThetaFamily, matrix_floats, ratio_float
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
 from .tropical import val_at
@@ -58,13 +57,13 @@ class PotentialField:
 def _exact_argmax(K: np.ndarray, D: int, values: Sequence) -> tuple:
     """Per column j, max over i of K[i, j] / D - values[i], exactly.
 
-    Scores are the integers K[i] (L / D) - V[i], V = values * L, L the lcm
-    of D and the values' denominators: int64 while max|K| L / D + max|V| <
-    2^62, else Python ints.  A running column maximum over the rows keeps
-    the lowest index on ties.  Returns the maxima over L and their indices.
+    Scores are the integers K[i] (L / D) - V[i], V the values over L, the
+    lcm of D and their denominators (`over_lcm`): int64 while max|K| L / D +
+    max|V| < 2^62, else Python ints.  A running column maximum over the rows
+    keeps the lowest index on ties.  Returns the maxima over L and their
+    indices.
     """
-    L = lcm(D, *(v.denominator for v in values))
-    V = [v.numerator * (L // v.denominator) for v in values]
+    V, L = over_lcm(values, D)
     r = L // D
     k = max(int(K.max()), -int(K.min()), 1)  # r itself must fit
     dtype = _int_dtype(k * r + max(map(abs, V)))
@@ -191,7 +190,7 @@ def _coarse_levels(problem: TransportProblem) -> list:
     while True:
         coarser = []
         for (points, _), idx in zip(sides, kept):
-            l = lcm(*(c.denominator for i in idx for c in points[i]))
+            _, l = over_lcm([c for i in idx for c in points[i]])
             if l % 2 == 0:
                 idx = [i for i in idx
                        if all((l // 2) % c.denominator == 0 for c in points[i])]
@@ -205,9 +204,9 @@ def _coarse_levels(problem: TransportProblem) -> list:
         rows, cols = kept = coarser
         exact = [w[i] / t for (_, w), idx, t in zip(sides, kept, totals)
                  for i in idx]
-        mass, _ = over_lcm([exact], len(exact))
+        mass = _int_array(over_lcm(exact)[0])
         levels.append((np.array(rows), np.array(cols),
-                       mass[0, :len(rows)], mass[0, len(rows):]))
+                       mass[:len(rows)], mass[len(rows):]))
     return levels[::-1]
 
 
@@ -229,24 +228,24 @@ def minimize_kontorovich(problem: TransportProblem) -> TransportResult:
     """
     K, D = problem._integer()
     n, m = K.shape
-    mass, Q = over_lcm([(*problem.mu0.weights, *problem.target_mass)], n + m)
+    mass, Q = over_lcm([*problem.mu0.weights, *problem.target_mass])
+    marginals = _int_array(mass)
     C = matrix_floats(K, 1) if K.dtype == object else K
     (rows, cols, flow), pu, _, aug, unshipped = _flow.solve_transport(
-        C, mass[0, :n], mass[0, n:], levels=_coarse_levels(problem))
+        C, marginals[:n], marginals[n:], levels=_coarse_levels(problem))
     primal = sum(k * x for k, x in zip(K[rows, cols].tolist(), flow.tolist()))
 
     phi = [F(u) / D for u in pu.tolist()]
     phi_field = PotentialField(problem.mu0.points, _mean_zero(problem, phi))
     psi_field = problem.transform(phi_field)
-    S, L = over_lcm([psi_field.values], m)
-    marginals = mass[0].tolist()
-    value = F(sum(x * s for x, s in zip(marginals[n:], S[0].tolist())), Q * L)
+    S, L = over_lcm(psi_field.values)
+    value = F(sum(x * s for x, s in zip(mass[n:], S)), Q * L)
     gap = value - F(primal, D * Q)
     shipped = [0] * (n + m)
     for i, j, x in zip(rows.tolist(), cols.tolist(), flow.tolist()):
         shipped[i] += x
         shipped[n + j] += x
-    balanced = shipped == marginals and all(x > 0 for x in flow.tolist())
+    balanced = shipped == mass and all(x > 0 for x in flow.tolist())
     plan = rows, cols, matrix_floats(flow, Q)
     return TransportResult(
         phi_field, psi_field, ratio_float(*value.as_integer_ratio()), plan,
@@ -306,27 +305,24 @@ def relative_volume_sum(phi: PotentialField, psi: PotentialField,
                         family: ThetaFamily, l: int) -> dict:
     """Level-l relative-volume Riemann sum between two potentials.
 
-    phi^c_l(p) = max_x (-val_x(theta_p^l)/l - phi(x)) over phi's grid;
+    phi^c_l(p) = max_x (-val_x(theta_p^l)/l - phi(x)) over phi's grid, by
+    `_exact_argmax` on one (K, D) score matrix per grid, a row per point and
+    a column per section (one val_at per pair, on a shared grid once);
     vol = l * sum_p mult(p) (psi^c_l - phi^c_l); scaled = n!/l^(n+1) * vol.
     """
     sections = family.sections(l)
     n_dim = len(sections[0].terms[0].exponent)
 
-    def scores(sec, points) -> list:
-        return [-F(val_at(sec, x)) / l for x in points]
+    def scores(points) -> tuple:
+        S, D = over_lcm([-val_at(sec, x) / l
+                         for x in points for sec in sections])
+        return _int_array(S).reshape(len(points), len(sections)), D
 
-    def transform_at(pot: PotentialField, score: list) -> Fraction:
-        return max(s - fv for s, fv in zip(score, pot.values))
-
-    shared = phi.points == psi.points
-    vol = F(0)
-    for sec in sections:
-        # one val_at per (section, point) when the potentials share a grid
-        phi_score = scores(sec, phi.points)
-        psi_score = phi_score if shared else scores(sec, psi.points)
-        mult = family.mult(l, sec.label)
-        vol += mult * (transform_at(psi, psi_score)
-                       - transform_at(phi, phi_score))
-    vol = l * vol
+    phi_scores = scores(phi.points)
+    psi_scores = phi_scores if phi.points == psi.points else scores(psi.points)
+    phi_c, _ = _exact_argmax(*phi_scores, phi.values)
+    psi_c, _ = _exact_argmax(*psi_scores, psi.values)
+    vol = l * sum(family.mult(l, sec.label) * (b - a)
+                  for sec, a, b in zip(sections, phi_c, psi_c))
     scaled = F(factorial(n_dim)) / l ** (n_dim + 1) * vol
     return {"vol": float(vol), "scaled": float(scaled)}

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._linalg import _int_dtype
+from ._linalg import _int_dtype, over_lcm
 from .errors import PointOffFace, TieOnRegion
 from .polyhedral import Face, Point, as_point
 
@@ -32,19 +31,13 @@ class MonomialTerm:
         object.__setattr__(self, "t_order", int(self.t_order))
 
     def value_at(self, x: Sequence[Fraction]) -> Fraction:
-        nums, L = _over_lcm([Fraction(c) for c in x])
+        nums, L = over_lcm([Fraction(c) for c in x])
         return Fraction(self.scaled_value(nums, L), L)
 
     def scaled_value(self, nums: Sequence[int], L: int) -> int:
         """L times the value at the point nums / L, an integer."""
         return sum(c * a for c, a in zip(nums, self.exponent)) \
             + self.t_order * L
-
-
-def _over_lcm(x: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The point x as integer numerators over their common denominator L."""
-    L = lcm(*(c.denominator for c in x))
-    return [c.numerator * (L // c.denominator) for c in x], L
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,7 @@ def val_at(section: TropicalSection, x: Sequence, face: Optional[Face] = None) -
     pt = as_point(x)
     if face is not None and not face.contains(pt):
         raise PointOffFace(f"{pt} is not on the face")
-    nums, L = _over_lcm(pt)
+    nums, L = over_lcm(pt)
     E, t, e_max, t_max = section.valuation_table
     nums = nums[:E.shape[1]]
     dtype = _int_dtype((e_max + 1) * (sum(map(abs, nums)) + 1) + (t_max + 1) * L)

@@ -74,7 +74,7 @@ def test_criterion_01_ctransform_suite():
         lhs = max(abs(a - b) for a, b in zip(fc.values, gc.values))
         rhs = max(abs(a - b) for a, b in zip(f.values, g.values))
         ok = ok and lhs <= rhs
-    ok = ok and time.time() - t0 < 10
+    ok = ok and time.time() - t0 < 3
     _report(1, "c-transform suite", ok, t0)
 
 
@@ -218,7 +218,7 @@ def test_criterion_06_relative_volume_energy():
     a = F(3, 4)
     shift = tp.relative_volume_sum(phi.shifted(a), phi, fam, 32)["scaled"]
     ok = ok and abs(shift - prob.ln_norm * float(a)) <= 0.05 * float(a)
-    ok = ok and time.time() - t0 < 3
+    ok = ok and time.time() - t0 < 0.5
     _report(6, "relative-volume energy", ok, t0)
 
 
@@ -305,5 +305,5 @@ def test_criterion_10_hybrid_convergence():
     a = dg.hybrid_potential_curve(RANK1, 1, [1e-2], grid, labels, window=8)
     b = dg.hybrid_potential_curve(RANK1, 1, [1e-2], grid, labels, window=16)
     ok = ok and abs(a["sup_error"][0] - b["sup_error"][0]) < 1e-10
-    ok = ok and time.time() - t0 < 30
+    ok = ok and time.time() - t0 < 0.5
     _report(10, "hybrid convergence", ok, t0)

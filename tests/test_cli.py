@@ -255,6 +255,11 @@ def test_check_independence(tmp_path, capsys):
     assert verdict["witness"]["class_sections"] == [0, 1]
 
 
+def _section(exponent, **term):
+    """One section of one term at the given exponent, coefficients f0."""
+    return {"terms": [{"exponent": exponent, "coeff_id": "f0", **term}]}
+
+
 INDEPENDENCE_SPEC = {
     "sections": [{"terms": [{"exponent": [0], "coeff_id": "f0"}]}],
     "face": {"vertices": [[0], [1]]},
@@ -270,6 +275,23 @@ INDEPENDENCE_SPEC = {
     json.dumps({**INDEPENDENCE_SPEC, "face": {"vertices": [["1/x"], [1]]}}),
     json.dumps({**INDEPENDENCE_SPEC, "coefficients": {"f0": ["1/0", 0]}}),
     json.dumps([INDEPENDENCE_SPEC]),                         # not an object
+    json.dumps({**INDEPENDENCE_SPEC, "sections": []}),
+    json.dumps({**INDEPENDENCE_SPEC, "face": {"vertices": [[0, 0], [1, 0]]},
+                "sections": [_section([1, 0]), _section([1, 0, 0])]}),
+    json.dumps({**INDEPENDENCE_SPEC, "sections": [_section([1.5])]}),
+    json.dumps({**INDEPENDENCE_SPEC, "sections": [_section([True])]}),
+    json.dumps({**INDEPENDENCE_SPEC, "sections": [_section([0], t_order=0.7)]}),
+    json.dumps({**INDEPENDENCE_SPEC,
+                "sections": [{**_section([0]), "level": 2.9}]}),
+    json.dumps({**INDEPENDENCE_SPEC, "sections": [_section([0, 1])]}),
+    json.dumps({**INDEPENDENCE_SPEC, "sections": [_section([0, 1])],
+                "face": {"vertices": [[1, 0], [0, 1]],
+                         "multiplicities": [1, 1, 0]}}),
+    json.dumps({**INDEPENDENCE_SPEC, "coefficients": {"f0": "12"}}),
+    json.dumps({**INDEPENDENCE_SPEC,
+                "sections": [_section([0]), _section([1], coeff_id="f1")],
+                "coefficients": {"f0": [1, 0], "f1": [0, 1, 0]}}),
+    json.dumps({**INDEPENDENCE_SPEC, "coefficients": {"f0": []}}),
 ])
 def test_check_independence_bad_input_exit_code(tmp_path, capsys, text):
     path = tmp_path / "sections.json"

@@ -30,6 +30,7 @@ from skelot import _flow
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
+from skelot._linalg import _int_array, over_lcm
 from skelot.errors import InfeasibleMarginals
 
 F = Fraction
@@ -219,10 +220,10 @@ def _problem_arrays(problem):
     """The integer costs K of cost = K / D and the exact marginals times the
     lcm of their denominators, as minimize_kontorovich passes them."""
     C = problem._integer()[0]
-    n, m = C.shape
-    mass, _ = co.over_lcm([(*problem.mu0.weights, *problem.target_mass)],
-                          n + m)
-    return C, mass[0, :n], mass[0, n:]
+    n = C.shape[0]
+    mass, _ = over_lcm([*problem.mu0.weights, *problem.target_mass])
+    mass = _int_array(mass)
+    return C, mass[:n], mass[n:]
 
 
 def _toric():

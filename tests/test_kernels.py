@@ -1,4 +1,5 @@
-"""Exact integer cost matrices and the integer argmax of the c-transform.
+"""Exact integer cost matrices, the common-denominator encoding behind them
+and the integer argmax of the c-transform.
 
 The per-entry evaluators (`CostFunction.__call__`) and a plain double loop
 over Fractions serve as the references.  The theta cost's evaluator and
@@ -9,6 +10,7 @@ replaced: it doubles its radius until the minimum is interior.
 
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
+from skelot._linalg import _int_array, over_lcm
 from skelot.errors import WindowNotConverged
 from skelot.polyhedral import DiscreteMeasure, polygon_boundary_complex
 
@@ -57,6 +60,45 @@ def naive_transform(mat, values):
         vals.append(best)
         args.append(bi)
     return tuple(vals), tuple(args)
+
+
+# -- common-denominator encoding ------------------------------------------------------
+
+
+def test_over_lcm_den_empty_negative_and_integer_values():
+    assert over_lcm([F(1, 2), F(-1, 3), 2], 4) == ([6, -4, 24], 12)
+    assert over_lcm([F(1, 2)], 3) == ([3], 6)
+    assert over_lcm([], 6) == ([], 6)
+    assert over_lcm([]) == ([], 1)
+    assert over_lcm([F(3), -5, 0]) == ([3, -5, 0], 1)
+    assert over_lcm([-7, F(-5, 4)], 2) == ([-28, -5], 4)
+
+
+@given(st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4),
+                max_size=8), st.integers(1, 60))
+@settings(deadline=None, max_examples=200)
+def test_over_lcm_is_exact_over_the_least_common_denominator(values, den):
+    nums, L = over_lcm(values, den)
+    assert L == lcm(den, *(v.denominator for v in values))
+    assert [F(k, L) for k in nums] == values
+
+
+@pytest.mark.parametrize("values, dtype", [
+    ([F(2 ** 62 - 1, 3), F(1, 3)], np.int64),
+    ([F(2 ** 62, 3), F(1, 3)], object),
+    ([F(-2 ** 62, 3), F(1, 3)], object),
+    # the bound applies to the numerators after scaling by L
+    ([F(2 ** 61 - 1), F(1, 2)], np.int64),
+    ([F(2 ** 61), F(1, 2)], object),
+])
+def test_over_lcm_arrays_switch_dtype_at_the_int_dtype_bound(values, dtype):
+    """Numerators below 2^62 make int64 arrays, others Python ints, alone
+    and in the entrywise cost builder."""
+    nums, L = over_lcm(values)
+    assert _int_array(nums).dtype == dtype
+    cost = co.CostFunction(None, None, lambda x, p: values[int(p[0])], 1.0)
+    K, D = cost.exact_matrix([(F(0),)], [(F(j),) for j in range(len(values))])
+    assert K.dtype == dtype and D == L and K.tolist() == [nums]
 
 
 # -- pairing kernel -----------------------------------------------------------------

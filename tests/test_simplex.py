@@ -31,6 +31,7 @@ from skelot import transport as tp
 from skelot.errors import InfeasibleMarginals, NotConverged
 from skelot.polyhedral import DiscreteMeasure
 from test_acceptance import QUARTIC, shipped_instances
+from test_transport import int_matrix
 
 F = Fraction
 
@@ -217,7 +218,7 @@ def _wide_range_instances(big):
               for _ in range(m)] for _ in range(n)]
         a = [F(rng.randint(1, 9)) for _ in range(n)]
         b = [F(rng.randint(1, 9)) for _ in range(m)]
-        yield (*co.over_lcm(C, m), a, [y * sum(a) / sum(b) for y in b])
+        yield (*int_matrix(C), a, [y * sum(a) / sum(b) for y in b])
 
 
 @pytest.mark.parametrize("big", [10 ** 12, 3 ** 50], ids=["int64", "object"])
@@ -312,6 +313,31 @@ def test_object_dtype_matches_reference():
     b = [y * sum(a) / sum(b) for y in b]
     out = _assert_same(K, 5, a, b)
     assert out[4] > 0
+
+
+def test_bound_below_2_63_runs_on_object(monkeypatch):
+    """kmax (2 (n + m) + 1) in [2^62, 2^63): `_int_dtype` puts the reduced
+    costs on Python ints, where the reference stays on int64, and the two
+    still agree."""
+    rng = random.Random(3)
+    n, m = 3, 4
+    K = np.array([[rng.randint(-2 ** 59, 2 ** 59) for _ in range(m)]
+                  for _ in range(n)], dtype=np.int64)
+    K[0, 0] = 2 ** 59
+    assert 2 ** 62 <= 2 ** 59 * (2 * (n + m) + 1) < 2 ** 63
+    dtypes = []
+    reduced = _simplex._reduced
+
+    def recorded(*args):
+        R = reduced(*args)
+        dtypes.append(R.dtype)
+        return R
+
+    monkeypatch.setattr(_simplex, "_reduced", recorded)
+    a = [F(rng.randint(1, 4)) for _ in range(n)]
+    b = [F(rng.randint(1, 4)) for _ in range(m)]
+    assert _assert_same(K, 3, a, [y * sum(a) / sum(b) for y in b])[4] == 4
+    assert dtypes and set(dtypes) == {np.dtype(object)}
 
 
 def test_constant_cost_matches_reference():

@@ -14,6 +14,7 @@ from skelot import _flow, _simplex
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
+from skelot._linalg import _int_array, over_lcm
 from skelot.errors import (
     EmptyGrid,
     GridMismatch,
@@ -544,11 +545,17 @@ def test_lp_duals_cover_cost():
                for i in range(len(u)) for j in range(len(v)))
 
 
+def int_matrix(C):
+    """A Fraction matrix as (K, D), D the lcm of its denominators."""
+    K, D = over_lcm([c for row in C for c in row])
+    return _int_array(K).reshape(len(C), -1), D
+
+
 def assert_certified(C, a, b):
     """solve_exact's flows are a plan with the exact marginals, its duals are
     exactly feasible, and its value is the plan's value and the duals' bound."""
     n, m = len(a), len(b)
-    K, D = co.over_lcm(C, m)
+    K, D = int_matrix(C)
     flows, u, v, value, pivots = _simplex.solve_exact(K, D, a, b)
     assert all(fl >= 0 for fl in flows.values())
     assert [sum((fl for (i, _), fl in flows.items() if i == r), F(0))
@@ -587,7 +594,7 @@ def test_simplex_certified_on_random_wide_range_costs():
             b = [F(rng.randint(1, 9)) for _ in range(m)]
             b = [y * sum(a) / sum(b) for y in b]
             assert_certified(C, a, b)
-            beyond_int64 += co.over_lcm(C, m)[0].dtype == object
+            beyond_int64 += int_matrix(C)[0].dtype == object
     assert beyond_int64 > 0
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelot import tropical as tr
+from skelot._linalg import over_lcm
 from skelot.errors import PointOffFace, TieOnRegion
 from skelot.polyhedral import Face
 
@@ -103,7 +104,7 @@ def test_val_at_matches_term_by_term_minimum(data):
     x = data.draw(st.lists(st.one_of(
         st.fractions(-5, 5, max_denominator=60),
         st.fractions(-5, 5, max_denominator=2 ** 70)), max_size=3))
-    nums, L = tr._over_lcm(x)
+    nums, L = over_lcm(x)
     want = F(min(t.scaled_value(nums, L) for t in s.terms), L)
     assert tr.val_at(s, x) == want == min(t.value_at(x) for t in s.terms)
 
