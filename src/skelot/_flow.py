@@ -200,9 +200,10 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
                     levels=()):
     """Optimal integer flow and dual potentials for max <C, flow>.
 
-    C, int64 or float, is read in place; each coarse level copies its slice.
-    a and b are non-negative integer arrays, int64 (enough while every entry
-    is below 2^62, since no flow exceeds its row's supply) or object.
+    C, integer or float, is read in place; each coarse level copies its
+    slice in C's dtype.  a and b are non-negative integer arrays, in any
+    integer dtype that holds every entry (no flow exceeds its row's supply)
+    or object.
     levels lists coarse-to-fine sub-problems (rows, cols, a_l, b_l) of C,
     index arrays and their balanced integer marginals, solved before the
     full problem, each warm-started from the duals of the one before.

@@ -4,7 +4,8 @@ Used for lattice bases, face frames, lattice anchors, wall detection and
 independence testing.  Everything here is dense and meant for the tiny
 matrices that show up in polyhedral/tropical bookkeeping.  `over_lcm` is
 the one integer encoding of the exact solve path (rationals over one common
-denominator), and `_int_dtype` picks the integer dtype of its kernels.
+denominator), and `_int_dtype` picks the integer dtype of its kernels from
+a bound on all of their intermediates: int32, int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -17,17 +18,23 @@ import numpy as np
 
 Row = list[Fraction]
 
-# bound below which every intermediate of a kernel fits int64 with room to spare
+# bounds below which every intermediate of a kernel fits int32 and int64
+# with room to spare
+_INT32_SAFE = 2 ** 30
 _INT64_SAFE = 2 ** 62
 
 
 def _int_dtype(bound: int):
-    """int64 when `bound` proves the kernel cannot overflow, else Python ints."""
+    """The narrowest integer dtype in which a kernel whose intermediates all
+    lie within `bound` cannot overflow: int32 below 2^30, int64 below 2^62,
+    else Python ints (object)."""
+    if bound < _INT32_SAFE:
+        return np.int32
     return np.int64 if bound < _INT64_SAFE else object
 
 
 def _int_array(nums: Sequence[int]) -> np.ndarray:
-    """Integers as one array, int64 when `_int_dtype` allows it."""
+    """Integers as one array, in `_int_dtype` of their largest magnitude."""
     return np.array(nums, dtype=_int_dtype(max(map(abs, nums), default=0)))
 
 

@@ -27,10 +27,11 @@ keeps O(n + m) besides K.
 The basis tree is rooted at source 0 and kept once, per node: the parent,
 the depth, the flow on the edge to the parent, and the integer dual W = u D
 of a source or v D of a target (basic duals lie in (1/D)Z).  Besides K,
-read in place when it is C-ordered in the working dtype, the solver holds
-one n x m array, the reduced costs K - U - V of every cell, exactly:
+read in place in whatever dtype and order it has, the solver holds one
+n x m array, the reduced costs K - U - V of every cell, exactly:
 |K - U - V| < max|K| (2 (n + m) + 1), and `_linalg._int_dtype` of that
-bound picks int64 or Python ints.  It reads entries of K one at a time, as
+bound picks int32, int64 or Python ints for them alone.  It reads K's
+rows in the start, and its entries one at a time, as
 Python ints.  A pivot's leaving edge cuts one subtree off; its path to the
 entering cell reverses, each edge's flow moving to its new lower node, and
 one walk re-hangs the subtree below the entering cell.  Its duals shift by
@@ -54,7 +55,7 @@ from .errors import InfeasibleMarginals, NotConverged
 F = Fraction
 
 
-def _greedy_start(Kp: np.ndarray, ap: list, bp: list) -> tuple:
+def _greedy_start(K: np.ndarray, ap: list, bp: list) -> tuple:
     """The greedy start's adjacency (sources 0..n-1, targets n..) and the
     flow of each cell, visited by K, largest first, row-major on ties.
 
@@ -63,7 +64,7 @@ def _greedy_start(Kp: np.ndarray, ap: list, bp: list) -> tuple:
     column has closed since is taken again over the open columns and pushed
     back; one whose column is open ships.  After a ship the row's head is
     taken again if the row is open, else the row leaves the heap.  Heads
-    start at Kp.argmax(axis=1), and every supply must be positive.
+    start at K.argmax(axis=1), and every supply must be positive.
     """
     import heapq  # here, so only a solve with the oracle loads _heapq
 
@@ -72,8 +73,8 @@ def _greedy_start(Kp: np.ndarray, ap: list, bp: list) -> tuple:
     adj = [set() for _ in range(n + m)]
     shipped = {}
     cols = np.arange(m)
-    heap = [(-Kp.item(i, j), i, j)
-            for i, j in enumerate(Kp.argmax(axis=1).tolist())]
+    heap = [(-K.item(i, j), i, j)
+            for i, j in enumerate(K.argmax(axis=1).tolist())]
     heapq.heapify(heap)
     while True:
         _, i, j = heap[0]
@@ -89,8 +90,8 @@ def _greedy_start(Kp: np.ndarray, ap: list, bp: list) -> tuple:
                 heapq.heappop(heap)
                 continue
             cols = cols[cols != j]
-        j = int(cols[Kp[i, cols].argmax()])
-        heapq.heapreplace(heap, (-Kp.item(i, j), i, j))
+        j = int(cols[K[i, cols].argmax()])
+        heapq.heapreplace(heap, (-K.item(i, j), i, j))
 
 
 def _cell(x: int, y: int, n: int) -> tuple:
@@ -116,11 +117,12 @@ def _hang(adj: list, K: np.ndarray, n: int, parent: list, depth: list,
     return below
 
 
-def _reduced(Kp: np.ndarray, W: list, n: int) -> np.ndarray:
-    """Exact reduced costs K - U - V of every cell, in Kp's dtype; V is
-    subtracted in place, so R is the one n x m array made."""
-    R = Kp - np.array(W[:n], dtype=Kp.dtype)[:, None]
-    R -= np.array(W[n:], dtype=Kp.dtype)[None, :]
+def _reduced(K: np.ndarray, W: list, n: int, dtype) -> np.ndarray:
+    """Exact reduced costs K - U - V of every cell, row-major in dtype; U
+    and V are subtracted in place, so R is the one n x m array made."""
+    R = K.astype(dtype, order="C")
+    R -= np.array(W[:n], dtype=dtype)[:, None]
+    R -= np.array(W[n:], dtype=dtype)[None, :]
     return R
 
 
@@ -142,25 +144,22 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
     kmax = max(int(K.max()), -int(K.min()))
     # |U|, |V| <= (n + m - 1) kmax, so |K - U - V| < kmax (2 (n + m) + 1)
     dtype = _int_dtype(kmax * (2 * (n + m) + 1))
-    # row-major, so pivots scan rows fast; never written, so a K already
-    # C-ordered in this dtype is used as it is
-    Kp = K.astype(dtype, order="C", copy=False)
     max_pivots = 60 * (n + m) + 2000
 
-    adj, shipped = _greedy_start(Kp, [x * M + 1 for x in mass[:n]], bp)
+    adj, shipped = _greedy_start(K, [x * M + 1 for x in mass[:n]], bp)
     parent, depth, W = [0] * (n + m), [0] * (n + m), [0] * (n + m)
-    _hang(adj, Kp, n, parent, depth, W, 0)
+    _hang(adj, K, n, parent, depth, W, 0)
     flow = [0] + [shipped[_cell(x, parent[x], n)] for x in range(1, n + m)]
-    R = _reduced(Kp, W, n)
+    R = _reduced(K, W, n, dtype)
     for pivot in range(max_pivots + 1):
         best = int(np.argmax(R))  # row-major lowest index on ties
         if R.flat[best] <= 0:  # basic cells price to exactly 0
             # stop only on a fresh walk and a full exact pricing pass
             kept = list(W)
-            _hang(adj, Kp, n, parent, depth, W, 0)
+            _hang(adj, K, n, parent, depth, W, 0)
             assert W == kept, "incremental duals differ from a fresh walk"
             del R  # one n x m array fewer at the oracle's peak
-            R = _reduced(Kp, W, n)
+            R = _reduced(K, W, n, dtype)
             best = int(np.argmax(R))
             if R.flat[best] <= 0:
                 break
@@ -203,10 +202,12 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
         for x, fl in zip(path, [theta] + [flow[x] for x in path[:-1]]):
             flow[x] = fl
         old = W[e]
-        parent[e], depth[e], W[e] = f, depth[f] + 1, Kp.item(i, j) - W[f]
-        moved = _hang(adj, Kp, n, parent, depth, W, e)
+        parent[e], depth[e], W[e] = f, depth[f] + 1, K.item(i, j) - W[f]
+        moved = _hang(adj, K, n, parent, depth, W, e)
+        # |shift| <= 2 (n + m - 1) kmax, inside R's bound, so it fits R's
+        # dtype and is applied in place: no temporary as large as R
         shift = W[e] - old if e < n else old - W[e]
-        for x in moved:  # in place, so no temporary as large as R
+        for x in moved:
             if x < n:
                 R[x] -= shift
             else:
@@ -216,7 +217,7 @@ def solve_exact(K: np.ndarray, D: int, a: Sequence[Fraction],
             for x in range(1, n + m)}
     flows = {cell: F(x, Q) for cell, x in main.items()}
     assert all(fl >= 0 for fl in flows.values())
-    value = F(sum(Kp.item(i, j) * x for (i, j), x in main.items()), D * Q)
+    value = F(sum(K.item(i, j) * x for (i, j), x in main.items()), D * Q)
     u = [F(w, D) for w in W[:n]]
     v = [F(w, D) for w in W[n:]]
     return flows, u, v, value, pivot

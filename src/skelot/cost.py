@@ -96,7 +96,7 @@ def ratio_float(k: int, d: int) -> float:
 def matrix_floats(K: np.ndarray, D: int) -> np.ndarray:
     """K / D rounded to nearest, entry by entry equal to float(Fraction(k, D))
     where that is finite, and the infinity of its sign where it overflows."""
-    limit = 2 ** 53  # int64 -> float64 is exact below this; then one division
+    limit = 2 ** 53  # integer -> float64 is exact below this; then one division
     if K.dtype != object and D < limit and (K.size == 0 or
                                             int(np.abs(K).max()) < limit):
         return K / D
@@ -251,7 +251,7 @@ def abelian_theta_cost(data: MumfordData, x: Sequence, p: Sequence) -> Fraction:
     return F(int(K[0, 0]), D)
 
 
-# entries of one gathered block of theta_matrix rows (8 MB at int64)
+# entries of one gathered block of theta_matrix rows (4 MB at int32)
 _GATHER_ENTRIES = 1 << 20
 
 

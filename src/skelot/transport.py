@@ -58,8 +58,8 @@ def _exact_argmax(K: np.ndarray, D: int, values: Sequence) -> tuple:
     """Per column j, max over i of K[i, j] / D - values[i], exactly.
 
     Scores are the integers K[i] (L / D) - V[i], V the values over L, the
-    lcm of D and their denominators (`over_lcm`): int64 while max|K| L / D +
-    max|V| < 2^62, else Python ints.  A running column maximum over the rows
+    lcm of D and their denominators (`over_lcm`), in `_int_dtype` of
+    max|K| L / D + max|V|.  A running column maximum over the rows
     keeps the lowest index on ties.  Returns the maxima over L and their
     indices.
     """
@@ -270,8 +270,9 @@ def lp_oracle(problem: TransportProblem) -> LPOracleResult:
     """Exact transportation simplex for max plan correlation.
 
     The simplex runs on the integer costs (K, D) and the exact marginals,
-    less the targets of zero mass (W = 0), which ship nothing; the plan is
-    exactly feasible and the value a rational certificate of the optimum.
+    less the targets of zero mass (W = 0), which ship nothing (K is read in
+    place when there are none); the plan is exactly feasible and the value
+    a rational certificate of the optimum.
     v = u^c, exactly: the simplex's duals where it solved (each target has a
     tight basic cell), the least feasible ones elsewhere.  A grid above
     ORACLE_SIZE_CAP points a side raises SizeCapExceeded.
@@ -284,7 +285,8 @@ def lp_oracle(problem: TransportProblem) -> LPOracleResult:
     b = problem.target_mass
     keep = [j for j in range(m) if b[j]]
     flows, u, _, value, pivots = _simplex.solve_exact(
-        K.take(keep, axis=1), D, problem.mu0.weights, [b[j] for j in keep])
+        K if len(keep) == m else K.take(keep, axis=1), D,
+        problem.mu0.weights, [b[j] for j in keep])
     v = problem.transform(PotentialField(problem.mu0.points, u)).values
     cells = sorted((i, keep[jk], float(fl))
                    for (i, jk), fl in flows.items() if fl)
@@ -310,6 +312,8 @@ def relative_volume_sum(phi: PotentialField, psi: PotentialField,
     a column per section (one val_at per pair, on a shared grid once);
     vol = l * sum_p mult(p) (psi^c_l - phi^c_l); scaled = n!/l^(n+1) * vol.
     """
+    if not phi.points or not psi.points:
+        raise EmptyGrid("relative volume needs nonempty grids on both sides")
     sections = family.sections(l)
     n_dim = len(sections[0].terms[0].exponent)
 

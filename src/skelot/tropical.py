@@ -57,8 +57,8 @@ class TropicalSection:
     def valuation_table(self) -> tuple:
         """(E, t, max|E|, max|t|): the exponents as rows, zero-padded to the
         longest (zip truncates, so a missing coordinate weighs nothing), and
-        the t-orders; int64 where they fit, else Python ints.  Built on the
-        first `val_at`, never with the section."""
+        the t-orders, each in `_int_dtype` of its largest magnitude.  Built
+        on the first `val_at`, never with the section."""
         width = max(len(t.exponent) for t in self.terms)
         E = [t.exponent + (0,) * (width - len(t.exponent)) for t in self.terms]
         t = [term.t_order for term in self.terms]
@@ -74,7 +74,7 @@ def val_at(section: TropicalSection, x: Sequence, face: Optional[Face] = None) -
     With x = nums / L over its common denominator, L times the valuation is
     the least entry of one integer product E nums + t L over the section's
     `valuation_table`.  Every factor and partial sum is below (max|E| + 1)
-    (sum|nums| + 1) + (max|t| + 1) L, which picks int64 or Python ints."""
+    (sum|nums| + 1) + (max|t| + 1) L, which picks the dtype (`_int_dtype`)."""
     pt = as_point(x)
     if face is not None and not face.contains(pt):
         raise PointOffFace(f"{pt} is not on the face")

@@ -30,7 +30,7 @@ from skelot import _flow
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
-from skelot._linalg import _int_array, over_lcm
+from skelot._linalg import _int_array, _int_dtype, over_lcm
 from skelot.errors import InfeasibleMarginals
 
 F = Fraction
@@ -257,7 +257,8 @@ def test_family_solves_match_reference(monkeypatch, build, cold, ladder):
             monkeypatch, C, a, b, levels)
         assert (passes, aug) == counts and unshipped == 0
         plan = _flow_matrix(support, C.shape)
-        assert plan.dtype == np.int64
+        # flows in the marginals' dtype, the one rule's pick for their bound
+        assert plan.dtype == _int_dtype(max(*a.tolist(), *b.tolist()))
         assert (plan.sum(axis=1) == a).all() and (plan.sum(axis=0) == b).all()
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
-from skelot._linalg import _int_array, over_lcm
+from skelot._linalg import _int_array, _int_dtype, over_lcm
 from skelot.errors import WindowNotConverged
 from skelot.polyhedral import DiscreteMeasure, polygon_boundary_complex
 
@@ -83,6 +83,13 @@ def test_over_lcm_is_exact_over_the_least_common_denominator(values, den):
     assert [F(k, L) for k in nums] == values
 
 
+def test_int_dtype_tiers():
+    """int32 below 2^30, int64 below 2^62, Python ints from there."""
+    assert _int_dtype(0) is _int_dtype(2 ** 30 - 1) is np.int32
+    assert _int_dtype(2 ** 30) is _int_dtype(2 ** 62 - 1) is np.int64
+    assert _int_dtype(2 ** 62) is object
+
+
 @pytest.mark.parametrize("values, dtype", [
     ([F(2 ** 62 - 1, 3), F(1, 3)], np.int64),
     ([F(2 ** 62, 3), F(1, 3)], object),
@@ -90,10 +97,12 @@ def test_over_lcm_is_exact_over_the_least_common_denominator(values, den):
     # the bound applies to the numerators after scaling by L
     ([F(2 ** 61 - 1), F(1, 2)], np.int64),
     ([F(2 ** 61), F(1, 2)], object),
+    ([F(2 ** 30 - 1, 3), F(1, 3)], np.int32),
+    ([F(2 ** 30, 3), F(1, 3)], np.int64),
 ])
 def test_over_lcm_arrays_switch_dtype_at_the_int_dtype_bound(values, dtype):
-    """Numerators below 2^62 make int64 arrays, others Python ints, alone
-    and in the entrywise cost builder."""
+    """Numerators below 2^30 make int32 arrays, below 2^62 int64, others
+    Python ints, alone and in the entrywise cost builder."""
     nums, L = over_lcm(values)
     assert _int_array(nums).dtype == dtype
     cost = co.CostFunction(None, None, lambda x, p: values[int(p[0])], 1.0)
@@ -104,12 +113,36 @@ def test_over_lcm_arrays_switch_dtype_at_the_int_dtype_bound(values, dtype):
 # -- pairing kernel -----------------------------------------------------------------
 
 
-@given(points(2), points(2))
+def pairing_bound(xs, ps):
+    """pairing_matrix's bound on its product, d max|X| max|P|."""
+    X, _ = over_lcm([c for x in xs for c in x])
+    P, _ = over_lcm([c for p in ps for c in p])
+    return 2 * max(map(abs, X)) * max(map(abs, P))
+
+
+# source points times a factor up to 2^16, so bounds fall on both sides of 2^30
+scaled_points = st.tuples(points(2), st.integers(1, 2 ** 16)).map(
+    lambda t: [tuple(c * t[1] for c in x) for x in t[0]])
+
+
+@given(scaled_points, points(2))
 @settings(deadline=None, max_examples=60)
 def test_pairing_matrix_matches_evaluator(xs, ps):
     cost = co.pairing_cost(TRI, TRI)
     K, _ = assert_matches_evaluator(cost, xs, ps)
-    assert K.dtype == np.int64
+    assert K.dtype == _int_dtype(pairing_bound(xs, ps))
+
+
+@pytest.mark.parametrize("top, dtype", [(2 ** 29 - 1, np.int32),
+                                        (2 ** 29, np.int64)])
+def test_pairing_matrix_at_the_int32_edge(top, dtype):
+    """Bounds 2^30 - 2 and 2^30, with entries of both signs that large."""
+    cost = co.pairing_cost(TRI, TRI)
+    xs = [(F(top), F(top)), (F(-top), F(-top))]
+    ps = [(F(1), F(1)), (F(-1), F(-1))]
+    assert pairing_bound(xs, ps) == 2 * top
+    K, _ = assert_matches_evaluator(cost, xs, ps)
+    assert K.dtype == dtype and int(np.abs(K).max()) == 2 * top
 
 
 def test_pairing_matrix_large_coordinates_use_python_ints():
@@ -188,6 +221,20 @@ def test_theta_matrix_matches_evaluator(case):
     assert_matches_window_search(*case)
 
 
+@pytest.mark.parametrize("L, dtype", [(1486, np.int32), (1487, np.int64)])
+def test_theta_matrix_at_the_int32_edge(L, dtype):
+    """One default axis over L: its bound 486 L^2 lies just below 2^30 at
+    L = 1486 and just above at 1487."""
+    data = co.MumfordData((co.PhiAxis(),))
+    bound = co._axis_bound(data.axes[0], L)
+    assert (bound < 2 ** 30) == (dtype is np.int32) and \
+        2 ** 29 < bound < 2 ** 31
+    xs = [(F(1, L),), (F(L - 1, L),), (F(-3 * L - 5, L),)]
+    ps = [(F(2, L),), (F(L - 7, L),), (F(5 * L + 1, L),)]
+    K, D = assert_matches_window_search(data, xs, ps)
+    assert K.dtype == dtype and D == L * L
+
+
 def test_theta_matrix_large_denominators_use_python_ints():
     data = co.MumfordData((co.PhiAxis(2, 3, 2),))
     xs = [(F(10 ** 12 + 1, 10 ** 9 + 7),), (F(1, 3),)]
@@ -216,7 +263,8 @@ def test_theta_matrix_peak_stays_near_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert K.shape == (1024, 1024) and K.dtype == np.int64
+    assert K.shape == (1024, 1024)
+    assert K.dtype == _int_dtype(sum(co._axis_bound(a, 32) for a in data.axes))
     assert peak < 3 * K.nbytes
 
 

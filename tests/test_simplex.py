@@ -156,11 +156,12 @@ def _assert_same(K, D, a, b):
 
 def _oracle_args(problem):
     """(K, D, a, b) as lp_oracle hands them to the simplex: the exact
-    marginals, with the targets of zero mass set aside."""
+    marginals, with the targets of zero mass set aside (K itself when
+    there are none)."""
     K, D = problem._integer()
     keep = [j for j, y in enumerate(problem.target_mass) if y]
-    return (K.take(keep, axis=1), D, problem.mu0.weights,
-            [problem.target_mass[j] for j in keep])
+    return (K if len(keep) == K.shape[1] else K.take(keep, axis=1), D,
+            problem.mu0.weights, [problem.target_mass[j] for j in keep])
 
 
 def _toric(l):
@@ -186,6 +187,43 @@ def test_solve_exact_peak_memory_toric_1_64():
     finally:
         tracemalloc.stop()
     assert peak < 3 * K.nbytes
+
+
+def _traced(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_int32_costs_with_int64_reduced_costs_make_no_copy_of_k():
+    """Toric 1/32's K scaled so that it fits int32 while its reduced costs
+    need int64: the solve reads the int32 K in place, gives what the int64
+    K gives, and its traced peak is no higher (an int64 working copy of K
+    would add K.nbytes * 2)."""
+    K, D, a, b = _oracle_args(_toric(32))
+    n, m = K.shape
+    c = 2 ** 29 // int(np.abs(K).max())
+    K32 = (K.astype(np.int64) * c).astype(np.int32)
+    kmax = int(np.abs(K32).max())
+    assert kmax < 2 ** 30 <= kmax * (2 * (n + m) + 1)
+    K64 = K32.astype(np.int64)
+    out64, peak64 = _traced(lambda: _simplex.solve_exact(K64, D, a, b))
+    out32, peak32 = _traced(lambda: _simplex.solve_exact(K32, D, a, b))
+    assert out32 == out64 and out64[4] == 50
+    assert peak32 <= peak64
+
+
+def test_lp_oracle_reads_k_in_place(monkeypatch):
+    """With every target of positive mass, the simplex gets the cached K
+    itself, not a copy of its columns."""
+    prob = _toric(16)
+    seen, solve = [], _simplex.solve_exact
+    monkeypatch.setattr(_simplex, "solve_exact",
+                        lambda K, *args: seen.append(K) or solve(K, *args))
+    tp.lp_oracle(prob)
+    assert seen[0] is prob._integer()[0]
 
 
 @pytest.mark.parametrize("l", [16, 32, 64],

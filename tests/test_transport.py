@@ -447,7 +447,21 @@ def test_exact_transform_builds_no_score_matrix():
         lambda: tp._exact_argmax(K, D, phi.values))
     assert (vals, args) == (prob.transform(phi).values,
                             prob.transform(phi).argmax)
-    assert peak < K.nbytes / 4
+    # a quarter of n x m int64 entries, whatever dtype K has
+    assert peak < K.size * np.dtype(np.int64).itemsize / 4
+
+
+def test_exact_argmax_on_int32_costs_matches_int64():
+    """The scores take their own dtype from their bound, so an int32 K
+    gives what the same K in int64 gives: scores in int32 for small
+    values, in int64 once the values' denominator scales K past 2^30."""
+    prob = _toric_64()
+    K, D = prob._integer()
+    assert K.dtype == np.int32
+    phi = tp.minimize_kontorovich(prob).phi
+    for values in (phi.values, [v + F(1, 3 ** 19) for v in phi.values]):
+        assert tp._exact_argmax(K, D, values) == \
+            tp._exact_argmax(K.astype(np.int64), D, values)
 
 
 def test_minimize_rounds_costs_beyond_int64_once(monkeypatch):
@@ -629,6 +643,15 @@ def test_relative_volume_zero_for_equal_potentials():
     phi = field(prob.mu0.points, [F(k, 9) for k in range(len(prob.mu0.points))])
     out = tp.relative_volume_sum(phi, phi, fam, 4)
     assert out["vol"] == 0.0 and out["scaled"] == 0.0
+
+
+def test_relative_volume_empty_grid():
+    prob = abelian_problem(8, 8)
+    phi = field(prob.mu0.points, [0] * len(prob.mu0.points))
+    empty = field((), ())
+    for a, b in ((empty, phi), (phi, empty)):
+        with pytest.raises(EmptyGrid):
+            tp.relative_volume_sum(a, b, rank1_family([4]), 4)
 
 
 def test_relative_volume_missing_level():

@@ -2,13 +2,12 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelot import tropical as tr
-from skelot._linalg import over_lcm
+from skelot._linalg import _int_dtype, over_lcm
 from skelot.errors import PointOffFace, TieOnRegion
 from skelot.polyhedral import Face
 
@@ -110,13 +109,15 @@ def test_val_at_matches_term_by_term_minimum(data):
 
 
 def test_valuation_table_dtype_and_laziness():
-    """The table is built on the first val_at, int64 below 2^62, else
-    Python ints; a point whose numerators pass the bound switches the
+    """The table is built on the first val_at, each array in the one
+    dtype rule's pick for its largest magnitude (int32 here, Python ints
+    from 2^62); a point whose numerators pass the bound switches the
     product to Python ints."""
     s = section(((1, 2), 3, "a"), ((0, -1), 0, "b"))
     assert "valuation_table" not in vars(s)
     assert tr.val_at(s, (F(1, 3), F(1, 3))) == F(-1, 3)
-    assert s.valuation_table[0].dtype == np.int64
+    E, t, e_max, t_max = s.valuation_table
+    assert (E.dtype, t.dtype) == (_int_dtype(e_max), _int_dtype(t_max))
     big = section(((2 ** 62, 0), 0, "a"), ((0, 1), 2 ** 63, "b"))
     assert big.valuation_table[0].dtype == object
     assert big.valuation_table[1].dtype == object
