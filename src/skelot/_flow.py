@@ -1,7 +1,7 @@
 """Multiscale primal-dual transportation solver.
 
 Maximizes <C, flow> subject to integer marginals (a, b) by running min-cost
-flow on the arc costs -C, read from C in place, with Johnson potentials
+flow on the arc costs -C, read from the rows of C, with Johnson potentials
 (pu, pv): every residual arc keeps a reduced cost pu - C - pv >= 0
 (forward) or its negative >= 0 (backward, on the flow's support).  Masses
 stay integers, so each augmentation ships a positive integer and the flow
@@ -17,13 +17,21 @@ Magnanti and Orlin, "Network Flows", ch. 9), the pass's path among them.  A
 flow meeting the marginals with reduced costs >= 0 is optimal, whatever
 feasible potentials the loop started from.
 
+C is a row source (`_linalg`): an array held whole, or the pairing's
+factors X P^T, whose rows are computed when read, so the n x m C need
+never exist.  The finisher reads C only by rows (a pass's popped sources,
+a search's queued ones, the column minimum below), by entries (a backward
+arc's cost, a warm start's row over the previous level's targets) and by
+restriction to a coarse level.
+
 Warm start: a solve may first run the same loop on coarser sub-problems of
 C (in practice the grid points at 2/l, 4/l, ...; Merigot 2011, "A multiscale
-approach to optimal transport").  Each level starts from
-pu = max over the previous level's targets of (C - psi), psi = -pv, and
-pv = the column minimum of pu - C, which is feasible by construction; the
-first level starts cold, from pu = 0.  A coarse level only shortens the
-next one's work, never decides its answer.
+approach to optimal transport"), each C restricted to its rows and columns:
+sliced factors, or a copy of the cells of a C held whole.  Each level
+starts from pu = max over the previous level's targets of (C - psi),
+psi = -pv, and pv = the column minimum of pu - C, which is feasible by
+construction; the first level starts cold, from pu = 0.  A coarse level
+only shortens the next one's work, never decides its answer.
 
 Exactness: potentials are floats, but on integer costs they stay integers
 (a pass only adds, subtracts, negates, compares and takes minima and
@@ -45,17 +53,19 @@ ships into target j to its flow.  The graph is dense bipartite, so Dijkstra
 keeps no heap: a popped source relaxes its row of forward arcs at once with
 numpy, a popped target its few backward arcs, back[j], in scalar arithmetic.
 The zero-reduced-cost search finds a source's tight arcs with length-m
-vectors.
+vectors.  Rows are the same integers however C holds them, so a solve
+takes the same steps on factors as on the matrix they multiply to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import as_rows
 from .errors import InfeasibleMarginals
 
 
-def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
+def _dijkstra(C, pu: np.ndarray, pv: np.ndarray, back: list,
               rem_a: np.ndarray, rem_b: np.ndarray):
     """One pricing pass in the residual graph of the costs -C.
 
@@ -66,14 +76,15 @@ def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
     nearer than D pops, with its exact distance, before the first target
     with demand left, and every other node reads D.
 
-    A source pop relaxes the forward arcs to every open target with
-    length-m vector work, (pu[i] - C[i] - pv) clipped at 0 and added to the
-    source's distance, then searches the sources for the next minimum.  A
-    target pop relaxes only the backward arcs from the sources shipping into
-    it, the keys of back[j], in scalar arithmetic: -(pu[k] - C[k, j] -
-    pv[j]) clipped at 0 is added to the target's distance, and the source
-    minimum is updated in O(1) per arc.  Its only vector work is the
-    length-m search for the next target.
+    A source pop reads row i of the row source C and relaxes the forward
+    arcs to every open target with length-m vector work, (pu[i] - C[i] -
+    pv) clipped at 0 and added to the source's distance, then searches the
+    sources for the next minimum.  A target pop relaxes only the backward
+    arcs from the sources shipping into it, the keys of back[j], in scalar
+    arithmetic on the entries C[k, j]: -(pu[k] - C[k, j] - pv[j]) clipped
+    at 0 is added to the target's distance, and the source minimum is
+    updated in O(1) per arc.  Its only vector work is the length-m search
+    for the next target.
     """
     n, m = C.shape
     inf = np.inf
@@ -98,7 +109,7 @@ def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
             ds[i] = d
             ms[i] = inf
             open_s[i] = False
-            np.subtract(pu[i], C[i], out=rc)
+            np.subtract(pu[i], C.row(i), out=rc)
             np.subtract(rc, pv, out=rc)
             np.maximum(rc, 0.0, out=rc)
             np.add(d, rc, out=rc)
@@ -115,7 +126,8 @@ def _dijkstra(C: np.ndarray, pu: np.ndarray, pv: np.ndarray, back: list,
             open_t[j] = False
             pvj = float(pv[j])
             for k in back[j]:
-                c = tv + max(-(float(pu[k]) - float(C[k, j]) - pvj), 0.0)
+                c = tv + max(-(float(pu[k]) - float(C.entries(k, j)) - pvj),
+                             0.0)
                 if open_s[k] and c < ms[k]:
                     ms[k] = c
                     if c < bv:
@@ -154,12 +166,12 @@ def _ship_tight(C, pu, pv, back, a, b):
     """Ship along zero-reduced-cost paths until none joins supply to demand.
 
     The admissible arcs are the forward arcs with pu - C - pv <= 0, found a
-    source row at a time, and the backward arcs on the flow's support.  Each
-    round is a breadth-first search from every source with supply left; it
-    ships along the tree path to each target with demand left that it
-    reached, in the order reached, as far as earlier paths left room.  The
-    potentials stay feasible and tight on the new support.  Returns the
-    number of paths shipped.
+    row of the row source C at a time, and the backward arcs on the flow's
+    support.  Each round is a breadth-first search from every source with
+    supply left; it ships along the tree path to each target with demand
+    left that it reached, in the order reached, as far as earlier paths
+    left room.  The potentials stay feasible and tight on the new support.
+    Returns the number of paths shipped.
     """
     n, m = C.shape
     tight = {}  # source -> admissible targets; the potentials do not move
@@ -174,7 +186,7 @@ def _ship_tight(C, pu, pv, back, a, b):
         for i in queue:
             arcs = tight.get(i)
             if arcs is None:
-                np.subtract(pu[i], C[i], out=rc)
+                np.subtract(pu[i], C.row(i), out=rc)
                 np.subtract(rc, pv, out=rc)
                 arcs = tight[i] = np.flatnonzero(rc <= 0).tolist()
             for j in arcs:
@@ -196,14 +208,17 @@ def _ship_tight(C, pu, pv, back, a, b):
                 paths += 1
 
 
-def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
+def solve_transport(C, a: np.ndarray, b: np.ndarray,
                     levels=()):
     """Optimal integer flow and dual potentials for max <C, flow>.
 
-    C, integer or float, is read in place; each coarse level copies its
-    slice in C's dtype.  a and b are non-negative integer arrays, in any
-    integer dtype that holds every entry (no flow exceeds its row's supply)
-    or object.
+    C, integer or float, is a row source (`_linalg.as_rows`) or an array,
+    which is read in place as one; either is a whole problem with a and b.
+    Its rows are read as the passes need them, and each coarse level
+    restricts it: pairing factors are sliced, a C held whole copies the
+    level's cells.  a and b are non-negative integer arrays, in any integer
+    dtype that holds every entry (no flow exceeds its row's supply) or
+    object.
     levels lists coarse-to-fine sub-problems (rows, cols, a_l, b_l) of C,
     index arrays and their balanced integer marginals, solved before the
     full problem, each warm-started from the duals of the one before.
@@ -218,6 +233,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     unshipped, a Python int, is the full problem's supply left.  Unbalanced
     a and b, on any level, raise InfeasibleMarginals.
     """
+    C = as_rows(C)
     n, m = C.shape
     aug = 0
     carried = None  # (cols, pv) of the level solved last
@@ -230,13 +246,13 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray,
             pu = np.zeros(len(rows))
         else:
             # max over the last level's targets of C - psi, psi = -pv
-            pu = np.array([(C[r, carried[0]] + carried[1]).max()
+            pu = np.array([(C.entries(r, carried[0]) + carried[1]).max()
                            for r in rows])
-        Cl = C[np.ix_(rows, cols)] if k < len(levels) else C
+        Cl = C.restrict(rows, cols) if k < len(levels) else C
         # the column minimum of pu - C, a row at a time
-        pv = pu[0] - Cl[0]
+        pv = pu[0] - Cl.row(0)
         for i in range(1, len(rows)):
-            np.minimum(pv, pu[i] - Cl[i], out=pv)
+            np.minimum(pv, pu[i] - Cl.row(i), out=pv)
         back = [{} for _ in cols]
         max_aug = aug + 60 * sum(Cl.shape) + 2000
         while a.any() and aug < max_aug:

@@ -6,6 +6,11 @@ matrices that show up in polyhedral/tropical bookkeeping.  `over_lcm` is
 the one integer encoding of the exact solve path (rationals over one common
 denominator), and `_int_dtype` picks the integer dtype of its kernels from
 a bound on all of their intermediates: int32, int64 or Python ints.
+
+The solvers and the exact transform read an n x m cost through a row
+source: `StoredRows`, a matrix held whole, or `ProductRows`, the pairing's
+K = X P^T from its factors, whose rows are computed when read.  Both give a
+shape, a dtype, a bound on |K|, rows, row blocks, entries and restrictions.
 """
 
 from __future__ import annotations
@@ -36,6 +41,98 @@ def _int_dtype(bound: int):
 def _int_array(nums: Sequence[int]) -> np.ndarray:
     """Integers as one array, in `_int_dtype` of their largest magnitude."""
     return np.array(nums, dtype=_int_dtype(max(map(abs, nums), default=0)))
+
+
+class StoredRows:
+    """The rows of an n x m matrix K held whole, K itself if it is an array
+    (integer, float or object).
+
+    `bound` is max |K|, one sweep on first use unless given.  Rows and
+    blocks are views; a restriction copies its cells.
+    """
+
+    def __init__(self, K: np.ndarray, bound: Optional[int] = None):
+        self.K = K
+        self.shape = K.shape
+        self.dtype = K.dtype
+        self._bound = bound
+
+    @property
+    def bound(self) -> int:
+        if self._bound is None:
+            self._bound = max(int(self.K.max()), -int(self.K.min()))
+        return self._bound
+
+    def row(self, i: int) -> np.ndarray:
+        return self.K[i]
+
+    def block(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        return self.K[start:stop]
+
+    def entries(self, rows, cols):
+        """K[rows, cols], index arrays or ints."""
+        return self.K[rows, cols]
+
+    def restrict(self, rows, cols) -> "StoredRows":
+        return StoredRows(self.K[np.ix_(rows, cols)], self._bound)
+
+    @property
+    def T(self) -> "StoredRows":
+        return StoredRows(self.K.T, self._bound)
+
+
+class ProductRows:
+    """The rows of K = X P^T, from integer factors X (n x d) and P (m x d)
+    in a dtype that holds `bound` >= d max|X| max|P|, so no sum overflows.
+
+    K is never formed: row i is d multiply-adds of length m, computed when
+    read, and a restriction slices the factors.  A block of rows is the
+    same sum, so rows, blocks and entries are K's entries in K's dtype.
+    """
+
+    def __init__(self, X: np.ndarray, P: np.ndarray, bound: int):
+        if X.shape[1] == 0:  # no coordinates, or no points: K = 0
+            X, P = np.zeros((len(X), 1), X.dtype), np.zeros((len(P), 1), P.dtype)
+        self.X = X
+        self._PT = np.ascontiguousarray(P.T)
+        self._cols = tuple(self._PT)  # the columns of P, one view each
+        self.bound = bound
+        self.shape = (len(X), len(P))
+        self.dtype = X.dtype
+
+    def row(self, i: int) -> np.ndarray:
+        x, cols = self.X[i], self._cols
+        out = x[0] * cols[0]
+        for k in range(1, len(cols)):
+            out += x[k] * cols[k]
+        return out
+
+    def block(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        x, cols = self.X[start:stop], self._cols
+        out = x[:, :1] * cols[0]
+        for k in range(1, len(cols)):
+            out += x[:, k:k + 1] * cols[k]
+        return out
+
+    def entries(self, rows, cols):
+        """K[rows, cols], index arrays or ints."""
+        X, PT = self.X, self._PT
+        out = X[rows, 0] * PT[0, cols]
+        for k in range(1, len(PT)):
+            out += X[rows, k] * PT[k, cols]
+        return out
+
+    def restrict(self, rows, cols) -> "ProductRows":
+        return ProductRows(self.X[rows], self._PT.T[cols], self.bound)
+
+    @property
+    def T(self) -> "ProductRows":
+        return ProductRows(self._PT.T, self.X, self.bound)
+
+
+def as_rows(K):
+    """K itself if it is a row source, else its rows held whole."""
+    return K if isinstance(K, (StoredRows, ProductRows)) else StoredRows(K)
 
 
 def over_lcm(values: Sequence, den: int = 1) -> tuple[list[int], int]:

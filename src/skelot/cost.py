@@ -8,7 +8,10 @@ already equals the limit).
 Every cost builds whole matrices exactly, as one integer array K and one
 common denominator D with entries c = K[i, j] / D.  The pairing and theta
 costs have closed-form builders (on grids in (1/l)Z^d); any other cost gets
-an entrywise builder that calls the cost once per pair.  The theta cost's
+an entrywise builder that calls the cost once per pair.  The solvers read
+K by rows (`CostFunction.exact_rows`): the pairing's rows come from its
+integer factors (`pairing_rows`), so its K need never be formed; every
+other cost's rows are those of the K it builds.  The theta cost's
 per-axis minimum over lattice shifts has one closed form, `_axis_minima`,
 and no window search: the matrix builder, the per-pair evaluator and
 `certified_window` all call it.
@@ -23,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import _int_array, _int_dtype, over_lcm
+from ._linalg import ProductRows, StoredRows, _int_array, _int_dtype, over_lcm
 from .errors import DimensionMismatch, MissingLevel, WindowNotConverged
 from .polyhedral import IntegralPolyhedralComplex, Point, as_point
 from .tropical import MonomialTerm, TropicalSection, val_at
@@ -41,10 +44,15 @@ class CostFunction:
     # (source_points, target_points) -> (K, D) with entries c = K[i, j] / D;
     # None means the entrywise builder
     exact_matrix: Optional[Callable] = None
+    # (source_points, target_points) -> (rows of K, D), a `_linalg` row
+    # source; None means the rows of exact_matrix's K, held whole
+    exact_rows: Optional[Callable] = None
 
     def __post_init__(self):
         if self.exact_matrix is None:
             self.exact_matrix = self._entrywise_matrix
+        if self.exact_rows is None:
+            self.exact_rows = self._stored_rows
 
     def __call__(self, x: Sequence, p: Sequence):
         return self.evaluator(x, p)
@@ -54,21 +62,29 @@ class CostFunction:
         K, D = over_lcm([F(self(x, p)) for x in xs for p in ps])
         return _int_array(K).reshape(len(xs), len(ps)), D
 
-    def transpose(self) -> "CostFunction":
-        """Swapped-role cost c^T(p, x) = c(x, p)."""
-        ev = self.evaluator
-        build = self.exact_matrix
+    def _stored_rows(self, xs: Sequence, ps: Sequence) -> tuple:
+        """(rows of K, D) for exact_matrix's (K, D)."""
+        K, D = self.exact_matrix(xs, ps)
+        return StoredRows(K), D
 
-        def build_t(ps, xs):
-            K, D = build(xs, ps)
-            return K.T, D
+    def transpose(self) -> "CostFunction":
+        """Swapped-role cost c^T(p, x) = c(x, p); its rows are the columns
+        of the original's, so pairing factors swap and K is not formed."""
+        ev = self.evaluator
+
+        def swapped(build):
+            def build_t(ps, xs):
+                K, D = build(xs, ps)
+                return K.T, D
+            return build_t
 
         return CostFunction(
             source=self.target, target=self.source,
             evaluator=lambda p, x: ev(x, p),
             lipschitz_x=self.lipschitz_x,
             metadata=dict(self.metadata),
-            exact_matrix=build_t)
+            exact_matrix=swapped(self.exact_matrix),
+            exact_rows=swapped(self.exact_rows))
 
 
 # -- exact integer matrices --------------------------------------------------------
@@ -119,21 +135,30 @@ def pairing_cost(source: IntegralPolyhedralComplex,
         for f in target.faces for v in f.vertices)
     return CostFunction(source, target, ev, lipschitz_x=lip,
                         metadata={"kind": "pairing"},
-                        exact_matrix=pairing_matrix)
+                        exact_matrix=pairing_matrix, exact_rows=pairing_rows)
 
 
-def pairing_matrix(xs: Sequence, ps: Sequence) -> tuple[np.ndarray, int]:
-    """<x, p> over the grids as (K, D): one integer product of numerators."""
+def pairing_rows(xs: Sequence, ps: Sequence) -> tuple[ProductRows, int]:
+    """<x, p> over the grids as (rows of K, D), K = X P^T never formed: the
+    numerators X and P of the points over their lcms, in `_int_dtype` of
+    d max|X| max|P|, the bound on every entry and partial sum."""
     xs, dx, lx = _lattice(xs, "source")
     ps, dp, lp = _lattice(ps, "target")
     d = min(dx, dp)  # the evaluator zips, so extra coordinates drop out
     X, _ = over_lcm([c for x in xs for c in x[:d]], lx)
     P, _ = over_lcm([c for p in ps for c in p[:d]], lp)
-    dtype = _int_dtype(d * max(map(abs, X), default=0)
-                       * max(map(abs, P), default=0))
+    bound = d * max(map(abs, X), default=0) * max(map(abs, P), default=0)
+    dtype = _int_dtype(bound)
     X = np.array(X, dtype=dtype).reshape(len(xs), d)
     P = np.array(P, dtype=dtype).reshape(len(ps), d)
-    return X @ P.T, lx * lp
+    return ProductRows(X, P, bound), lx * lp
+
+
+def pairing_matrix(xs: Sequence, ps: Sequence) -> tuple[np.ndarray, int]:
+    """<x, p> over the grids as (K, D): the full block of `pairing_rows`,
+    d multiply-adds of n x m numerators, so K's entries are its rows'."""
+    rows, D = pairing_rows(xs, ps)
+    return rows.block(), D
 
 
 # -- Mumford data and the periodic theta cost -----------------------------------

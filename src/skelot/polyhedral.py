@@ -29,12 +29,13 @@ Point = tuple[Fraction, ...]
 
 
 def as_fraction(value) -> Fraction:
-    """Parse an exact rational; floats are rejected on purpose."""
+    """Parse an exact rational; floats are rejected on purpose.  A Fraction
+    is returned as it is (Fractions are immutable)."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise NonRationalVertex(f"float coordinate {value!r}; use 'p/q' strings")
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise NonRationalVertex(f"cannot interpret {value!r} as a rational")
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _flow, _simplex
-from ._linalg import _int_array, _int_dtype, over_lcm
+from ._linalg import StoredRows, _int_array, _int_dtype, as_rows, over_lcm
 from .cost import CostFunction, ThetaFamily, matrix_floats, ratio_float
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
@@ -54,23 +54,24 @@ class PotentialField:
         return PotentialField(self.points, tuple(v + a for v in self.values))
 
 
-def _exact_argmax(K: np.ndarray, D: int, values: Sequence) -> tuple:
+def _exact_argmax(K, D: int, values: Sequence) -> tuple:
     """Per column j, max over i of K[i, j] / D - values[i], exactly.
 
-    Scores are the integers K[i] (L / D) - V[i], V the values over L, the
-    lcm of D and their denominators (`over_lcm`), in `_int_dtype` of
-    max|K| L / D + max|V|.  A running column maximum over the rows
-    keeps the lowest index on ties.  Returns the maxima over L and their
-    indices.
+    K is a row source (`_linalg.as_rows`) or an integer array, read a row
+    at a time.  Scores are the integers K[i] (L / D) - V[i], V the values
+    over L, the lcm of D and their denominators (`over_lcm`), in
+    `_int_dtype` of the source's bound on |K| times L / D plus max|V|.  A
+    running column maximum over the rows keeps the lowest index on ties.
+    Returns the maxima over L and their indices.
     """
+    K = as_rows(K)
     V, L = over_lcm(values, D)
     r = L // D
-    k = max(int(K.max()), -int(K.min()), 1)  # r itself must fit
-    dtype = _int_dtype(k * r + max(map(abs, V)))
-    best = K[0].astype(dtype) * r - V[0]
+    dtype = _int_dtype(max(K.bound, 1) * r + max(map(abs, V)))  # r must fit
+    best = K.row(0).astype(dtype) * r - V[0]
     arg = np.zeros(K.shape[1], dtype=np.int64)
-    for i in range(1, len(K)):
-        score = K[i].astype(dtype, copy=False) * r - V[i]
+    for i in range(1, K.shape[0]):
+        score = K.row(i).astype(dtype, copy=False) * r - V[i]
         up = score > best
         best[up], arg[up] = score[up], i
     return tuple(F(s, L) for s in best.tolist()), tuple(arg.tolist())
@@ -89,7 +90,7 @@ def c_transform(f: PotentialField, cost: CostFunction, grid: Sequence,
         raise ValueError(f"unknown direction {direction!r}")
     if direction == "target_to_source":
         cost = cost.transpose()
-    vals, args = _exact_argmax(*cost.exact_matrix(f.points, grid), f.values)
+    vals, args = _exact_argmax(*cost.exact_rows(f.points, grid), f.values)
     return PotentialField(grid, vals, argmax=args)
 
 
@@ -115,12 +116,23 @@ class TransportProblem:
         self._exact_cost = None
         self._cost_array = None
         self._integer_cost = None
+        self._row_source = None
+
+    def _rows(self) -> tuple:
+        """(rows of K, D) with cost = K / D, the cost's row source
+        (`CostFunction.exact_rows`), built on first use."""
+        if self._row_source is None:
+            self._row_source = self.cost.exact_rows(self.mu0.points,
+                                                    self.nu0.points)
+        return self._row_source
 
     def _integer(self) -> tuple:
-        """(K, D) with cost = K / D, built on first use."""
+        """(K, D) with cost = K / D, the row source's full block, built on
+        first use: the exact oracle and the Fraction and float matrices
+        read K itself."""
         if self._integer_cost is None:
-            self._integer_cost = self.cost.exact_matrix(self.mu0.points,
-                                                        self.nu0.points)
+            rows, D = self._rows()
+            self._integer_cost = rows.block(), D
         return self._integer_cost
 
     @property
@@ -137,10 +149,10 @@ class TransportProblem:
         return self._cost_array
 
     def transform(self, phi: PotentialField) -> PotentialField:
-        """Exact phi^c on the target grid using the cached cost matrix."""
+        """Exact phi^c on the target grid, from the cost's rows."""
         if phi.points != self.mu0.points:
             raise GridMismatch("potential not on the source grid")
-        vals, args = _exact_argmax(*self._integer(), phi.values)
+        vals, args = _exact_argmax(*self._rows(), phi.values)
         return PotentialField(self.nu0.points, vals, argmax=args)
 
 
@@ -226,14 +238,15 @@ def minimize_kontorovich(problem: TransportProblem) -> TransportResult:
     meet the marginals times Q and the gap is 0.  value and gap are the
     correctly rounded floats of the exact ones.
     """
-    K, D = problem._integer()
+    K, D = problem._rows()
     n, m = K.shape
     mass, Q = over_lcm([*problem.mu0.weights, *problem.target_mass])
     marginals = _int_array(mass)
-    C = matrix_floats(K, 1) if K.dtype == object else K
+    C = StoredRows(matrix_floats(K.block(), 1)) if K.dtype == object else K
     (rows, cols, flow), pu, _, aug, unshipped = _flow.solve_transport(
         C, marginals[:n], marginals[n:], levels=_coarse_levels(problem))
-    primal = sum(k * x for k, x in zip(K[rows, cols].tolist(), flow.tolist()))
+    primal = sum(k * x for k, x in
+                 zip(K.entries(rows, cols).tolist(), flow.tolist()))
 
     phi = [F(u) / D for u in pu.tolist()]
     phi_field = PotentialField(problem.mu0.points, _mean_zero(problem, phi))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from skelot import _flow, cli
+from skelot import transport as tp
 
 ABELIAN_CFG = {
     "family": {"kind": "abelian", "axes": [{}], "levels": [1, 2],
@@ -185,6 +186,24 @@ def test_solve_toric_end_to_end(tmp_path):
     assert result["lp_value"] == pytest.approx(result["value"], abs=1e-9)
     for name in ("phi.csv", "phic.csv", "plan.csv"):
         assert os.path.exists(os.path.join(out, name))
+
+
+def test_toric_solve_without_the_oracle_never_forms_k(tmp_path, monkeypatch):
+    """Without the oracle, `solve` on a toric config reads the pairing's rows
+    from its factors: TransportProblem._integer, the n x m K, is never
+    called."""
+    def refused(self):
+        raise AssertionError("the solve formed K")
+
+    monkeypatch.setattr(tp.TransportProblem, "_integer", refused)
+    cfg = {
+        "family": {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
+                   "resolution": "1/32"},
+        "oracle": False,
+        "diagnostics": {"pushforward": True},
+    }
+    code, out = run_cfg(tmp_path, cfg)
+    assert code == 0 and read_json(out, "result.json")["converged"] is True
 
 
 def test_oversize_oracle_exits_before_the_finisher(tmp_path, capsys,

@@ -30,8 +30,10 @@ from skelot import _flow
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
-from skelot._linalg import _int_array, _int_dtype, over_lcm
+from skelot._linalg import (ProductRows, StoredRows, _int_array, _int_dtype,
+                            as_rows, over_lcm)
 from skelot.errors import InfeasibleMarginals
+from skelot.polyhedral import quadrature
 
 F = Fraction
 
@@ -152,6 +154,7 @@ def _back(flow):
 
 
 def _reference_pass(C, pu, pv, back, rem_a, rem_b):
+    C = C.block()
     ds, dt, _, _, end = _reference_dijkstra(-C, pu, pv, _dense(back, len(C)),
                                             rem_a, rem_b)
     if end < 0:
@@ -171,6 +174,7 @@ def _flow_matrix(support, shape):
 
 
 def _assert_same_pass(dijkstra, args):
+    args = (as_rows(args[0]), *args[1:])
     new = dijkstra(*args)
     ref = _reference_pass(*args)
     assert (new is None) == (ref is None)
@@ -193,10 +197,11 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
         return passes[-1]
 
     def checked_search(C, pu, pv, back, a, b):
-        flow, ref_a, ref_b = _dense(back, len(C)), a.copy(), b.copy()
-        want = _reference_ship_tight(-C, pu, pv, flow, ref_a, ref_b)
+        n = C.shape[0]
+        flow, ref_a, ref_b = _dense(back, n), a.copy(), b.copy()
+        want = _reference_ship_tight(-C.block(), pu, pv, flow, ref_a, ref_b)
         assert ship_tight(C, pu, pv, back, a, b) == want
-        assert _dense(back, len(C)).tolist() == flow.tolist()
+        assert _dense(back, n).tolist() == flow.tolist()
         assert a.tolist() == ref_a.tolist() and b.tolist() == ref_b.tolist()
         return want
 
@@ -217,9 +222,10 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
 
 
 def _problem_arrays(problem):
-    """The integer costs K of cost = K / D and the exact marginals times the
-    lcm of their denominators, as minimize_kontorovich passes them."""
-    C = problem._integer()[0]
+    """The rows of the integer costs K of cost = K / D and the exact
+    marginals times the lcm of their denominators, as minimize_kontorovich
+    passes them."""
+    C = problem._rows()[0]
     n = C.shape[0]
     mass, _ = over_lcm([*problem.mu0.weights, *problem.target_mass])
     mass = _int_array(mass)
@@ -260,6 +266,64 @@ def test_family_solves_match_reference(monkeypatch, build, cold, ladder):
         # flows in the marginals' dtype, the one rule's pick for their bound
         assert plan.dtype == _int_dtype(max(*a.tolist(), *b.tolist()))
         assert (plan.sum(axis=1) == a).all() and (plan.sum(axis=0) == b).all()
+
+
+# reflexive polygons: the projective plane, P1 x P1 and the hexagon
+REFLEXIVE = ([(-1, -1), (2, -1), (-1, 2)],
+             [(1, 1), (-1, 1), (-1, -1), (1, -1)],
+             [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+
+
+def _drawn_toric(seed):
+    """A reflexive polygon moved by a drawn unimodular map, which keeps it
+    reflexive, with its dual's boundary and its own sampled at two drawn
+    resolutions, so both grids and the cost's denominators vary."""
+    rng = np.random.default_rng(seed + 2000)
+    s, t = rng.integers(-2, 3, size=2).tolist()
+    U = [[1 + s * t, s], [t, 1]]  # [[1, s], [0, 1]] [[1, 0], [t, 1]]
+    verts = [tuple(U[r][0] * x + U[r][1] * y for r in range(2))
+             for x, y in REFLEXIVE[seed % len(REFLEXIVE)]]
+    pair, _ = fm.toric_pair(verts, resolution=F(1, 2))
+    scx, tcx = pair.dual_boundary(), pair.boundary()
+    rs, rt = rng.integers(2, 13, size=2).tolist()
+    return tp.TransportProblem(co.pairing_cost(scx, tcx),
+                               quadrature(scx, F(1, rs), normalize=True),
+                               quadrature(tcx, F(1, rt), normalize=True))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairing_rows_solve_as_the_stored_matrix(monkeypatch, seed):
+    """The pairing's rows computed from X P^T and pairing_matrix's stored K
+    give the same bytes at every `_dijkstra` step of every level, the same
+    flows and duals, and the same exact transform of the duals and of
+    drawn values."""
+    problem = _drawn_toric(seed)
+    rows, a, b = _problem_arrays(problem)
+    K, D = co.pairing_matrix(problem.mu0.points, problem.nu0.points)
+    assert isinstance(rows, ProductRows) and rows.dtype == K.dtype
+    levels = tp._coarse_levels(problem)
+    dijkstra, runs = _flow._dijkstra, []
+    for C in (rows, StoredRows(K)):
+        steps = []
+        monkeypatch.setattr(_flow, "_dijkstra",
+                            lambda *args: steps.append(dijkstra(*args))
+                            or steps[-1])
+        runs.append((steps, _flow.solve_transport(C, a, b, levels=levels)))
+    (got_steps, got), (want_steps, want) = runs
+    assert len(got_steps) == len(want_steps) > 0
+    for g, w in zip(got_steps, want_steps):
+        assert (g is None) == (w is None)
+        assert [x.tobytes() for x in g or ()] == [x.tobytes() for x in w or ()]
+    for g, w in zip((*got[0], *got[1:3]), (*want[0], *want[1:3])):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[3:] == want[3:] and got[4] == 0
+    rng = np.random.default_rng(seed)
+    for values in ([F(u) / D for u in got[1].tolist()],
+                   [F(int(v), int(q)) for v, q in zip(
+                       rng.integers(-10 ** 6, 10 ** 6, size=len(a)),
+                       rng.integers(1, 50, size=len(a)))]):
+        assert tp._exact_argmax(rows, D, values) == \
+            tp._exact_argmax(K, D, values)
 
 
 def _assert_exact_optimum(C, flow, phi, psi):

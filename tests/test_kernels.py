@@ -153,6 +153,48 @@ def test_pairing_matrix_large_coordinates_use_python_ints():
     assert K.dtype == object
     assert co.matrix_floats(K, D).tobytes() == np.array(
         [[float(cost(x, p)) for p in ps] for x in xs]).tobytes()
+    assert_rows_are(cost.exact_rows(xs, ps)[0], K)
+
+
+def assert_rows_are(rows, K):
+    """Every read of the row source gives K's entries in K's dtype: rows,
+    blocks, entries on scattered cells and a restriction's rows."""
+    n, m = K.shape
+    assert rows.shape == (n, m) and rows.dtype == K.dtype
+    assert rows.bound >= int(np.abs(K).max())
+    same = (lambda a, b: a.tolist() == b.tolist()) if K.dtype == object \
+        else (lambda a, b: a.dtype == b.dtype and a.tobytes() == b.tobytes())
+    for i in range(n):
+        assert same(rows.row(i), K[i])
+    assert same(rows.block(), K) and same(rows.block(1, n), K[1:])
+    ii, jj = np.divmod(np.arange(n * m)[::-1], m)
+    assert same(rows.entries(ii, jj), K[ii, jj])
+    assert all(rows.entries(i, j) == K[i, j] for i, j in zip(ii, jj))
+    r, c = np.arange(n)[::-2], np.arange(m)[1::2]
+    assert same(rows.restrict(r, c).block(), K[np.ix_(r, c)])
+
+
+@pytest.mark.parametrize("top, dtype", [(2 ** 29 - 1, np.int32),
+                                        (2 ** 29, np.int64)])
+def test_pairing_rows_at_the_int32_edge(top, dtype):
+    """Bounds 2^30 - 2 and 2^30: the rows are pairing_matrix's K, entries of
+    both signs that large, in the dtype the one rule picks for the bound."""
+    xs = [(F(top), F(top)), (F(-top), F(-top)), (F(top), F(-top))]
+    ps = [(F(1), F(1)), (F(-1), F(-1)), (F(1), F(0))]
+    rows, D = co.pairing_rows(xs, ps)
+    K, DK = co.pairing_matrix(xs, ps)
+    assert D == DK and rows.bound == pairing_bound(xs, ps) == 2 * top
+    assert K.dtype == dtype and int(np.abs(K).max()) == 2 * top
+    assert_rows_are(rows, K)
+
+
+@given(scaled_points, points(2))
+@settings(deadline=None, max_examples=40)
+def test_pairing_rows_are_the_pairing_matrix(xs, ps):
+    rows, D = co.pairing_rows(xs, ps)
+    K, DK = co.pairing_matrix(xs, ps)
+    assert D == DK
+    assert_rows_are(rows, K)
 
 
 def test_transpose_carries_the_transposed_matrix():
@@ -163,6 +205,22 @@ def test_transpose_carries_the_transposed_matrix():
     Kt, Dt = cost.transpose().exact_matrix(ps, xs)
     assert Dt == D and (Kt == K.T).all()
     assert_matches_evaluator(cost.transpose(), ps, xs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: co.pairing_cost(TRI, TRI),
+    lambda: co.abelian_cost(co.MumfordData((co.PhiAxis(), co.PhiAxis()))),
+], ids=["pairing", "theta"])
+def test_transposed_rows_are_the_transposed_matrix(make):
+    """The transposed cost's rows are the columns of K: swapped pairing
+    factors, or the stored K's transpose."""
+    xs = [(F(1, 2), F(0)), (F(-1, 3), F(1)), (F(2, 7), F(-1, 2))]
+    ps = [(F(1), F(1, 5)), (F(0), F(-2)), (F(3, 4), F(1, 4)), (F(1, 9), F(0))]
+    cost = make()
+    K, D = cost.exact_matrix(xs, ps)
+    rows, Dt = cost.transpose().exact_rows(ps, xs)
+    assert Dt == D
+    assert_rows_are(rows, np.ascontiguousarray(K.T))
 
 
 # -- theta kernel -------------------------------------------------------------------

@@ -69,6 +69,20 @@ def test_nonrational_vertex_rejected():
         ph.build_complex({"faces": [{"vertices": [[0.5], [1]]}]})
 
 
+def test_as_point_keeps_fractions_and_parses_the_rest():
+    """A Fraction coordinate is returned as it is (Fractions are
+    immutable); ints, bools and 'p/q' strings become equal Fractions, and
+    floats and other objects are rejected."""
+    half = Fraction(1, 2)
+    point = ph.as_point((half, 3, "-2/6", True))
+    assert point[0] is half
+    assert point == (half, Fraction(3), Fraction(-1, 3), Fraction(1))
+    assert all(type(c) is Fraction for c in point)
+    for bad in (0.5, None, [1]):
+        with pytest.raises(NonRationalVertex):
+            ph.as_fraction(bad)
+
+
 def test_inconsistent_gluing_rejected():
     spec = {
         "faces": [{"vertices": [["0"], ["1"]]},

@@ -420,21 +420,26 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_minimize_reads_the_integer_costs_in_place(monkeypatch):
-    """The finisher gets the cached K itself, and the whole solve,
-    transform included, allocates less than one more copy of K."""
-    solve, seen = _flow.solve_transport, []
+def test_toric_solve_never_forms_the_cost_matrix(monkeypatch):
+    """Without the oracle, a toric solve reads the pairing's rows from its
+    factors X P^T: minimize_kontorovich and the exact transform never call
+    _integer, so no K is cached, and at toric 1/256 the solve's traced peak
+    stays below a quarter of K's int32 bytes (K and a quarter-size coarse
+    copy of it would not)."""
+    def refused(self):
+        raise AssertionError("the toric solve formed K")
 
-    def recorded(C, *args, **kwargs):
-        seen.append(C)
-        return solve(C, *args, **kwargs)
-
-    monkeypatch.setattr(_flow, "solve_transport", recorded)
+    monkeypatch.setattr(tp.TransportProblem, "_integer", refused)
     prob = _toric_64()
-    K = prob._integer()[0]
+    res = tp.minimize_kontorovich(prob)
+    assert res.converged and prob.transform(res.phi) == res.psi
+    assert prob._integer_cost is None
+    prob = fm.toric_pair([(-1, -1), (2, -1), (-1, 2)],
+                         resolution=F(1, 256))[1]
+    n, m = len(prob.mu0.points), len(prob.nu0.points)
     res, peak = _traced_peak(lambda: tp.minimize_kontorovich(prob))
-    assert res.converged and peak < K.nbytes
-    assert seen[0] is K
+    assert res.converged and prob._integer_cost is None
+    assert peak < n * m * 4 / 4
 
 
 def test_exact_transform_builds_no_score_matrix():
