@@ -7,10 +7,12 @@ the one integer encoding of the exact solve path (rationals over one common
 denominator), and `_int_dtype` picks the integer dtype of its kernels from
 a bound on all of their intermediates: int32, int64 or Python ints.
 
-The solvers and the exact transform read an n x m cost through a row
-source: `StoredRows`, a matrix held whole, or `ProductRows`, the pairing's
-K = X P^T from its factors, whose rows are computed when read.  Both give a
-shape, a dtype, a bound on |K|, rows, row blocks, entries and restrictions.
+Every cost's one exact builder (`CostFunction.exact_rows`) gives its n x m
+integer matrix as a row source, and the solvers, the exact transform and
+the cost-bound check read it through that: `StoredRows`, a matrix held
+whole, or `ProductRows`, the pairing's K = X P^T from its factors, whose
+rows are computed when read.  Both give a shape, a dtype, a bound on |K|,
+rows, row blocks, entries and restrictions.
 """
 
 from __future__ import annotations

@@ -494,8 +494,11 @@ def diagnose_duality(run_dir: str) -> int:
     _known_keys(cfg.raw, CONFIG_KEYS, "config")
     problem, _ = build_problem(cfg)
     result = tp.minimize_kontorovich(problem)
-    dual = tp.TransportProblem(problem.cost.transpose(), problem.nu0,
-                               problem.mu0, ln_norm=problem.ln_norm)
+    # the plan couples mu0 with W nu0, so W nu0 is the mirror's source
+    nu0 = problem.nu0
+    source = DiscreteMeasure(nu0.points, problem.target_mass, nu0.face_tags, 1)
+    dual = tp.TransportProblem(problem.cost.transpose(), source, problem.mu0,
+                               ln_norm=problem.ln_norm)
     dual_result = tp.minimize_kontorovich(dual)
     out = dg.duality_check(problem, dual, result, dual_result)
     _write_json(os.path.join(run_dir, "duality.json"), out)

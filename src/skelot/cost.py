@@ -5,13 +5,12 @@ boundary complexes, the level-normalized limit of theta valuations, and the
 closed-form periodic theta cost (level-homogeneous, so the level-1 value
 already equals the limit).
 
-Every cost builds whole matrices exactly, as one integer array K and one
-common denominator D with entries c = K[i, j] / D.  The pairing and theta
-costs have closed-form builders (on grids in (1/l)Z^d); any other cost gets
-an entrywise builder that calls the cost once per pair.  The solvers read
-K by rows (`CostFunction.exact_rows`): the pairing's rows come from its
-integer factors (`pairing_rows`), so its K need never be formed; every
-other cost's rows are those of the K it builds.  The theta cost's
+Every cost has one exact builder, `CostFunction.exact_rows`: over two grids
+it gives the rows of one integer matrix K, a `_linalg` row source, and one
+common denominator D with entries c = K[i, j] / D.  The pairing's rows come
+from its integer factors (`pairing_rows`), so its K need never be formed;
+the theta cost holds the K of its closed form (`theta_matrix`, on grids in
+(1/l)Z^d); any other cost holds the K of one call per pair.  The theta cost's
 per-axis minimum over lattice shifts has one closed form, `_axis_minima`,
 and no window search: the matrix builder, the per-pair evaluator and
 `certified_window` all call it.
@@ -41,50 +40,37 @@ class CostFunction:
     evaluator: Callable[[Sequence, Sequence], Fraction]
     lipschitz_x: float
     metadata: dict = field(default_factory=dict)
-    # (source_points, target_points) -> (K, D) with entries c = K[i, j] / D;
-    # None means the entrywise builder
-    exact_matrix: Optional[Callable] = None
     # (source_points, target_points) -> (rows of K, D), a `_linalg` row
-    # source; None means the rows of exact_matrix's K, held whole
+    # source with entries c = K[i, j] / D; None means the entrywise builder
     exact_rows: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.exact_matrix is None:
-            self.exact_matrix = self._entrywise_matrix
         if self.exact_rows is None:
-            self.exact_rows = self._stored_rows
+            self.exact_rows = self._entrywise_rows
 
     def __call__(self, x: Sequence, p: Sequence):
         return self.evaluator(x, p)
 
-    def _entrywise_matrix(self, xs: Sequence, ps: Sequence) -> tuple:
-        """(K, D) from one call per pair."""
+    def _entrywise_rows(self, xs: Sequence, ps: Sequence) -> tuple:
+        """(rows of K, D) from one call per pair, K held whole."""
         K, D = over_lcm([F(self(x, p)) for x in xs for p in ps])
-        return _int_array(K).reshape(len(xs), len(ps)), D
-
-    def _stored_rows(self, xs: Sequence, ps: Sequence) -> tuple:
-        """(rows of K, D) for exact_matrix's (K, D)."""
-        K, D = self.exact_matrix(xs, ps)
-        return StoredRows(K), D
+        return StoredRows(_int_array(K).reshape(len(xs), len(ps))), D
 
     def transpose(self) -> "CostFunction":
         """Swapped-role cost c^T(p, x) = c(x, p); its rows are the columns
         of the original's, so pairing factors swap and K is not formed."""
-        ev = self.evaluator
+        ev, build = self.evaluator, self.exact_rows
 
-        def swapped(build):
-            def build_t(ps, xs):
-                K, D = build(xs, ps)
-                return K.T, D
-            return build_t
+        def build_t(ps, xs):
+            rows, D = build(xs, ps)
+            return rows.T, D
 
         return CostFunction(
             source=self.target, target=self.source,
             evaluator=lambda p, x: ev(x, p),
             lipschitz_x=self.lipschitz_x,
             metadata=dict(self.metadata),
-            exact_matrix=swapped(self.exact_matrix),
-            exact_rows=swapped(self.exact_rows))
+            exact_rows=build_t)
 
 
 # -- exact integer matrices --------------------------------------------------------
@@ -135,7 +121,7 @@ def pairing_cost(source: IntegralPolyhedralComplex,
         for f in target.faces for v in f.vertices)
     return CostFunction(source, target, ev, lipschitz_x=lip,
                         metadata={"kind": "pairing"},
-                        exact_matrix=pairing_matrix, exact_rows=pairing_rows)
+                        exact_rows=pairing_rows)
 
 
 def pairing_rows(xs: Sequence, ps: Sequence) -> tuple[ProductRows, int]:
@@ -152,13 +138,6 @@ def pairing_rows(xs: Sequence, ps: Sequence) -> tuple[ProductRows, int]:
     X = np.array(X, dtype=dtype).reshape(len(xs), d)
     P = np.array(P, dtype=dtype).reshape(len(ps), d)
     return ProductRows(X, P, bound), lx * lp
-
-
-def pairing_matrix(xs: Sequence, ps: Sequence) -> tuple[np.ndarray, int]:
-    """<x, p> over the grids as (K, D): the full block of `pairing_rows`,
-    d multiply-adds of n x m numerators, so K's entries are its rows'."""
-    rows, D = pairing_rows(xs, ps)
-    return rows.block(), D
 
 
 # -- Mumford data and the periodic theta cost -----------------------------------
@@ -312,11 +291,16 @@ def abelian_cost(data: MumfordData,
                  target: Optional[IntegralPolyhedralComplex] = None) -> CostFunction:
     # |d c / d x_i| <= |p_i + gamma_i*| which stays inside the certified window
     lip = float(sum((8 * a.period) ** 2 for a in data.axes)) ** 0.5
+
+    def rows(xs, ps):
+        K, D = theta_matrix(data, xs, ps)
+        return StoredRows(K), D
+
     return CostFunction(source, target,
                         lambda x, p: abelian_theta_cost(data, x, p),
                         lipschitz_x=lip,
                         metadata={"kind": "abelian", "exact": True},
-                        exact_matrix=lambda xs, ps: theta_matrix(data, xs, ps))
+                        exact_rows=rows)
 
 
 def certified_window(data: MumfordData, level: int) -> int:
@@ -423,8 +407,8 @@ def verify_cost_bounds(family: ThetaFamily, cost: CostFunction,
     whose combined level and midpoint label exist in the family.  Violations
     are reported, never raised, in sample order and then pair order.
 
-    Each distinct piece of exact work is done once: the costs are one
-    `cost.exact_matrix` over the distinct points and labels, a label is
+    Each distinct piece of exact work is done once: the costs are entries
+    of one `cost.exact_rows` over the distinct points and labels, a label is
     resolved through a per-level dict (`nearest_label`'s scan only for a p
     that is not a label), and each midpoint section, each val_at(section, x)
     and each pair verdict at one x is computed once.
@@ -461,12 +445,12 @@ def verify_cost_bounds(family: ThetaFamily, cost: CostFunction,
     cols = {lab: j for j, lab in
             enumerate(dict.fromkeys(r[2].label for r in resolved))}
     if resolved:
-        K, D = cost.exact_matrix(list(rows), list(cols))
+        K, D = cost.exact_rows(list(rows), list(cols))
     violations = []
     by_x: dict[Point, list] = {}
     for x, px, sec, l in resolved:
         v = val(sec, px)
-        if -v / l < F(int(K[rows[px], cols[sec.label]]), D) - tol:
+        if -v / l < F(int(K.entries(rows[px], cols[sec.label])), D) - tol:
             violations.append(("lower_bound", x, sec.label, l, -v / l))
         by_x.setdefault(px, []).append((int(l), sec, v))
 

@@ -124,8 +124,9 @@ def toric_pair(delta_vertices: Sequence[Sequence], resolution=F(1, 8),
     given one, both with normalized lattice-Lebesgue measures.  ln_norm
     defaults to the lattice length of the target boundary.
     """
+    dual = polar_dual(delta_vertices)  # checks the dimension before the sort
     delta = tuple(_ccw_sorted([as_point(v) for v in delta_vertices]))
-    pair = ReflexivePolytopePair(delta, polar_dual(delta))
+    pair = ReflexivePolytopePair(delta, dual)
     source_cx = pair.dual_boundary()
     target_cx = pair.boundary()
     mu0 = quadrature(source_cx, resolution, normalize=True)

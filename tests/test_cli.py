@@ -458,6 +458,11 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
     pytest.param("solve", {"family": {
         **TRIANGLE, "delta": [[-1, -1], [2, -1], [-1, 2.5]]}},
                  id="solve-delta-fraction"),
+    pytest.param("solve", {"family": {**TRIANGLE, "delta": [[-1], [1]]}},
+                 id="solve-delta-one-coordinate"),
+    pytest.param("solve", {"family": {
+        **TRIANGLE, "delta": [[-1, -1], [2], [-1, 2]]}},
+                 id="solve-delta-mixed-coordinates"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, command, cfg):
     cfg = {**cfg, "output_dir": str(tmp_path / "run")}
@@ -592,8 +597,15 @@ def test_malformed_run_dir_exit_code(tmp_path, capsys, command, files):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_diagnose_duality(tmp_path, capsys):
-    _, out = run_cfg(tmp_path, ABELIAN_CFG)
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ABELIAN_CFG, id="abelian"),
+    pytest.param({"family": TRIANGLE}, id="toric"),
+    # a weighted target: the mirror's source is W nu0, not nu0
+    pytest.param({"family": {**INTERMEDIATE, "d": [1, 2],
+                             "resolution": "1/4"}}, id="intermediate"),
+])
+def test_diagnose_duality(tmp_path, capsys, cfg):
+    _, out = run_cfg(tmp_path, cfg)
     assert cli.main(["diagnose-duality", out]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["precondition_residual"] == 0.0

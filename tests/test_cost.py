@@ -400,17 +400,17 @@ def test_verify_cost_bounds_cases_reach_their_branches():
 
 
 def test_verify_cost_bounds_reads_one_cost_matrix(monkeypatch):
-    """The lower-bound costs come from one exact_matrix call over the
+    """The lower-bound costs come from one exact_rows call over the
     distinct points and labels, not from a cost call per sample."""
     fam, cost, samples = _case_rank1()
     calls = []
-    build = cost.exact_matrix
+    build = cost.exact_rows
 
     def counted(xs, ps):
         calls.append((len(xs), len(ps)))
         return build(xs, ps)
 
-    cost.exact_matrix = counted
+    cost.exact_rows = counted
     monkeypatch.setattr(co.CostFunction, "__call__", None)
     co.verify_cost_bounds(fam, cost, samples)
     assert calls == [(5, 4)]  # labels 0, 1/2, 1/4 and 3/4

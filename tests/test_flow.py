@@ -293,13 +293,14 @@ def _drawn_toric(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_pairing_rows_solve_as_the_stored_matrix(monkeypatch, seed):
-    """The pairing's rows computed from X P^T and pairing_matrix's stored K
-    give the same bytes at every `_dijkstra` step of every level, the same
-    flows and duals, and the same exact transform of the duals and of
+    """The pairing's rows computed from X P^T and their full block stored
+    as K give the same bytes at every `_dijkstra` step of every level, the
+    same flows and duals, and the same exact transform of the duals and of
     drawn values."""
     problem = _drawn_toric(seed)
     rows, a, b = _problem_arrays(problem)
-    K, D = co.pairing_matrix(problem.mu0.points, problem.nu0.points)
+    built, D = problem.cost.exact_rows(problem.mu0.points, problem.nu0.points)
+    K = built.block()
     assert isinstance(rows, ProductRows) and rows.dtype == K.dtype
     levels = tp._coarse_levels(problem)
     dijkstra, runs = _flow._dijkstra, []

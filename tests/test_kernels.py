@@ -39,8 +39,14 @@ def points(dim, lo=-4, hi=4):
                     max_size=6)
 
 
+def exact_block(cost, xs, ps):
+    """The cost's K over the grids, the full block of its exact rows, and D."""
+    rows, D = cost.exact_rows(xs, ps)
+    return rows.block(), D
+
+
 def assert_matches_evaluator(cost, xs, ps):
-    K, D = cost.exact_matrix(xs, ps)
+    K, D = exact_block(cost, xs, ps)
     assert K.shape == (len(xs), len(ps)) and D > 0
     for i, x in enumerate(xs):
         for j, p in enumerate(ps):
@@ -106,7 +112,7 @@ def test_over_lcm_arrays_switch_dtype_at_the_int_dtype_bound(values, dtype):
     nums, L = over_lcm(values)
     assert _int_array(nums).dtype == dtype
     cost = co.CostFunction(None, None, lambda x, p: values[int(p[0])], 1.0)
-    K, D = cost.exact_matrix([(F(0),)], [(F(j),) for j in range(len(values))])
+    K, D = exact_block(cost, [(F(0),)], [(F(j),) for j in range(len(values))])
     assert K.dtype == dtype and D == L and K.tolist() == [nums]
 
 
@@ -114,7 +120,7 @@ def test_over_lcm_arrays_switch_dtype_at_the_int_dtype_bound(values, dtype):
 
 
 def pairing_bound(xs, ps):
-    """pairing_matrix's bound on its product, d max|X| max|P|."""
+    """pairing_rows's bound on its product, d max|X| max|P|."""
     X, _ = over_lcm([c for x in xs for c in x])
     P, _ = over_lcm([c for p in ps for c in p])
     return 2 * max(map(abs, X)) * max(map(abs, P))
@@ -177,12 +183,12 @@ def assert_rows_are(rows, K):
 @pytest.mark.parametrize("top, dtype", [(2 ** 29 - 1, np.int32),
                                         (2 ** 29, np.int64)])
 def test_pairing_rows_at_the_int32_edge(top, dtype):
-    """Bounds 2^30 - 2 and 2^30: the rows are pairing_matrix's K, entries of
+    """Bounds 2^30 - 2 and 2^30: the rows are the evaluator's K, entries of
     both signs that large, in the dtype the one rule picks for the bound."""
     xs = [(F(top), F(top)), (F(-top), F(-top)), (F(top), F(-top))]
     ps = [(F(1), F(1)), (F(-1), F(-1)), (F(1), F(0))]
     rows, D = co.pairing_rows(xs, ps)
-    K, DK = co.pairing_matrix(xs, ps)
+    K, DK = assert_matches_evaluator(co.pairing_cost(TRI, TRI), xs, ps)
     assert D == DK and rows.bound == pairing_bound(xs, ps) == 2 * top
     assert K.dtype == dtype and int(np.abs(K).max()) == 2 * top
     assert_rows_are(rows, K)
@@ -192,7 +198,7 @@ def test_pairing_rows_at_the_int32_edge(top, dtype):
 @settings(deadline=None, max_examples=40)
 def test_pairing_rows_are_the_pairing_matrix(xs, ps):
     rows, D = co.pairing_rows(xs, ps)
-    K, DK = co.pairing_matrix(xs, ps)
+    K, DK = assert_matches_evaluator(co.pairing_cost(TRI, TRI), xs, ps)
     assert D == DK
     assert_rows_are(rows, K)
 
@@ -201,8 +207,8 @@ def test_transpose_carries_the_transposed_matrix():
     cost = co.pairing_cost(TRI, TRI)
     xs = [(F(1, 2), F(0)), (F(-1, 3), F(1))]
     ps = [(F(1), F(1, 5)), (F(0), F(-2)), (F(3, 4), F(1, 4))]
-    K, D = cost.exact_matrix(xs, ps)
-    Kt, Dt = cost.transpose().exact_matrix(ps, xs)
+    K, D = exact_block(cost, xs, ps)
+    Kt, Dt = exact_block(cost.transpose(), ps, xs)
     assert Dt == D and (Kt == K.T).all()
     assert_matches_evaluator(cost.transpose(), ps, xs)
 
@@ -210,14 +216,17 @@ def test_transpose_carries_the_transposed_matrix():
 @pytest.mark.parametrize("make", [
     lambda: co.pairing_cost(TRI, TRI),
     lambda: co.abelian_cost(co.MumfordData((co.PhiAxis(), co.PhiAxis()))),
-], ids=["pairing", "theta"])
+    lambda: co.CostFunction(None, None, lambda x, p: (x[0] - p[0]) ** 2
+                            + x[1] * p[1] / 3, 1.0),
+], ids=["pairing", "theta", "entrywise"])
 def test_transposed_rows_are_the_transposed_matrix(make):
     """The transposed cost's rows are the columns of K: swapped pairing
-    factors, or the stored K's transpose."""
+    factors, or the stored K's transpose, the theta closed form's or the
+    entrywise builder's."""
     xs = [(F(1, 2), F(0)), (F(-1, 3), F(1)), (F(2, 7), F(-1, 2))]
     ps = [(F(1), F(1, 5)), (F(0), F(-2)), (F(3, 4), F(1, 4)), (F(1, 9), F(0))]
     cost = make()
-    K, D = cost.exact_matrix(xs, ps)
+    K, D = assert_matches_evaluator(cost, xs, ps)
     rows, Dt = cost.transpose().exact_rows(ps, xs)
     assert Dt == D
     assert_rows_are(rows, np.ascontiguousarray(K.T))
