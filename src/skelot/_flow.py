@@ -33,20 +33,20 @@ psi = -pv, and pv = the column minimum of pu - C, which is feasible by
 construction; the first level starts cold, from pu = 0.  A coarse level
 only shortens the next one's work, never decides its answer.
 
-Exactness: potentials are floats, but on integer costs they stay integers
-(a pass only adds, subtracts, negates, compares and takes minima and
-maxima), exact while every magnitude is at most 2^53.  Let M = max|C|,
-L the number of levels before the current one, and A <= 60(n + m) + 2000
-its augmentation budget, which bounds its passes.  A source with supply
-left has had distance 0 in every pass, so it keeps its starting potential,
-and its forward arcs keep reduced costs >= 0.  Starting potentials lie in
-[-2ML, 2ML] (each level widens the previous range by M through pv and by M
-through the max), target potentials never fall and stay within M of that
-range, each pass ends within 2M(2L + 1), source potentials stay in
-[-2ML, 2ML + 2M(2L + 1)A], and reduced costs and distances within
-2M(2L + 1)(A + 2).  When that is <= 2^53, phi[i] + psi[j] >= C[i, j] thus
-holds exactly, with equality on the flow's support; beyond that the sums
-round.  A cold solve is L = 0: within 2M(A + 2).
+Exactness: on integer costs every potential, distance and reduced cost is
+an integer (a pass only adds, subtracts, negates, compares and takes minima
+and maxima).  Let M = max|C|, L the number of levels before the current
+one, and A <= 60(n + m) + 2000 its augmentation budget, which bounds its
+passes.  A source with supply left has had distance 0 in every pass, so it
+keeps its starting potential, and its forward arcs keep reduced costs >= 0.
+Starting potentials lie in [-2ML, 2ML] (each level widens the previous
+range by M through pv and by M through the max), target potentials never
+fall and stay within M of that range, each pass ends within 2M(2L + 1),
+source potentials stay in [-2ML, 2ML + 2M(2L + 1)A], and reduced costs and
+distances within B = 2M(2L + 1)(A + 2).  So they, and a relaxation's sum of
+two, fit `_int_dtype(B)` of the full level (int32, int64 or Python ints),
+an unreached node reading B + 1, and phi[i] + psi[j] >= C[i, j] holds
+exactly, with equality on the flow's support.
 
 The flow is kept on its support alone, back[j] mapping each source that
 ships into target j to its flow.  The graph is dense bipartite, so Dijkstra
@@ -61,17 +61,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import as_rows
+from ._linalg import _int_dtype, as_rows
 from .errors import InfeasibleMarginals
 
 
 def _dijkstra(C, pu: np.ndarray, pv: np.ndarray, back: list,
-              rem_a: np.ndarray, rem_b: np.ndarray):
+              rem_a: np.ndarray, rem_b: np.ndarray, bound: int):
     """One pricing pass in the residual graph of the costs -C.
 
     Returns the potential step (step_s, step_t): every node's distance from
     the sources with supply left, capped at D, the distance to the nearest
-    target with demand left; None when no such target can be reached.  The
+    target with demand left; None when none lies within `bound`.  The
     step does not depend on the pop order among equal distances: every node
     nearer than D pops, with its exact distance, before the first target
     with demand left, and every other node reads D.
@@ -87,21 +87,22 @@ def _dijkstra(C, pu: np.ndarray, pv: np.ndarray, back: list,
     for the next target.
     """
     n, m = C.shape
-    inf = np.inf
+    dtype, inf = pu.dtype, bound + 1
     # tentative distances of nodes not yet popped; inf once popped
-    ms = np.where(rem_a > 0, 0.0, inf)
-    mt = np.full(m, inf)
-    ds = np.full(n, inf)
-    dt = np.full(m, inf)
+    ms = np.full(n, inf, dtype)
+    ms[rem_a > 0] = 0
+    mt = np.full(m, inf, dtype)
+    ds = np.full(n, inf, dtype)
+    dt = np.full(m, inf, dtype)
     open_s = [True] * n
     open_t = np.ones(m, dtype=bool)
-    rc = np.empty(m)
+    rc = np.empty(m, dtype)
     better = np.empty(m, dtype=bool)
     bi = int(ms.argmin())
-    bv = float(ms[bi])
+    bv = int(ms[bi])
     while True:
         j = int(mt.argmin())
-        tv = float(mt[j])
+        tv = int(mt[j])
         if tv == bv == inf:
             return None
         if bv <= tv:
@@ -109,25 +110,24 @@ def _dijkstra(C, pu: np.ndarray, pv: np.ndarray, back: list,
             ds[i] = d
             ms[i] = inf
             open_s[i] = False
-            np.subtract(pu[i], C.row(i), out=rc)
+            np.subtract(pu[i], C.row(i), out=rc, dtype=dtype)
             np.subtract(rc, pv, out=rc)
-            np.maximum(rc, 0.0, out=rc)
+            np.maximum(rc, 0, out=rc)
             np.add(d, rc, out=rc)
             np.less(rc, mt, out=better)
             np.logical_and(better, open_t, out=better)
             np.putmask(mt, better, rc)
             bi = int(ms.argmin())
-            bv = float(ms[bi])
+            bv = int(ms[bi])
         else:
             dt[j] = tv
             if rem_b[j] > 0:
                 return np.minimum(ds, tv), np.minimum(dt, tv)
             mt[j] = inf
             open_t[j] = False
-            pvj = float(pv[j])
+            pvj = int(pv[j])
             for k in back[j]:
-                c = tv + max(-(float(pu[k]) - float(C.entries(k, j)) - pvj),
-                             0.0)
+                c = tv + max(int(C.entries(k, j)) + pvj - int(pu[k]), 0)
                 if open_s[k] and c < ms[k]:
                     ms[k] = c
                     if c < bv:
@@ -175,7 +175,7 @@ def _ship_tight(C, pu, pv, back, a, b):
     """
     n, m = C.shape
     tight = {}  # source -> admissible targets; the potentials do not move
-    rc = np.empty(m)
+    rc = np.empty(m, pu.dtype)
     paths = 0
     while True:
         seen_s = (a > 0).tolist()
@@ -186,7 +186,7 @@ def _ship_tight(C, pu, pv, back, a, b):
         for i in queue:
             arcs = tight.get(i)
             if arcs is None:
-                np.subtract(pu[i], C.row(i), out=rc)
+                np.subtract(pu[i], C.row(i), out=rc, dtype=rc.dtype)
                 np.subtract(rc, pv, out=rc)
                 arcs = tight[i] = np.flatnonzero(rc <= 0).tolist()
             for j in arcs:
@@ -212,29 +212,31 @@ def solve_transport(C, a: np.ndarray, b: np.ndarray,
                     levels=()):
     """Optimal integer flow and dual potentials for max <C, flow>.
 
-    C, integer or float, is a row source (`_linalg.as_rows`) or an array,
-    which is read in place as one; either is a whole problem with a and b.
-    Its rows are read as the passes need them, and each coarse level
-    restricts it: pairing factors are sliced, a C held whole copies the
-    level's cells.  a and b are non-negative integer arrays, in any integer
-    dtype that holds every entry (no flow exceeds its row's supply) or
-    object.
+    C, an integer row source (`_linalg.as_rows`) or an integer array read in
+    place as one, is a whole problem with a and b; a float C raises TypeError,
+    since numpy will not cast it to the potentials' dtype.  Its rows are read
+    as the passes need them, and each coarse level restricts it: pairing
+    factors are sliced, a C held whole copies the level's cells.  a and b are
+    non-negative integer arrays, in any integer dtype that holds every entry
+    (no flow exceeds its row's supply) or object.
     levels lists coarse-to-fine sub-problems (rows, cols, a_l, b_l) of C,
     index arrays and their balanced integer marginals, solved before the
     full problem, each warm-started from the duals of the one before.
     Returns ((rows, cols, flows), phi, psi, n_augmentations, unshipped) of
     the full problem: the flow's support row-major, flows in the marginals'
-    dtype; the augmentations summed over all levels; phi[i] + psi[j] >=
-    C[i, j] everywhere, equal on the support, exactly on integer C within
-    the module's bound, else up to round-off.  Each level's loop runs while
-    supply is left; it stops early only at the augmentation budget, when no
-    target with demand left is reachable, or when a search after a pass
-    ships nothing, which integer C within the module's bound never causes.
+    dtype; the augmentations summed over all levels; integer duals, in
+    `_int_dtype` of the module's B on the full level, with phi[i] + psi[j]
+    >= C[i, j] everywhere, equal on the support.  Each level's loop runs
+    while supply is left; it stops early only at the augmentation budget,
+    when no target with demand left is reachable, or when a search after a
+    pass ships nothing, which the exact arithmetic never causes.
     unshipped, a Python int, is the full problem's supply left.  Unbalanced
     a and b, on any level, raise InfeasibleMarginals.
     """
     C = as_rows(C)
     n, m = C.shape
+    bound = 2 * C.bound * (2 * len(levels) + 1) * (60 * (n + m) + 2002)
+    dtype = _int_dtype(bound)
     aug = 0
     carried = None  # (cols, pv) of the level solved last
     for k, (rows, cols, a, b) in enumerate(
@@ -243,26 +245,26 @@ def solve_transport(C, a: np.ndarray, b: np.ndarray,
         if sum(a.tolist()) != sum(b.tolist()):  # Python ints: no overflow
             raise InfeasibleMarginals("supply and demand differ")
         if carried is None:
-            pu = np.zeros(len(rows))
+            pu = np.zeros(len(rows), dtype)
         else:
             # max over the last level's targets of C - psi, psi = -pv
             pu = np.array([(C.entries(r, carried[0]) + carried[1]).max()
-                           for r in rows])
+                           for r in rows], dtype)
         Cl = C.restrict(rows, cols) if k < len(levels) else C
         # the column minimum of pu - C, a row at a time
-        pv = pu[0] - Cl.row(0)
+        pv = np.subtract(pu[0], Cl.row(0), dtype=dtype)
         for i in range(1, len(rows)):
-            np.minimum(pv, pu[i] - Cl.row(i), out=pv)
+            np.minimum(pv, np.subtract(pu[i], Cl.row(i), dtype=dtype), out=pv)
         back = [{} for _ in cols]
         max_aug = aug + 60 * sum(Cl.shape) + 2000
         while a.any() and aug < max_aug:
-            step = _dijkstra(Cl, pu, pv, back, a, b)
+            step = _dijkstra(Cl, pu, pv, back, a, b, bound)
             if step is None:
                 break
             pu += step[0]
             pv += step[1]
             shipped = _ship_tight(Cl, pu, pv, back, a, b)
-            if not shipped:  # a rounded path that did not test tight
+            if not shipped:  # a fault: end the level, not the loop
                 break
             aug += shipped
         carried = cols, pv

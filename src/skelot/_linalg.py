@@ -47,7 +47,7 @@ def _int_array(nums: Sequence[int]) -> np.ndarray:
 
 class StoredRows:
     """The rows of an n x m matrix K held whole, K itself if it is an array
-    (integer, float or object).
+    (integer or object).
 
     `bound` is max |K|, one sweep on first use unless given.  Rows and
     blocks are views; a restriction copies its cells.

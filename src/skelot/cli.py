@@ -50,14 +50,17 @@ def _fraction(value, name: str) -> Fraction:
         raise ConfigError(f"{name} must be an exact rational like '1/8'")
 
 
-def _number(value, kind, name: str):
-    """value as `kind`: never a bool, and an int only if integral."""
+def _number(value, kind, name: str, least=None):
+    """value as `kind`: never a bool, an int only if integral, >= least."""
     try:
         if isinstance(value, bool) or kind is int and int(value) != F(value):
             raise TypeError
-        return kind(value)
+        number = kind(value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError):
         raise ConfigError(f"{name}: {value!r} is not a valid {kind.__name__}")
+    if least is not None and number < least:
+        raise ConfigError(f"{name} must be at least {least}, not {number!r}")
+    return number
 
 
 def _flag(block: dict, key: str, default: bool = False) -> bool:
@@ -67,10 +70,10 @@ def _flag(block: dict, key: str, default: bool = False) -> bool:
     return value
 
 
-def _numbers(values, kind, name: str) -> list:
+def _numbers(values, kind, name: str, least=None) -> list:
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list, not {values!r}")
-    return [_number(v, kind, name) for v in values]
+    return [_number(v, kind, name, least) for v in values]
 
 
 def _known_keys(block: dict, known, name: str) -> None:
@@ -122,9 +125,7 @@ class ExperimentConfig:
         self.cost_bounds = _flag(diagnostics, "cost_bounds")
         self.cost_bound_samples = _number(
             diagnostics.get("cost_bound_samples", 200), int,
-            "cost_bound_samples")
-        if self.cost_bound_samples < 1:
-            raise ConfigError("cost_bound_samples must be at least 1")
+            "cost_bound_samples", least=1)
         self.output_dir = raw.get("output_dir", "run")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
@@ -195,9 +196,9 @@ def build_problem(cfg: ExperimentConfig):
                 {"data": data}
         if kind == "abelian":
             data = _mumford_data(blk)
-            levels = _numbers(blk.get("levels", [1, 2]), int, "levels")
-            if not all(l >= 1 for l in levels):
-                raise ConfigError("levels must be positive integers")
+            levels = _numbers(blk.get("levels", [1, 2]), int, "levels", 1)
+            if not levels:
+                raise ConfigError("levels must list at least one level")
             family, problem = fm.mumford_family(data, levels,
                                                 resolution=cfg.resolution())
             return problem, {"data": data, "family": family, "levels": levels}
@@ -390,7 +391,7 @@ def count_sections(config_path: str) -> int:
         data = _intermediate_data(blk)
     rows = {}
     ok = True
-    for l in _numbers(cfg.raw.get("levels", list(range(9))), int, "levels"):
+    for l in _numbers(cfg.raw.get("levels", list(range(9))), int, "levels", 0):
         try:
             counts = fm.section_count(data, l)
         except SeriesDepthExceeded as exc:
@@ -415,10 +416,8 @@ def hybrid(config_path: str) -> int:
         data = _mumford_data(blk)
     if data.rank != 1:
         raise ConfigError("hybrid needs a rank-1 abelian family")
-    level = _number(cfg.raw.get("level", 1), int, "level")
-    steps = _number(cfg.raw.get("grid_steps", 16), int, "grid_steps")
-    if level < 1 or steps < 1:
-        raise ConfigError("level and grid_steps must be positive")
+    level = _number(cfg.raw.get("level", 1), int, "level", least=1)
+    steps = _number(cfg.raw.get("grid_steps", 16), int, "grid_steps", least=1)
     schedule = _numbers(cfg.raw.get("t_schedule", [1e-2, 1e-4, 1e-8]), float,
                         "t_schedule")
     if not all(0 < t < 1 for t in schedule):

@@ -123,9 +123,9 @@ def duality_check(problem: TransportProblem, dual_problem: TransportProblem,
     """Mirror comparison of two solves with swapped roles.
 
     functional_gap compares F(phi) with the swapped functional at phi^c;
-    potential_gap aligns the swapped minimizer with phi^c by the midpoint
-    constant; the cost-symmetry precondition c(x, p) = c_dual(p, x) is
-    checked on every pair and reported as a residual, never thrown.
+    potential_gap aligns the swapped minimizer with phi^c where W nu0 > 0
+    by the midpoint constant; the cost-symmetry precondition c(x, p) =
+    c_dual(p, x) is checked on every pair and reported as a residual.
     """
     if (dual_problem.mu0.points != problem.nu0.points
             or dual_problem.nu0.points != problem.mu0.points):
@@ -134,8 +134,8 @@ def duality_check(problem: TransportProblem, dual_problem: TransportProblem,
     f_swap = kontorovich_value(dual_problem, result.psi)
     functional_gap = abs(f_here - f_swap)
 
-    diff = [float(a - b) for a, b in
-            zip(dual_result.phi.values, result.psi.values)]
+    diff = [float(a - b) for a, b, w in zip(
+        dual_result.phi.values, result.psi.values, problem.target_mass) if w]
     potential_gap = (max(diff) - min(diff)) / 2.0
 
     C = problem.cost_array

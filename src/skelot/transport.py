@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _flow, _simplex
-from ._linalg import StoredRows, _int_array, _int_dtype, as_rows, over_lcm
+from ._linalg import _int_array, _int_dtype, as_rows, over_lcm
 from .cost import CostFunction, ThetaFamily, matrix_floats, ratio_float
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
@@ -225,8 +225,8 @@ def _coarse_levels(problem: TransportProblem) -> list:
 def minimize_kontorovich(problem: TransportProblem) -> TransportResult:
     """Minimize F over P_c; result normalized to mean zero against mu0.
 
-    The flow finisher reads K of cost = K / D in place (its floats when K
-    holds Python ints) and the marginals times Q, the lcm of their
+    The flow finisher reads K of cost = K / D in place, in whatever integer
+    dtype it holds, and the marginals times Q, the lcm of their
     denominators, after the coarser levels of _coarse_levels, each
     warm-starting the next with its duals.  The plan is the full level's
     integer flow over Q on its support, correctly rounded, and phi its
@@ -242,9 +242,8 @@ def minimize_kontorovich(problem: TransportProblem) -> TransportResult:
     n, m = K.shape
     mass, Q = over_lcm([*problem.mu0.weights, *problem.target_mass])
     marginals = _int_array(mass)
-    C = StoredRows(matrix_floats(K.block(), 1)) if K.dtype == object else K
     (rows, cols, flow), pu, _, aug, unshipped = _flow.solve_transport(
-        C, marginals[:n], marginals[n:], levels=_coarse_levels(problem))
+        K, marginals[:n], marginals[n:], levels=_coarse_levels(problem))
     primal = sum(k * x for k, x in
                  zip(K.entries(rows, cols).tolist(), flow.tolist()))
 

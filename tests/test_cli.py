@@ -340,6 +340,12 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
             "resolution": "1/4"}
 
 
+# cases whose message must name `levels`, the key at fault
+LEVELS_AT_FAULT = {"solve-level-fraction", "solve-level-zero",
+                   "solve-level-negative", "solve-levels-empty",
+                   "count-level-string", "count-level-negative"}
+
+
 @pytest.mark.parametrize("command, cfg", [
     pytest.param("count-sections", {"family": {"kind": "intermediate"}},
                  id="count-missing-n"),
@@ -463,11 +469,18 @@ TRIANGLE = {"kind": "toric", "delta": [[-1, -1], [2, -1], [-1, 2]],
     pytest.param("solve", {"family": {
         **TRIANGLE, "delta": [[-1, -1], [2], [-1, 2]]}},
                  id="solve-delta-mixed-coordinates"),
+    pytest.param("solve", {"family": {**CIRCLE, "levels": []}},
+                 id="solve-levels-empty"),
+    pytest.param("count-sections", {"family": INTERMEDIATE, "levels": [-1]},
+                 id="count-level-negative"),
 ])
-def test_malformed_config_exit_code(tmp_path, capsys, command, cfg):
+def test_malformed_config_exit_code(tmp_path, capsys, request, command, cfg):
     cfg = {**cfg, "output_dir": str(tmp_path / "run")}
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if request.node.callspec.id in LEVELS_AT_FAULT:
+        assert "levels" in err
 
 
 class Accepted(Exception):
@@ -597,17 +610,21 @@ def test_malformed_run_dir_exit_code(tmp_path, capsys, command, files):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("cfg", [
-    pytest.param(ABELIAN_CFG, id="abelian"),
-    pytest.param({"family": TRIANGLE}, id="toric"),
-    # a weighted target: the mirror's source is W nu0, not nu0
+@pytest.mark.parametrize("cfg, potential_gap", [
+    pytest.param(ABELIAN_CFG, 0.0, id="abelian"),
+    # two optimal duals of this grid need not agree up to a constant
+    pytest.param({"family": TRIANGLE}, None, id="toric"),
+    # a weighted target: the mirror's source is W nu0, not nu0, and the
+    # two targets where W = 0, which neither solve determines, are left out
     pytest.param({"family": {**INTERMEDIATE, "d": [1, 2],
-                             "resolution": "1/4"}}, id="intermediate"),
+                             "resolution": "1/4"}}, 0.0, id="intermediate"),
 ])
-def test_diagnose_duality(tmp_path, capsys, cfg):
+def test_diagnose_duality(tmp_path, capsys, cfg, potential_gap):
     _, out = run_cfg(tmp_path, cfg)
     assert cli.main(["diagnose-duality", out]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["precondition_residual"] == 0.0
     assert payload["functional_gap"] <= 1e-9
+    if potential_gap is not None:
+        assert payload["potential_gap"] == potential_gap
     assert os.path.exists(os.path.join(out, "duality.json"))

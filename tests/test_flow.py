@@ -9,9 +9,13 @@ and the dense flow that support stands for.  `_reference_pass` turns its
 result into the potential step `_flow._dijkstra` returns: the distances
 capped at the end target's, or None when no target is reached.  The
 wrapper runs it beside `_flow._dijkstra` on every pass of `solve_transport`,
-on every level of a multiscale solve, and requires the same bytes for both
-capped distance arrays, so the rounding of every relaxation must match
-while the pop order among equal distances may differ.
+on every level of a multiscale solve, on the same integer potentials; the
+finisher's integer steps, in the dtype `_int_dtype` picks for the solve's
+bound, cast to float64 (exact far below 2^53, as on every instance here),
+must have the same bytes as the reference's float steps, so every
+relaxation must match while the pop order among equal distances may differ.
+Where the reference drives a whole solve, its steps are cast back to the
+potentials' integer dtype, exactly.
 `_reference_ship_tight` is likewise the zero-reduced-cost search as it was
 on the dense flow, which it re-scanned for its support every round; every
 search of a checked solve must leave the same flow and masses and ship the
@@ -153,7 +157,7 @@ def _back(flow):
             for j in range(flow.shape[1])]
 
 
-def _reference_pass(C, pu, pv, back, rem_a, rem_b):
+def _reference_pass(C, pu, pv, back, rem_a, rem_b, bound=None):
     C = C.block()
     ds, dt, _, _, end = _reference_dijkstra(-C, pu, pv, _dense(back, len(C)),
                                             rem_a, rem_b)
@@ -179,9 +183,29 @@ def _assert_same_pass(dijkstra, args):
     ref = _reference_pass(*args)
     assert (new is None) == (ref is None)
     for got, want in zip(new or (), ref or ()):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == _int_dtype(args[-1]) and got.shape == want.shape
+        assert got.astype(np.float64).tobytes() == want.tobytes()
     return new
+
+
+def _exact_step(step, dtype):
+    """The reference's float step as the integers it holds, in dtype."""
+    if step is None:
+        return None
+    cast = tuple(x.astype(dtype) for x in step)
+    assert all((c == x).all() for c, x in zip(cast, step))
+    return cast
+
+
+def _pass_args(C, pu, pv, flow, rem_a, rem_b):
+    """A pass's arguments on a state no solve reaches: every distance is a
+    path of at most n + m arcs, each of reduced cost at most
+    max|C| + max|pu| + max|pv|, and that bound picks the potentials'
+    dtype."""
+    bound = sum(C.shape) * sum(int(np.abs(x).max()) for x in (C, pu, pv))
+    dtype = _int_dtype(bound)
+    return (C, pu.astype(dtype), pv.astype(dtype), _back(flow), rem_a, rem_b,
+            bound)
 
 
 def _assert_same_solve(monkeypatch, C, a, b, levels=()):
@@ -208,7 +232,8 @@ def _assert_same_solve(monkeypatch, C, a, b, levels=()):
     monkeypatch.setattr(_flow, "_dijkstra", checked)
     monkeypatch.setattr(_flow, "_ship_tight", checked_search)
     got = _flow.solve_transport(C, a, b, levels=levels)
-    monkeypatch.setattr(_flow, "_dijkstra", _reference_pass)
+    monkeypatch.setattr(_flow, "_dijkstra", lambda *args: _exact_step(
+        _reference_pass(*args), args[1].dtype))
     monkeypatch.setattr(_flow, "_ship_tight", ship_tight)
     want = _flow.solve_transport(C, a, b, levels=levels)
     monkeypatch.setattr(_flow, "_dijkstra", dijkstra)
@@ -329,8 +354,7 @@ def test_pairing_rows_solve_as_the_stored_matrix(monkeypatch, seed):
 
 def _assert_exact_optimum(C, flow, phi, psi):
     """Integer duals that cover C exactly and are tight on the support."""
-    assert (phi == np.round(phi)).all() and (psi == np.round(psi)).all()
-    assert np.abs(phi).max() < 2 ** 53 and np.abs(psi).max() < 2 ** 53
+    assert phi.dtype == psi.dtype and phi.dtype.kind == "i"
     slack = phi.astype(np.int64)[:, None] + psi.astype(np.int64) - C
     assert (slack >= 0).all()
     assert not slack[flow.astype(bool)].any()
@@ -339,9 +363,9 @@ def _assert_exact_optimum(C, flow, phi, psi):
 @pytest.mark.parametrize("build", [_toric, _rank1, _torus],
                          ids=["toric-1/16", "rank1-1/64", "torus-1/8"])
 def test_duals_on_integer_costs_are_exact_integers(build):
-    """On integer costs every sum the finisher forms is an integer far below
-    2^53, so its duals are integers, cover K exactly and are tight on the
-    support of the flow, cold and warm-started from the coarser levels."""
+    """On integer costs the finisher's duals are integers that cover K
+    exactly and are tight on the support of the flow, cold and
+    warm-started from the coarser levels."""
     problem = build()
     K = problem._integer()[0]
     for levels in ((), tp._coarse_levels(problem)):
@@ -350,13 +374,49 @@ def test_duals_on_integer_costs_are_exact_integers(build):
         _assert_exact_optimum(K, _flow_matrix(support, K.shape), phi, psi)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_scaled_costs_scale_the_potentials_in_every_dtype(monkeypatch, seed):
+    """A drawn toric instance's K times 2^s, on its ladder: the potential
+    bound B = 2M(2L + 1)(A + 2) of the `_flow` docstring picks int32,
+    int64 and Python ints (past 2^62) as s grows, and every run takes the
+    same passes and augmentations, ships the same flows and returns the
+    s = 0 potentials times 2^s exactly, in the rule's dtype.  No float
+    reference reaches the Python-int tier; this is its check."""
+    problem = _drawn_toric(seed)
+    K = problem._integer()[0]
+    _, a, b = _problem_arrays(problem)
+    levels = tp._coarse_levels(problem)
+    bound = (2 * int(np.abs(K).max()) * (2 * len(levels) + 1)
+             * (60 * sum(K.shape) + 2002))
+    assert bound < 2 ** 30
+    dijkstra, runs = _flow._dijkstra, []
+    for s in (0, 40 - bound.bit_length(), 70 - bound.bit_length()):
+        passes = []
+        monkeypatch.setattr(_flow, "_dijkstra", lambda *args: passes.append(
+            None) or dijkstra(*args))
+        C = StoredRows(K.astype(np.int64) << s)
+        (rows, cols, flows), phi, psi, aug, unshipped = \
+            _flow.solve_transport(C, a, b, levels=levels)
+        assert phi.dtype == psi.dtype == _int_dtype(bound << s)
+        assert unshipped == 0
+        runs.append((s, (len(passes), aug, rows.tolist(), cols.tolist(),
+                         flows.tolist()), phi.tolist(), psi.tolist()))
+    assert [_int_dtype(bound << s) for s, *_ in runs] == \
+        [np.int32, np.int64, object]
+    (_, work, phi, psi), *scaled = runs
+    for s, got_work, got_phi, got_psi in scaled:
+        assert got_work == work
+        assert got_phi == [u << s for u in phi]
+        assert got_psi == [v << s for v in psi]
+
+
 def _tied_instance(seed):
     """Small-integer costs, so equal distances are everywhere; integer
     marginals scaled to balance, with zero-supply rows and, as where the
     intermediate weight vanishes, zero-demand columns."""
     rng = np.random.default_rng(seed)
     n, m = rng.integers(1, 13, size=2)
-    C = rng.integers(-2, 3, size=(n, m)).astype(float)
+    C = rng.integers(-2, 3, size=(n, m))
     a = rng.integers(0, 4, size=n)
     b = rng.integers(1, 4, size=m)
     if seed % 3 == 0:
@@ -433,7 +493,7 @@ def test_ladder_solves_reach_the_cold_optimum(monkeypatch, seed):
 def test_point_mass_solves_match_reference(monkeypatch, shape):
     n, m = shape
     rng = np.random.default_rng(n * 10 + m)
-    C = rng.integers(0, 2, size=(n, m)).astype(float)
+    C = rng.integers(0, 2, size=(n, m))
     a = np.zeros(n, dtype=np.int64)
     a[n // 2] = m
     b = np.ones(m, dtype=np.int64)
@@ -450,30 +510,30 @@ def test_arbitrary_passes_match_reference(seed):
     rng = np.random.default_rng(seed)
     for _ in range(50):
         n, m = rng.integers(1, 10, size=2)
-        W = rng.integers(-2, 3, size=(n, m)).astype(float)
-        pu = rng.integers(-1, 2, size=n).astype(float)
-        pv = rng.integers(-1, 2, size=m).astype(float)
+        W = rng.integers(-2, 3, size=(n, m))
+        pu = rng.integers(-1, 2, size=n)
+        pv = rng.integers(-1, 2, size=m)
         flow = (rng.random((n, m)) < 0.4).astype(np.int64)
         rem_a = rng.integers(0, 2, size=n)
         rem_b = (rng.random(m) < 0.2).astype(np.int64)
         _assert_same_pass(_flow._dijkstra,
-                          (-W, pu, pv, _back(flow), rem_a, rem_b))
+                          _pass_args(-W, pu, pv, flow, rem_a, rem_b))
 
 
 def test_backward_tie_gives_the_same_step():
     """Target 1's backward arc brings source 0 level with source 1, the
     current source minimum; either may pop first, and the step is the
     reference's: the distances capped at target 2's, 3."""
-    W = np.array([[9.0, -1.0, 1.0],
-                  [-2.0, 9.0, 1.0],
-                  [0.0, 1.0, 5.0]])
+    W = np.array([[9, -1, 1],
+                  [-2, 9, 1],
+                  [0, 1, 5]])
     flow = np.array([[0, 1, 0],
                      [1, 0, 0],
                      [0, 0, 0]])
     step_s, step_t = _assert_same_pass(
-        _flow._dijkstra, (-W, np.zeros(3), np.zeros(3), _back(flow),
-                          np.array([0, 0, 1]), np.array([0, 0, 1])))
-    assert list(step_s) == [2.0, 2.0, 0.0] and list(step_t) == [0.0, 1.0, 3.0]
+        _flow._dijkstra, _pass_args(-W, np.zeros(3), np.zeros(3), flow,
+                                    np.array([0, 0, 1]), np.array([0, 0, 1])))
+    assert list(step_s) == [2, 2, 0] and list(step_t) == [0, 1, 3]
 
 
 def test_unreachable_target_returns_none():
@@ -482,16 +542,16 @@ def test_unreachable_target_returns_none():
     C, a, b = _tied_instance(7)
     n, m = C.shape
     flow = _flow_matrix(_flow.solve_transport(C, a, b)[0], C.shape)
-    args = (C, np.zeros(n), (-C).min(axis=0), _back(flow))
     supply, demand = np.ones(n, dtype=np.int64), np.ones(m, dtype=np.int64)
     for rem in ((supply, 0 * demand), (0 * supply, demand)):
-        assert _assert_same_pass(_flow._dijkstra, args + rem) is None
+        args = _pass_args(C, np.zeros(n), (-C).min(axis=0), flow, *rem)
+        assert _assert_same_pass(_flow._dijkstra, args) is None
 
 
 def test_search_that_ships_nothing_ends_the_level(monkeypatch):
-    """If a search after a pass ships nothing (a rounded path that fails
-    the tight test), the level stops instead of repeating the same pass,
-    and the solve reports the mass it left unshipped."""
+    """If a search after a pass ships nothing, which only a fault can
+    cause, the level stops instead of repeating the same pass, and the
+    solve reports the mass it left unshipped."""
     C, a, b = _tied_instance(2)
     dijkstra, calls = _flow._dijkstra, []
 
@@ -520,6 +580,14 @@ def test_unbalanced_marginals_are_rejected():
     with pytest.raises(InfeasibleMarginals):
         _flow.solve_transport(C, np.array([3]), np.array([2, 1]),
                               levels=(coarse,))
+
+
+def test_float_costs_are_rejected():
+    """The potentials are integers, and numpy will not cast a float C to
+    their dtype, so the solve refuses it before any pass."""
+    with pytest.raises(TypeError):
+        _flow.solve_transport(np.array([[-2.0, -1.0]]), np.array([2]),
+                              np.array([1, 1]))
 
 
 SOLVERS = Path(_flow.__file__).parent

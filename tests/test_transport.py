@@ -469,14 +469,15 @@ def test_exact_argmax_on_int32_costs_matches_int64():
             tp._exact_argmax(K.astype(np.int64), D, values)
 
 
-def test_minimize_rounds_costs_beyond_int64_once(monkeypatch):
-    """A cost entry of 3^50 puts K in Python ints; the finisher then gets
-    its floats, and the solve converges to the oracle's exact optimum."""
+def test_minimize_solves_costs_beyond_int64_in_python_ints(monkeypatch):
+    """A cost entry of 3^50 puts K in Python ints; the finisher gets that K
+    as it is, builds no float matrix, keeps its potentials in Python ints
+    and converges to the oracle's exact optimum."""
     solve, seen = _flow.solve_transport, []
 
-    def recorded(C, *args, **kwargs):
-        seen.append(C)
-        return solve(C, *args, **kwargs)
+    def recorded(*args, **kwargs):
+        seen.append((args[0], solve(*args, **kwargs)))
+        return seen[-1][1]
 
     monkeypatch.setattr(_flow, "solve_transport", recorded)
     pts = [(F(k),) for k in range(3)]
@@ -485,9 +486,13 @@ def test_minimize_rounds_costs_beyond_int64_once(monkeypatch):
     prob = tp.TransportProblem(table_cost(table), measure(pts, [F(1, 3)] * 3),
                                measure(pts, [F(1, 3)] * 3))
     res = tp.minimize_kontorovich(prob)
-    assert prob._integer()[0].dtype == object and seen[0].dtype == float
+    (C, (_, pu, psi, _, _)), = seen
+    assert C is prob._rows()[0] and C.dtype == object
+    assert prob._integer_cost is None and prob._cost_array is None
+    assert pu.dtype == psi.dtype == object
+    assert all(type(v) is int for v in (*pu.tolist(), *psi.tolist()))
     assert res.converged
-    assert res.value == float(tp.lp_oracle(prob).exact_value)
+    assert res.exact_value == tp.lp_oracle(prob).exact_value
 
 
 def test_minimize_ships_masses_beyond_int64_exactly(monkeypatch):
