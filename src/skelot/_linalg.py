@@ -2,7 +2,10 @@
 
 Used for lattice bases, face frames, lattice anchors, wall detection and
 independence testing.  Everything here is dense and meant for the tiny
-matrices that show up in polyhedral/tropical bookkeeping.  `over_lcm` is
+matrices that show up in polyhedral/tropical bookkeeping.  Grid points are
+integer tuples of numerators: `box_points` enumerates a face's,
+`orbit_minima` glues them, `merged` sums weights over them, and `int_grid`
+and `fractions` turn them into arrays and back into Fractions.  `over_lcm` is
 the one integer encoding of the exact solve path (rationals over one common
 denominator), and `_int_dtype` picks the integer dtype of its kernels from
 a bound on all of their intermediates: int32, int64 or Python ints.
@@ -18,7 +21,9 @@ rows, row blocks, entries and restrictions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,9 +45,12 @@ def _int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def _int_array(nums: Sequence[int]) -> np.ndarray:
-    """Integers as one array, in `_int_dtype` of their largest magnitude."""
-    return np.array(nums, dtype=_int_dtype(max(map(abs, nums), default=0)))
+def _int_array(nums: Sequence[int], bound: Optional[int] = None) -> np.ndarray:
+    """Integers as one array, in `_int_dtype` of their largest magnitude (or
+    of `bound`, when given)."""
+    if bound is None:
+        bound = max(map(abs, nums), default=0)
+    return np.array(nums, dtype=_int_dtype(bound))
 
 
 class StoredRows:
@@ -142,6 +150,108 @@ def over_lcm(values: Sequence, den: int = 1) -> tuple[list[int], int]:
     of den and their denominators."""
     L = lcm(den, *(v.denominator for v in values))
     return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
+    """Integer numerators over den in lowest terms: both divided by their
+    gcd."""
+    g = gcd(den, *nums)
+    return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
+
+
+def int_grid(flat: list[int], level: int, n: int, d: int) -> tuple:
+    """n points' flat numerators over level as (an (n, d) array in lowest
+    terms, in `_int_dtype` of their magnitude, level)."""
+    flat, level = lowest_terms(flat, level)
+    return _int_array(flat).reshape(n, d), level
+
+
+def fractions(nums: np.ndarray, den: int) -> tuple:
+    """An integer array over den as a tuple (of row tuples) of Fractions,
+    one per distinct value."""
+    get = {v: Fraction(v, den) for v in set(nums.ravel().tolist())}.__getitem__
+    if nums.ndim == 1:
+        return tuple(map(get, nums.tolist()))
+    return tuple(tuple(map(get, row)) for row in nums.tolist())
+
+
+def box_points(ranges: Sequence[range], tests: Sequence, origin: Sequence[int],
+               basis: Sequence[Sequence[int]]) -> tuple[list, list]:
+    """The points origin + sum_k s_k basis[k] (integer tuples) at the steps
+    s of the box prod(ranges), in lexicographic order, where every affine
+    test c + g.s, given as (c, g), is >= 0; and how many tests are 0 at
+    each.  On each line of the box along its last axis the tests cut out
+    one run of steps, whose points are one range per coordinate."""
+    *heads, line = ranges or [range(1)]
+    *rest, last = basis or [[0] * len(origin)]
+    axes = [[b[i] for b in rest] for i in range(len(origin))]
+    points, zeros = [], []
+    for head in product(*heads):
+        lo, hi, flat, marks = line.start, line.stop - 1, 0, []
+        for c, g in tests:
+            c += sum(map(mul, g, head))
+            e = g[-1] if g else 0
+            if e:
+                if e > 0:
+                    lo = max(lo, -(c // e))
+                else:
+                    hi = min(hi, c // -e)
+                if c % e == 0:  # the test is 0 at one step of the line
+                    marks.append(-c // e)
+            elif c < 0:
+                hi = lo - 1
+            else:
+                flat += c == 0
+        n = hi - lo + 1
+        if n > 0:
+            start = [a + sum(map(mul, head, b)) + lo * e
+                     for a, b, e in zip(origin, axes, last)]
+            points += zip(*(range(a, a + n * e, e) if e else repeat(a, n)
+                            for a, e in zip(start, last)))
+            run = [flat] * n
+            for m in marks:
+                if lo <= m <= hi:
+                    run[m - lo] += 1
+            zeros += run
+    return points, zeros
+
+
+def merged(runs: Sequence, images: dict) -> tuple[list, list, list]:
+    """Runs of (label, points, values): the distinct points, each taken to
+    its image in `images` where it has one, sorted, with the sum of their
+    values and the label of the run that first gave each."""
+    total, label = {}, {}
+    for lab, points, values in runs:
+        for p, v in zip(points, values):
+            p = images.get(p, p)
+            total[p] = total.get(p, 0) + v
+            label.setdefault(p, lab)
+    points = sorted(total)
+    return points, [total[p] for p in points], [label[p] for p in points]
+
+
+def orbit_minima(maps: Sequence) -> dict:
+    """Each point (integer tuple) of a map's domain -> the least point of
+    its orbit under the maps (matrix, shift, domain): p -> M p + shift, for
+    p in the domain."""
+    out = {}
+    for start in set().union(*(domain for _, _, domain in maps)):
+        orbit, frontier = {start}, [start]
+        while frontier:
+            p = frontier.pop()
+            for M, shift, domain in maps:
+                if p in domain:
+                    img = tuple(sum(map(mul, row, p)) + o
+                                for row, o in zip(M, shift))
+                    if img not in orbit:
+                        orbit.add(img)
+                        frontier.append(img)
+        out[start] = min(orbit)
+    return out
+
+
+def _max_abs(A: np.ndarray) -> int:
+    return int(np.abs(A).max()) if A.size else 0
 
 
 def _frac_rows(mat: Sequence[Sequence]) -> list[Row]:
@@ -293,6 +403,42 @@ def primitive(vec: Sequence[int]) -> list[int]:
     if g == 0:
         return [0 for _ in vec]
     return [int(v) // g for v in vec]
+
+
+def simplex_frame(vertices: Sequence[Sequence[Fraction]]) -> tuple:
+    """(lattice basis, frame) of a simplex: a Z-basis of the integer points
+    of its direction space, and (rows, the basis's inverse on them, the map
+    from chart coordinates to barycentric ones but the first), where the
+    rows are those on which the edge vectors are independent, so the
+    affine span is a graph over them."""
+    dirs = [[b - a for a, b in zip(vertices[0], v)] for v in vertices[1:]]
+    rows = rref(dirs)[1]
+    if len(rows) != len(dirs):
+        raise ValueError("face vertices must be affinely independent")
+    basis = tuple(tuple(b) for b in saturated_lattice_basis(dirs))
+    # lambda[1:] = E_P^-1 B_P t for chart coordinates t
+    basis_rows = [[b[r] for b in basis] for r in rows]
+    edge_inv = inverse([[d[r] for d in dirs] for r in rows])
+    to_lam = [[sum(e * b[k] for e, b in zip(row, basis_rows))
+               for k in range(len(basis))] for row in edge_inv]
+    return basis, (rows, inverse(basis_rows), to_lam)
+
+
+def lattice_anchor(vertices: Sequence[Sequence[Fraction]],
+                   l: int) -> Optional[list[int]]:
+    """The numerators l·x of a point x of the vertices' affine span with
+    coordinates in (1/l)Z, or None."""
+    v0 = vertices[0]
+    scaled = [l * c for c in v0]
+    if len(vertices) == 1:
+        return None if any(c.denominator != 1 for c in scaled) else \
+            [int(c) for c in scaled]
+    comp = nullspace([[b - a for a, b in zip(v0, v)] for v in vertices[1:]])
+    if not comp:
+        return [int(c) for c in scaled]  # any integer point works
+    comp_int = [clear_denominators(w) for w in comp]
+    return solve_integer(comp_int, [sum(a * c for a, c in zip(row, scaled))
+                                    for row in comp_int])
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> list[int]:

@@ -20,14 +20,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, inf
+from math import floor, inf, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import ProductRows, StoredRows, _int_array, _int_dtype, over_lcm
+from ._linalg import (
+    ProductRows,
+    StoredRows,
+    _int_array,
+    _int_dtype,
+    _max_abs,
+    over_lcm,
+)
 from .errors import DimensionMismatch, MissingLevel, WindowNotConverged
-from .polyhedral import IntegralPolyhedralComplex, Point, as_point
+from .polyhedral import (
+    DiscreteMeasure,
+    IntegralPolyhedralComplex,
+    Point,
+    as_point,
+    grid_numerators,
+)
 from .tropical import MonomialTerm, TropicalSection, val_at
 
 F = Fraction
@@ -51,8 +64,9 @@ class CostFunction:
     def __call__(self, x: Sequence, p: Sequence):
         return self.evaluator(x, p)
 
-    def _entrywise_rows(self, xs: Sequence, ps: Sequence) -> tuple:
+    def _entrywise_rows(self, xs, ps) -> tuple:
         """(rows of K, D) from one call per pair, K held whole."""
+        xs, ps = _points(xs), _points(ps)
         K, D = over_lcm([F(self(x, p)) for x in xs for p in ps])
         return StoredRows(_int_array(K).reshape(len(xs), len(ps))), D
 
@@ -75,15 +89,28 @@ class CostFunction:
 
 # -- exact integer matrices --------------------------------------------------------
 
-def _lattice(points: Sequence, name: str, den: int = 1) -> tuple:
-    """Exact points, their common dimension and the lcm of den and their
-    denominators."""
-    pts = [as_point(p) for p in points]
-    dims = {len(p) for p in pts}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"{name} points of mixed dimension {sorted(dims)}")
-    _, den = over_lcm([c for p in pts for c in p], den)
-    return pts, dims.pop() if dims else 0, den
+def _lattice(grid, name: str, den: int = 1) -> tuple:
+    """A grid's points as integer numerators (an n x d array) over L, the
+    lcm of den and the points' level, with d and L.  A DiscreteMeasure
+    gives its own numerators; other exact points are put over their lcm
+    once (`grid_numerators`)."""
+    if isinstance(grid, DiscreteMeasure):
+        N, level = grid.numerators, grid.level
+    else:
+        N, level = grid_numerators([as_point(p) for p in grid], name)
+    L = lcm(den, level)
+    N = _times(N, L // level)
+    return N, N.shape[1], L
+
+
+def _times(N: np.ndarray, r: int) -> np.ndarray:
+    """The integer array N times r, in `_int_dtype` of the product."""
+    return N if r == 1 else N.astype(_int_dtype(_max_abs(N) * r)) * r
+
+
+def _points(grid) -> Sequence:
+    """A grid's exact points: a DiscreteMeasure's, or the points given."""
+    return grid.points if isinstance(grid, DiscreteMeasure) else grid
 
 
 def ratio_float(k: int, d: int) -> float:
@@ -124,20 +151,19 @@ def pairing_cost(source: IntegralPolyhedralComplex,
                         exact_rows=pairing_rows)
 
 
-def pairing_rows(xs: Sequence, ps: Sequence) -> tuple[ProductRows, int]:
+def pairing_rows(xs, ps) -> tuple[ProductRows, int]:
     """<x, p> over the grids as (rows of K, D), K = X P^T never formed: the
-    numerators X and P of the points over their lcms, in `_int_dtype` of
-    d max|X| max|P|, the bound on every entry and partial sum."""
-    xs, dx, lx = _lattice(xs, "source")
-    ps, dp, lp = _lattice(ps, "target")
+    numerators X and P of the points over their lcms (`_lattice`), in
+    `_int_dtype` of d max|X| max|P|, the bound on every entry and partial
+    sum."""
+    X, dx, lx = _lattice(xs, "source")
+    P, dp, lp = _lattice(ps, "target")
     d = min(dx, dp)  # the evaluator zips, so extra coordinates drop out
-    X, _ = over_lcm([c for x in xs for c in x[:d]], lx)
-    P, _ = over_lcm([c for p in ps for c in p[:d]], lp)
-    bound = d * max(map(abs, X), default=0) * max(map(abs, P), default=0)
+    X, P = X[:, :d], P[:, :d]
+    bound = d * _max_abs(X) * _max_abs(P)
     dtype = _int_dtype(bound)
-    X = np.array(X, dtype=dtype).reshape(len(xs), d)
-    P = np.array(P, dtype=dtype).reshape(len(ps), d)
-    return ProductRows(X, P, bound), lx * lp
+    return ProductRows(np.ascontiguousarray(X, dtype=dtype),
+                       np.ascontiguousarray(P, dtype=dtype), bound), lx * lp
 
 
 # -- Mumford data and the periodic theta cost -----------------------------------
@@ -269,19 +295,21 @@ def theta_matrix(data: MumfordData, xs: Sequence,
     K in place, gathered one block of rows at a time: the n x m work is the
     gather, and no n x m temporary is held besides K.
     """
-    xs, dx, lx = _lattice(xs, "source")
-    ps, dp, L = _lattice(ps, "target", lx)
+    Xs, dx, lx = _lattice(xs, "source")
+    Ps, dp, L = _lattice(ps, "target", lx)
+    Xs = _times(Xs, L // lx)
     axes = data.axes[:min(dx, dp)]
     dtype = _int_dtype(sum(_axis_bound(a, L) for a in axes))
-    K = np.zeros((len(xs), len(ps)), dtype=dtype)
-    rows = max(1, _GATHER_ENTRIES // max(len(ps), 1))
+    n, m = len(Xs), len(Ps)
+    K = np.zeros((n, m), dtype=dtype)
+    rows = max(1, _GATHER_ENTRIES // max(m, 1))
     for k, a in enumerate(axes):
         gL = a.period * L
-        (X, ix), (P, ip) = (np.unique(np.array(
-            [v % gL for v in over_lcm([c[k] for c in pts], L)[0]],
-            dtype=dtype), return_inverse=True) for pts in (xs, ps))
+        (X, ix), (P, ip) = (np.unique(
+            (N[:, k].astype(_int_dtype(max(_max_abs(N), gL))) % gL).astype(dtype),
+            return_inverse=True) for N in (Xs, Ps))
         table, _ = _axis_minima(a, X[:, None], P[None, :], L)
-        for r in range(0, len(xs), rows):
+        for r in range(0, n, rows):
             K[r:r + rows] -= table[np.ix_(ix[r:r + rows], ip)]
     return K, L * L
 

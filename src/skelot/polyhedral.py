@@ -1,24 +1,24 @@
 """Integral polyhedral complexes, rational point lattices, measures, quadrature.
 
-All vertex, lattice and mass arithmetic is exact (Fraction); float weights
-are converted exactly.  Faces are simplices presented by their vertex
-tuples, optionally with a multiplicity vector b when the face sits in the
-normalized form {x >= 0, sum b_i x_i = 1}.  Each face inverts its edge and
-lattice matrices once, when it is built; grid enumeration then tests each
-candidate point in integer arithmetic, in any face dimension.
+All arithmetic is exact; float weights are converted exactly.  Faces are
+simplices presented by their vertex tuples, optionally with a multiplicity
+vector b when the face sits in the normalized form {x >= 0, sum b_i x_i = 1}.
+Each face inverts its edge and lattice matrices once, when it is built.
+Grids are integers: a level-l point x is its numerators l·x, which grid
+enumeration, gluings, quadrature and `DiscreteMeasure` work on; Fractions
+are made only where a caller reads points or weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import lcm
-from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import _linalg
 from .errors import (
+    DimensionMismatch,
     InconsistentGluing,
     NonRationalVertex,
     ResolutionTooCoarse,
@@ -71,19 +71,9 @@ class Face:
         verts = tuple(as_point(v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "weight", Fraction(self.weight))
-        dirs = [[b - a for a, b in zip(verts[0], v)] for v in verts[1:]]
-        rows = _linalg.rref(dirs)[1]
-        if len(rows) != len(dirs):
-            raise ValueError("face vertices must be affinely independent")
-        basis = tuple(tuple(b) for b in _linalg.saturated_lattice_basis(dirs))
+        basis, frame = _linalg.simplex_frame(verts)
         object.__setattr__(self, "lattice_basis", basis)
-        # lambda[1:] = E_P^-1 B_P t for chart coordinates t
-        basis_rows = [[b[r] for b in basis] for r in rows]
-        edge_inv = _linalg.inverse([[d[r] for d in dirs] for r in rows])
-        to_lam = [[sum(e * b[k] for e, b in zip(row, basis_rows))
-                   for k in range(len(basis))] for row in edge_inv]
-        object.__setattr__(self, "_frame",
-                           (rows, _linalg.inverse(basis_rows), to_lam))
+        object.__setattr__(self, "_frame", frame)
         if self.multiplicities is not None:
             mult = tuple(int(m) for m in self.multiplicities)
             object.__setattr__(self, "multiplicities", mult)
@@ -155,26 +145,58 @@ class Gluing:
             for row, o in zip(self.matrix, self.offset))
 
 
-@dataclass(frozen=True)
+def grid_numerators(points: Sequence[Point], name: str = "measure") -> tuple:
+    """Exact points of one dimension as (numerators, level): an (n, d)
+    array over the lcm of their denominators (`_linalg.int_grid`)."""
+    dims = {len(p) for p in points}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"{name} points of mixed dimension {sorted(dims)}")
+    return _linalg.int_grid(*_linalg.over_lcm([c for p in points for c in p]),
+                            len(points), dims.pop() if dims else 0)
+
+
 class DiscreteMeasure:
     """Rational points, face tags and exact weights that sum exactly to
-    total_mass (a float x counts as Fraction(x): three floats 1/3 miss 1)."""
+    total_mass (a float x counts as Fraction(x): three floats 1/3 miss 1).
 
-    points: tuple[Point, ...]
-    weights: tuple[Fraction, ...]
-    face_tags: tuple[int, ...]
-    total_mass: Fraction
+    Held as integers in lowest terms: `numerators`, the (N, d) array of l·x
+    over the `level` l, and `masses` over one `denominator` (`_int_dtype`
+    of their sum).  The constructor puts Fractions over their lcm once;
+    `quadrature` hands over integers.  `points` and `weights` are made
+    once, when first read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(as_point(p) for p in self.points))
+    def __init__(self, points: Sequence, weights: Sequence,
+                 face_tags: Sequence[int], total_mass):
+        pts = tuple(as_point(p) for p in points)
         w = tuple(x if isinstance(x, Fraction) else Fraction(x)
-                  for x in self.weights)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total_mass", Fraction(self.total_mass))
+                  for x in weights)
         if any(x < 0 for x in w):
             raise ValueError("negative weight in measure")
-        if sum(w) != self.total_mass:
+        if sum(w) != Fraction(total_mass):
             raise ValueError("weights, as Fractions, do not sum exactly to total_mass")
+        self._set(*grid_numerators(pts), *_linalg.over_lcm(w), face_tags, pts, w)
+
+    def _set(self, numerators, level, masses, denominator, face_tags,
+             points=None, weights=None) -> "DiscreteMeasure":
+        self.numerators, self.level, self.face_tags = numerators, level, tuple(face_tags)
+        masses, self.denominator = _linalg.lowest_terms(masses, denominator)
+        self.masses = _linalg._int_array(masses, sum(masses))
+        self.total_mass = Fraction(sum(masses), self.denominator)
+        self._points, self._weights = points, weights
+        return self
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            self._points = _linalg.fractions(self.numerators, self.level)
+        return self._points
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        if self._weights is None:
+            self._weights = _linalg.fractions(self.masses, self.denominator)
+        return self._weights
 
 
 @dataclass(frozen=True)
@@ -241,37 +263,19 @@ def build_complex(spec: dict) -> IntegralPolyhedralComplex:
 
 # -- rational point enumeration ----------------------------------------------
 
-def _face_anchor(face: Face, l: int) -> Optional[Point]:
-    """A point of the face's affine span with coordinates in (1/l)Z, or None."""
-    v0 = face.vertices[0]
-    if face.dim == 0:
-        return v0 if all((l * c).denominator == 1 for c in v0) else None
-    dirs = [[b - a for a, b in zip(v0, v)] for v in face.vertices[1:]]
-    comp = _linalg.nullspace(dirs)
-    scaled = [l * c for c in v0]
-    if not comp:
-        z = [Fraction(int(c)) for c in scaled]  # any integer point works
-        return tuple(c / l for c in z)
-    comp_int = [_linalg.clear_denominators(w) for w in comp]
-    rhs = [sum(Fraction(a) * c for a, c in zip(row, scaled)) for row in comp_int]
-    z = _linalg.solve_integer(comp_int, rhs)
-    if z is None:
-        return None
-    return tuple(Fraction(c, l) for c in z)
-
-
-def _face_grid(face: Face, l: int) -> Iterator[tuple[list[Fraction], Point]]:
-    """(chart, point) for each point of the face in (1/l)Z^d, in chart order.
+def _face_lattice(face: Face, l: int) -> tuple[list, list]:
+    """The face's points in (1/l)Z^d as numerator tuples l·x, in chart
+    order, and how many barycentric coordinates vanish at each.
 
     The points are anchor + sum_k s_k b_k / l over integer steps s in the
     box spanned by the vertex charts; barycentric coordinates are affine in
-    s, so over one common denominator each candidate costs integer
-    arithmetic only.
+    s, so over one common denominator they are integer tests
+    (`_linalg.box_points`).
     """
-    anchor = _face_anchor(face, l)
+    anchor = _linalg.lattice_anchor(face.vertices, l)
     if anchor is None:
-        return
-    t0 = face.chart(anchor)
+        return [], []
+    t0 = face.chart([Fraction(c, l) for c in anchor])
     charts = [face.chart(v) for v in face.vertices]
     ranges = [range(-((t0[k] - min(c[k] for c in charts)) * l).__floor__(),
                     ((max(c[k] for c in charts) - t0[k]) * l).__floor__() + 1)
@@ -282,41 +286,35 @@ def _face_grid(face: Face, l: int) -> Iterator[tuple[list[Fraction], Point]]:
     affine = [(l * c, row) for c, row in zip(face._lam(t0), steps)]
     den = lcm(*(x.denominator for c, row in affine for x in (c, *row)))
     tests = [(int(c * den), [int(x * den) for x in row]) for c, row in affine]
-    scaled = [int(c * l) for c in anchor]
-    axes = [[b[i] for b in face.lattice_basis] for i in range(face.ambient_dim)]
-    for s in product(*ranges):
-        if all(c + sum(map(mul, g, s)) >= 0 for c, g in tests):
-            yield ([t + Fraction(k, l) for t, k in zip(t0, s)],
-                   tuple(Fraction(a + sum(map(mul, b, s)), l)
-                         for a, b in zip(scaled, axes)))
+    return _linalg.box_points(ranges, tests, anchor, face.lattice_basis)
 
 
 def face_rational_points(face: Face, l: int) -> list[Point]:
-    """Points of the face with all coordinates in (1/l)Z."""
-    return [p for _, p in _face_grid(face, l)]
+    """Points of the face with all coordinates in (1/l)Z, in chart order."""
+    return [tuple(Fraction(c, l) for c in p) for p in _face_lattice(face, l)[0]]
 
 
-def _grid_sorted(points, l: int) -> list[Point]:
-    """Points of (1/l)Z^d in lexicographic order, compared as integers.
-
-    Scaling by l maps the grid onto Z^d and keeps the order, so the sort
-    never compares Fractions.
-    """
-    def key(p: Point) -> tuple[int, ...]:
-        assert all(l % c.denominator == 0 for c in p), f"{p} is off the 1/{l} grid"
-        return tuple(c.numerator * (l // c.denominator) for c in p)
-    return sorted(points, key=key)
+def _glued(complex: IntegralPolyhedralComplex, l: int) -> dict:
+    """Numerators of each level-l point on a gluing's source face -> those
+    of its canonical point, the least of its orbit (`_linalg.orbit_minima`;
+    points on no source face are their own).  A gluing maps N to
+    M N + l offset."""
+    return _linalg.orbit_minima([
+        (g.matrix, [l * o for o in g.offset],
+         set(_face_lattice(complex.faces[g.source], l)[0]))
+        for g in complex.gluings])
 
 
 def rational_points(complex: IntegralPolyhedralComplex, l: int) -> list[Point]:
-    """All level-l rational points, deduplicated across faces and gluings."""
+    """All level-l rational points, deduplicated across faces and gluings,
+    sorted."""
     if l < 1:
         raise ValueError("level must be a positive integer")
-    seen: set[Point] = set()
-    for face in complex.faces:
-        for pt in face_rational_points(face, int(l)):
-            seen.add(complex.canonical_point(pt))
-    return _grid_sorted(seen, int(l))
+    l = int(l)
+    glued = _glued(complex, l)
+    points = {glued.get(p, p) for f in complex.faces
+              for p in _face_lattice(f, l)[0]}
+    return [tuple(Fraction(c, l) for c in p) for p in sorted(points)]
 
 
 # -- measures ------------------------------------------------------------------
@@ -336,16 +334,14 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
     lumping of the up/down triangulation in 2D); truncated boundary stubs are
     assigned to the nearest grid point so mass is conserved exactly.  The
     weights are these exact volumes; normalize divides them by the mass.
+
+    Built in integers: each face's points are numerator tuples, each
+    taking one of a few exact shares (a 1-D face's end stubs and inner
+    cell, a 2-D face's corner shares) put over one denominator; points are
+    glued, merged and sorted on their numerators.
     """
     l = _level_from_resolution(h)
-    acc: dict[Point, Fraction] = {}
-    tags: dict[Point, int] = {}
-
-    def add(face_idx: int, pt: Point, w: Fraction) -> None:
-        cp = complex.canonical_point(pt)
-        acc[cp] = acc.get(cp, Fraction(0)) + w
-        tags.setdefault(cp, face_idx)
-
+    faces, shares = [], []
     for fi in complex.top_faces():
         face = complex.faces[fi]
         w = face.weight
@@ -353,46 +349,49 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
             raise UnsupportedFaceDimension(
                 f"quadrature ships for top faces of dimension 1 and 2, "
                 f"not {face.dim}")
+        points, zeros = _face_lattice(face, l)
+        k = len(shares)
         if face.dim == 1:
-            grid = list(_face_grid(face, l))
-            if len(grid) < 2:
+            if len(points) < 2:
                 raise ResolutionTooCoarse(f"fewer than 2 grid points on face {fi}")
-            ends = [face.chart(v)[0] for v in face.vertices]
-            mids = [min(ends)] + [(a[0][0] + b[0][0]) / 2
-                                  for a, b in zip(grid, grid[1:])] + [max(ends)]
-            for (t, p), left, right in zip(grid, mids, mids[1:]):
-                add(fi, p, w * (right - left))
+            # inner points take their cell 1/l, the ends their stubs
+            (lo,), (hi,) = sorted(face.chart(v) for v in face.vertices)
+            (t,), (u,) = (face.chart([Fraction(c, l) for c in p])
+                          for p in (points[0], points[-1]))
+            shares += [w * (t - lo + Fraction(1, 2 * l)), w / l,
+                       w * (hi - u + Fraction(1, 2 * l))]
+            kinds = [k] + [k + 1] * (len(points) - 2) + [k + 2]
         else:
             v0, v1, v2 = face.vertices
             (a0, a1), (b0, b1) = face.chart(v1), face.chart(v2)
             if abs(a0 * b1 - a1 * b0) != 1:
                 raise ResolutionTooCoarse(
                     "2D quadrature requires a unimodular lattice chart")
-            if any((c * l).denominator != 1 for v in face.vertices for c in v):
+            if any((c * l).denominator != 1 for c in v0) or any(
+                    (c - c0).denominator != 1 for v in (v1, v2)
+                    for c0, c in zip(v0, v)):
                 raise ResolutionTooCoarse(
-                    "2D quadrature requires vertices on the grid")
+                    "2D quadrature requires vertices on the grid, integral edges")
+            # the points are the corners of the triangulation by the edges
+            # over l; each triangle, of area 1/(2 l^2), gives a third to each
+            # corner, and a corner on 0, 1 or 2 edge lines is in 6, 3 or 1
+            shares += [w * Fraction(n, 6 * l * l) for n in (6, 3, 1)]
+            kinds = [k + z for z in zeros]
+        faces.append((fi, points, kinds))
 
-            def corner(u0: Fraction, u1: Fraction) -> Point:
-                return tuple(c0 + (c1 - c0) * u0 + (c2 - c0) * u1
-                             for c0, c1, c2 in zip(v0, v1, v2))
-
-            # each triangle, of area 1/(2 l^2), gives a third to each corner;
-            # a corner on 0, 1 or 2 edge lines of the chart is in 6, 3 or 1
-            for a in range(l + 1):
-                for b in range(l + 1 - a):
-                    edges = (a == 0) + (b == 0) + (a + b == l)
-                    add(fi, corner(Fraction(a, l), Fraction(b, l)),
-                        w * (6, 3, 1)[edges] / (6 * l * l))
-
-    points = _grid_sorted(acc, l)
-    mass = sum(acc.values())
+    den = lcm(*(x.denominator for x in shares))
+    share = [x.numerator * (den // x.denominator) for x in shares]
+    points, masses, tags = _linalg.merged(
+        [(fi, points, [share[k] for k in kinds]) for fi, points, kinds in faces],
+        _glued(complex, l))
     if normalize:
-        if mass <= 0:
+        den = sum(masses)
+        if den <= 0:
             raise ValueError("cannot normalize a zero measure")
-        acc = {p: w / mass for p, w in acc.items()}
-        mass = 1
-    return DiscreteMeasure(tuple(points), tuple(acc[p] for p in points),
-                           tuple(tags[p] for p in points), mass)
+    # the integer form, handed over as it is
+    return DiscreteMeasure.__new__(DiscreteMeasure)._set(*_linalg.int_grid(
+        [c for p in points for c in p], l, len(points), complex.ambient_dim),
+        masses, den, tags)
 
 
 # -- convenience builders --------------------------------------------------------

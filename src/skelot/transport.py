@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _flow, _simplex
-from ._linalg import _int_array, _int_dtype, as_rows, over_lcm
+from ._linalg import _int_array, _int_dtype, as_rows, lowest_terms, over_lcm
 from .cost import CostFunction, ThetaFamily, matrix_floats, ratio_float
 from .errors import EmptyGrid, GridMismatch, InfeasibleMarginals, SizeCapExceeded
 from .polyhedral import DiscreteMeasure, Point, as_point
@@ -107,23 +107,37 @@ class TransportProblem:
         self.ln_norm = float(ln_norm)
         if mu0.total_mass != 1:
             raise InfeasibleMarginals("source measure must have mass 1")
-        w = [1 if weight is None else F(weight(p)) for p in nu0.points]
-        if any(x < 0 for x in w):
-            raise InfeasibleMarginals("weight must be non-negative")
-        self.target_mass = tuple(wi * vi for wi, vi in zip(w, nu0.weights))
-        if sum(self.target_mass) != 1:
+        # W nu0 as integer numerators over one denominator; its Fractions
+        # are nu0's weights when there is no W
+        self._target_mass = None
+        if weight is None:
+            self._target = nu0.masses.tolist(), nu0.denominator
+            total = nu0.total_mass
+        else:
+            w = [F(weight(p)) for p in nu0.points]
+            if any(x < 0 for x in w):
+                raise InfeasibleMarginals("weight must be non-negative")
+            self._target_mass = tuple(wi * vi for wi, vi in zip(w, nu0.weights))
+            self._target = over_lcm(self._target_mass)
+            total = sum(self._target_mass)
+        if total != 1:
             raise InfeasibleMarginals("weighted target mass must be 1")
         self._exact_cost = None
         self._cost_array = None
         self._integer_cost = None
         self._row_source = None
 
+    @property
+    def target_mass(self) -> tuple:
+        """The masses of W nu0, exact."""
+        return self.nu0.weights if self._target_mass is None else self._target_mass
+
     def _rows(self) -> tuple:
         """(rows of K, D) with cost = K / D, the cost's row source
-        (`CostFunction.exact_rows`), built on first use."""
+        (`CostFunction.exact_rows`) over the two measures, built on first
+        use."""
         if self._row_source is None:
-            self._row_source = self.cost.exact_rows(self.mu0.points,
-                                                    self.nu0.points)
+            self._row_source = self.cost.exact_rows(self.mu0, self.nu0)
         return self._row_source
 
     def _integer(self) -> tuple:
@@ -181,42 +195,51 @@ def kontorovich_value(problem: TransportProblem, phi: PotentialField) -> float:
 
 
 def _mean_zero(problem: TransportProblem, values: list) -> tuple:
-    mean = sum(w * v for w, v in zip(problem.mu0.weights, values))
+    mu = problem.mu0
+    mean = F(sum(a * v for a, v in zip(mu.masses.tolist(), values)),
+             mu.denominator)
     return tuple(v - mean for v in values)
+
+
+def _over_one(*sides) -> tuple[list[int], int]:
+    """Masses given as (integer numerators, denominator) in lowest terms,
+    as one list over Q, the lcm of the denominators: what `over_lcm` gives
+    for their Fractions."""
+    Q = lcm(*(q for _, q in sides))
+    return [x * (Q // q) for nums, q in sides for x in nums], Q
 
 
 def _coarse_levels(problem: TransportProblem) -> list:
     """Coarse-to-fine sub-problems (rows, cols, a, b) on the nested grids.
 
-    On each side, with l the lcm of the kept points' coordinate
-    denominators, a level keeps the points whose coordinates are multiples
-    of 2/l while l is even, and all of them otherwise.  Its masses are the
-    exact masses there, renormalized to 1 and put over their common
-    denominator.  The ladder stops when neither side shrinks or a side
-    keeps no mass.
+    On each side, l is the kept points' level, the lcm of their coordinate
+    denominators: the side's level over g, its gcd with the kept points'
+    numerators.  A level keeps the points whose coordinates are multiples
+    of 2/l, so whose numerators are multiples of 2g, while l is even, and
+    all of them otherwise.  Its masses are the exact masses there,
+    renormalized to 1 and put over their common denominator.  The ladder
+    stops when neither side shrinks or a side keeps no mass.
     """
-    sides = ((problem.mu0.points, problem.mu0.weights),
-             (problem.nu0.points, problem.target_mass))
-    kept = [range(len(points)) for points, _ in sides]
+    mu, nu = problem.mu0, problem.nu0
+    sides = ((mu.numerators.tolist(), mu.level, mu.masses.tolist()),
+             (nu.numerators.tolist(), nu.level, problem._target[0]))
+    kept = [range(len(N)) for N, _, _ in sides]
     levels = []
     while True:
         coarser = []
-        for (points, _), idx in zip(sides, kept):
-            _, l = over_lcm([c for i in idx for c in points[i]])
-            if l % 2 == 0:
-                idx = [i for i in idx
-                       if all((l // 2) % c.denominator == 0 for c in points[i])]
+        for (N, level, _), idx in zip(sides, kept):
+            g = gcd(level, *(c for i in idx for c in N[i]))
+            if level // g % 2 == 0:
+                idx = [i for i in idx if all(c % (2 * g) == 0 for c in N[i])]
             coarser.append(idx)
         if all(len(new) == len(old) for new, old in zip(coarser, kept)):
             break
-        totals = [sum(w[i] for i in idx)
-                  for (_, w), idx in zip(sides, coarser)]
+        masses = [[w[i] for i in idx] for (_, _, w), idx in zip(sides, coarser)]
+        totals = [sum(a) for a in masses]
         if not all(totals):
             break
         rows, cols = kept = coarser
-        exact = [w[i] / t for (_, w), idx, t in zip(sides, kept, totals)
-                 for i in idx]
-        mass = _int_array(over_lcm(exact)[0])
+        mass = _int_array(_over_one(*map(lowest_terms, masses, totals))[0])
         levels.append((np.array(rows), np.array(cols),
                        mass[:len(rows)], mass[len(rows):]))
     return levels[::-1]
@@ -240,7 +263,8 @@ def minimize_kontorovich(problem: TransportProblem) -> TransportResult:
     """
     K, D = problem._rows()
     n, m = K.shape
-    mass, Q = over_lcm([*problem.mu0.weights, *problem.target_mass])
+    mu = problem.mu0
+    mass, Q = _over_one((mu.masses.tolist(), mu.denominator), problem._target)
     marginals = _int_array(mass)
     (rows, cols, flow), pu, _, aug, unshipped = _flow.solve_transport(
         K, marginals[:n], marginals[n:], levels=_coarse_levels(problem))

@@ -610,10 +610,22 @@ def test_malformed_run_dir_exit_code(tmp_path, capsys, command, files):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# On the toric grids both solves are exactly optimal (functional_gap 0), yet
+# their duals differ by more than a constant: the optimum's duals are not
+# unique there, and potential_gap reports that spread, pinned whole.
+TORIC_DUALITY = {
+    "1/4": {"functional_gap": 0.0, "potential_gap": 0.062499999999999944,
+            "precondition_residual": 0.0, "sampled_pairs": 12 * 36},
+    "1/8": {"functional_gap": 0.0, "potential_gap": 0.031249999999999944,
+            "precondition_residual": 0.0, "sampled_pairs": 24 * 72},
+}
+
+
 @pytest.mark.parametrize("cfg, potential_gap", [
     pytest.param(ABELIAN_CFG, 0.0, id="abelian"),
-    # two optimal duals of this grid need not agree up to a constant
     pytest.param({"family": TRIANGLE}, None, id="toric"),
+    pytest.param({"family": {**TRIANGLE, "resolution": "1/8"}}, None,
+                 id="toric-1/8"),
     # a weighted target: the mirror's source is W nu0, not nu0, and the
     # two targets where W = 0, which neither solve determines, are left out
     pytest.param({"family": {**INTERMEDIATE, "d": [1, 2],
@@ -623,6 +635,8 @@ def test_diagnose_duality(tmp_path, capsys, cfg, potential_gap):
     _, out = run_cfg(tmp_path, cfg)
     assert cli.main(["diagnose-duality", out]) == 0
     payload = json.loads(capsys.readouterr().out)
+    if potential_gap is None:
+        assert payload == TORIC_DUALITY[cfg["family"]["resolution"]]
     assert payload["precondition_residual"] == 0.0
     assert payload["functional_gap"] <= 1e-9
     if potential_gap is not None:

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from skelot.errors import (
     InconsistentGluing,
     NonRationalVertex,
     ResolutionTooCoarse,
+    UnsupportedFaceDimension,
 )
 
 F = Fraction
@@ -205,11 +207,6 @@ def test_grid_order_is_fraction_order(name, l):
     assert list(q.points) == sorted(q.points)
 
 
-def test_grid_order_rejects_off_grid_points():
-    with pytest.raises(AssertionError):
-        ph._grid_sorted([(F(1, 2),), (F(1, 3),)], 4)
-
-
 def test_face_weight_normalization():
     faces = (ph.Face(((F(0),), (F(1),)), weight=F(2)),
              ph.Face(((F(1),), (F(2),)), weight=F(1)))
@@ -280,8 +277,219 @@ def _reference_quadrature_2d(cx, l):
                     tri = [(a + 1, b), (a, b + 1), (a + 1, b + 1)]
                     for (ua, ub) in tri:
                         add(fi, corner(Fraction(ua, l), Fraction(ub, l)), w * cell / 3)
-    points = ph._grid_sorted(acc, l)
+    points = _grid_sorted(acc, l)
     return points, [acc[p] for p in points], [tags[p] for p in points]
+
+
+# -- the Fraction quadrature as it was, the reference for the integer one --------
+
+
+def _face_anchor(face, l):
+    """A point of the face's affine span with coordinates in (1/l)Z, or None."""
+    v0 = face.vertices[0]
+    if face.dim == 0:
+        return v0 if all((l * c).denominator == 1 for c in v0) else None
+    dirs = [[b - a for a, b in zip(v0, v)] for v in face.vertices[1:]]
+    comp = _linalg.nullspace(dirs)
+    scaled = [l * c for c in v0]
+    if not comp:
+        z = [Fraction(int(c)) for c in scaled]  # any integer point works
+        return tuple(c / l for c in z)
+    comp_int = [_linalg.clear_denominators(w) for w in comp]
+    rhs = [sum(Fraction(a) * c for a, c in zip(row, scaled)) for row in comp_int]
+    z = _linalg.solve_integer(comp_int, rhs)
+    if z is None:
+        return None
+    return tuple(Fraction(c, l) for c in z)
+
+
+def _face_grid(face, l):
+    """(chart, point) for each point of the face in (1/l)Z^d, in chart order.
+
+    The points are anchor + sum_k s_k b_k / l over integer steps s in the
+    box spanned by the vertex charts; barycentric coordinates are affine in
+    s, so over one common denominator each candidate costs integer
+    arithmetic only.
+    """
+    anchor = _face_anchor(face, l)
+    if anchor is None:
+        return
+    t0 = face.chart(anchor)
+    charts = [face.chart(v) for v in face.vertices]
+    ranges = [range(-((t0[k] - min(c[k] for c in charts)) * l).__floor__(),
+                    ((max(c[k] for c in charts) - t0[k]) * l).__floor__() + 1)
+              for k in range(face.dim)]
+    # l * lambda = l * lambda(t0) + M s: clear the denominators once
+    to_lam = face._frame[2]
+    steps = [[-sum(col) for col in zip(*to_lam)]] + to_lam
+    affine = [(l * c, row) for c, row in zip(face._lam(t0), steps)]
+    den = lcm(*(x.denominator for c, row in affine for x in (c, *row)))
+    tests = [(int(c * den), [int(x * den) for x in row]) for c, row in affine]
+    scaled = [int(c * l) for c in anchor]
+    axes = [[b[i] for b in face.lattice_basis] for i in range(face.ambient_dim)]
+    for s in product(*ranges):
+        if all(c + sum(map(mul, g, s)) >= 0 for c, g in tests):
+            yield ([t + Fraction(k, l) for t, k in zip(t0, s)],
+                   tuple(Fraction(a + sum(map(mul, b, s)), l)
+                         for a, b in zip(scaled, axes)))
+
+
+def _grid_sorted(points, l):
+    """Points of (1/l)Z^d in lexicographic order, compared as integers.
+
+    Scaling by l maps the grid onto Z^d and keeps the order, so the sort
+    never compares Fractions.
+    """
+    def key(p):
+        assert all(l % c.denominator == 0 for c in p), f"{p} is off the 1/{l} grid"
+        return tuple(c.numerator * (l // c.denominator) for c in p)
+    return sorted(points, key=key)
+
+
+def _canonical_point(complex, point):
+    """Smallest representative of the gluing orbit of a point."""
+    start = ph.as_point(point)
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        pt = frontier.pop()
+        for g in complex.gluings:
+            if complex.faces[g.source].contains(pt):
+                img = g.apply(pt)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+    return min(orbit)
+
+
+def _reference_quadrature(complex, h, normalize=False):
+    """Discrete measure at grid level 1/h whose mass matches the continuous one.
+
+    Cell volumes are lumped onto grid points (trapezoid rule in 1D, corner
+    lumping of the up/down triangulation in 2D); truncated boundary stubs are
+    assigned to the nearest grid point so mass is conserved exactly.  The
+    weights are these exact volumes; normalize divides them by the mass.
+    """
+    l = ph._level_from_resolution(h)
+    acc = {}
+    tags = {}
+
+    def add(face_idx, pt, w):
+        cp = _canonical_point(complex, pt)
+        acc[cp] = acc.get(cp, Fraction(0)) + w
+        tags.setdefault(cp, face_idx)
+
+    for fi in complex.top_faces():
+        face = complex.faces[fi]
+        w = face.weight
+        if not 1 <= face.dim <= 2:
+            raise UnsupportedFaceDimension(
+                f"quadrature ships for top faces of dimension 1 and 2, "
+                f"not {face.dim}")
+        if face.dim == 1:
+            grid = list(_face_grid(face, l))
+            if len(grid) < 2:
+                raise ResolutionTooCoarse(f"fewer than 2 grid points on face {fi}")
+            ends = [face.chart(v)[0] for v in face.vertices]
+            mids = [min(ends)] + [(a[0][0] + b[0][0]) / 2
+                                  for a, b in zip(grid, grid[1:])] + [max(ends)]
+            for (t, p), left, right in zip(grid, mids, mids[1:]):
+                add(fi, p, w * (right - left))
+        else:
+            v0, v1, v2 = face.vertices
+            (a0, a1), (b0, b1) = face.chart(v1), face.chart(v2)
+            if abs(a0 * b1 - a1 * b0) != 1:
+                raise ResolutionTooCoarse(
+                    "2D quadrature requires a unimodular lattice chart")
+            if any((c * l).denominator != 1 for v in face.vertices for c in v):
+                raise ResolutionTooCoarse(
+                    "2D quadrature requires vertices on the grid")
+
+            def corner(u0, u1):
+                return tuple(c0 + (c1 - c0) * u0 + (c2 - c0) * u1
+                             for c0, c1, c2 in zip(v0, v1, v2))
+
+            # each triangle, of area 1/(2 l^2), gives a third to each corner;
+            # a corner on 0, 1 or 2 edge lines of the chart is in 6, 3 or 1
+            for a in range(l + 1):
+                for b in range(l + 1 - a):
+                    edges = (a == 0) + (b == 0) + (a + b == l)
+                    add(fi, corner(Fraction(a, l), Fraction(b, l)),
+                        w * (6, 3, 1)[edges] / (6 * l * l))
+
+    points = _grid_sorted(acc, l)
+    mass = sum(acc.values())
+    if normalize:
+        if mass <= 0:
+            raise ValueError("cannot normalize a zero measure")
+        acc = {p: w / mass for p, w in acc.items()}
+        mass = 1
+    return (tuple(points), tuple(acc[p] for p in points),
+            tuple(tags[p] for p in points), mass)
+
+
+REFERENCE_COMPLEXES = {
+    "toric-triangle": ph.polygon_boundary_complex([(-1, -1), (2, -1), (-1, 2)]),
+    "reflexive-square": ph.polygon_boundary_complex(
+        [(1, 0), (0, 1), (-1, 0), (0, -1)]),
+    "reflexive-hexagon": ph.polygon_boundary_complex(
+        [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]),
+    "segment": ph.segment_complex(F(-1, 3), F(7, 5), weight=F(2, 3)),
+    "circle": ph.circle_complex(),
+    "circle-period-3": fm._circle_g(3),
+    "torus": fm._torus_unit(),
+    "2-simplex": ph.simplex_complex(2),
+    "1-simplex": ph.simplex_complex(1, weight=3),
+    "target-union": fm._target_union(fm.IntermediateData(
+        n=3, m=1, d=(1, 2), hilbert_M=(1,))),
+    "target-union-m2": fm._target_union(fm.IntermediateData(
+        n=3, m=2, d=(1, 1, 1), hilbert_M=(1,))),
+}
+
+
+def _integer_and_reference(cx, l, normalize):
+    """Both quadratures' outcome: the measure as Fraction tuples, or the
+    error type raised."""
+    outs = []
+    for run in (lambda: ph.quadrature(cx, F(1, l), normalize),
+                lambda: _reference_quadrature(cx, F(1, l), normalize)):
+        try:
+            out = run()
+        except (ResolutionTooCoarse, AssertionError) as exc:
+            outs.append(type(exc))
+            continue
+        if isinstance(out, ph.DiscreteMeasure):
+            out = (out.points, out.weights, out.face_tags, out.total_mass)
+        outs.append(out)
+    return outs
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_COMPLEXES))
+@pytest.mark.parametrize("normalize", [False, True])
+def test_quadrature_matches_the_fraction_reference(name, normalize):
+    """Equal points, weights, face tags and total mass, at levels 1-40,
+    for every face kind quadrature ships."""
+    cx = REFERENCE_COMPLEXES[name]
+    for l in range(1, 41):
+        got, want = _integer_and_reference(cx, l, normalize)
+        assert got == want, (name, l)
+        if isinstance(got, tuple):
+            assert all(type(c) is Fraction for p in got[0] for c in p)
+            assert all(type(w) is Fraction for w in got[1])
+
+
+def test_quadrature_holds_integers_in_lowest_terms():
+    q = ph.quadrature(ph.polygon_boundary_complex([(-1, -1), (2, -1), (-1, 2)]),
+                      F(1, 4), normalize=True)
+    assert q.level == 4 and q.numerators.dtype == _linalg._int_dtype(8)
+    assert q.numerators.shape == (36, 2)
+    assert q.denominator == 36 and int(q.masses.sum()) == 36
+    assert q.points[1] == (F(-1), F(-3, 4))
+    # a measure built from Fractions is put over the lcm once
+    mu = ph.DiscreteMeasure(((F(1, 2), F(0)), (F(1, 3), F(2))), (0.25, F(3, 4)),
+                            (0, 1), 1)
+    assert mu.level == 6 and mu.numerators.tolist() == [[3, 0], [2, 12]]
+    assert mu.denominator == 4 and mu.masses.tolist() == [1, 3]
 
 
 SKEWED_TRIANGLE = ph.IntegralPolyhedralComplex((
@@ -311,6 +519,11 @@ def test_quadrature_too_coarse():
     assert len(ph.face_rational_points(tri, 2)) == 3
     with pytest.raises(ResolutionTooCoarse):
         ph.quadrature(ph.IntegralPolyhedralComplex((tri,)), F(1, 2))
+    # a unimodular chart whose edge (1/2, 0) puts corners off the grid,
+    # which the Fraction reference's sort refused by an assertion
+    half = ph.IntegralPolyhedralComplex((ph.Face(((0, 0), (F(1, 2), 0), (0, 2))),))
+    assert _integer_and_reference(half, 2, False) == [ResolutionTooCoarse,
+                                                      AssertionError]
 
 
 def test_lattice_count_asymptote_toric_boundary():

@@ -14,15 +14,16 @@ from skelot import _flow, _simplex
 from skelot import cost as co
 from skelot import families as fm
 from skelot import transport as tp
-from skelot._linalg import _int_array, over_lcm
+from skelot._linalg import ProductRows, _int_array, _int_dtype, over_lcm
 from skelot.errors import (
+    DimensionMismatch,
     EmptyGrid,
     GridMismatch,
     InfeasibleMarginals,
     MissingLevel,
     SizeCapExceeded,
 )
-from skelot.polyhedral import DiscreteMeasure, circle_complex, quadrature
+from skelot.polyhedral import DiscreteMeasure, as_point, circle_complex, quadrature
 
 F = Fraction
 
@@ -295,6 +296,187 @@ def test_coarse_levels_are_nested_grids_with_renormalized_masses(build,
             assert [F(int(x), int(q.sum())) for x in q] == [
                 mass[i] / total for i in idx]
         finer = [rows.tolist(), cols.tolist()]
+
+
+# -- the Fraction builders as they were, the reference for the integer grids --
+
+
+def _reference_coarse_levels(problem):
+    """Coarse-to-fine sub-problems (rows, cols, a, b) on the nested grids.
+
+    On each side, with l the lcm of the kept points' coordinate
+    denominators, a level keeps the points whose coordinates are multiples
+    of 2/l while l is even, and all of them otherwise.  Its masses are the
+    exact masses there, renormalized to 1 and put over their common
+    denominator.  The ladder stops when neither side shrinks or a side
+    keeps no mass.
+    """
+    sides = ((problem.mu0.points, problem.mu0.weights),
+             (problem.nu0.points, problem.target_mass))
+    kept = [range(len(points)) for points, _ in sides]
+    levels = []
+    while True:
+        coarser = []
+        for (points, _), idx in zip(sides, kept):
+            _, l = over_lcm([c for i in idx for c in points[i]])
+            if l % 2 == 0:
+                idx = [i for i in idx
+                       if all((l // 2) % c.denominator == 0 for c in points[i])]
+            coarser.append(idx)
+        if all(len(new) == len(old) for new, old in zip(coarser, kept)):
+            break
+        totals = [sum(w[i] for i in idx)
+                  for (_, w), idx in zip(sides, coarser)]
+        if not all(totals):
+            break
+        rows, cols = kept = coarser
+        exact = [w[i] / t for (_, w), idx, t in zip(sides, kept, totals)
+                 for i in idx]
+        mass = _int_array(over_lcm(exact)[0])
+        levels.append((np.array(rows), np.array(cols),
+                       mass[:len(rows)], mass[len(rows):]))
+    return levels[::-1]
+
+
+def _reference_lattice(points, name, den=1):
+    """Exact points, their common dimension and the lcm of den and their
+    denominators."""
+    pts = [as_point(p) for p in points]
+    dims = {len(p) for p in pts}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"{name} points of mixed dimension {sorted(dims)}")
+    _, den = over_lcm([c for p in pts for c in p], den)
+    return pts, dims.pop() if dims else 0, den
+
+
+def _reference_pairing_rows(xs, ps):
+    """<x, p> over the grids as (rows of K, D), K = X P^T never formed: the
+    numerators X and P of the points over their lcms, in `_int_dtype` of
+    d max|X| max|P|, the bound on every entry and partial sum."""
+    xs, dx, lx = _reference_lattice(xs, "source")
+    ps, dp, lp = _reference_lattice(ps, "target")
+    d = min(dx, dp)  # the evaluator zips, so extra coordinates drop out
+    X, _ = over_lcm([c for x in xs for c in x[:d]], lx)
+    P, _ = over_lcm([c for p in ps for c in p[:d]], lp)
+    bound = d * max(map(abs, X), default=0) * max(map(abs, P), default=0)
+    dtype = _int_dtype(bound)
+    X = np.array(X, dtype=dtype).reshape(len(xs), d)
+    P = np.array(P, dtype=dtype).reshape(len(ps), d)
+    return ProductRows(X, P, bound), lx * lp
+
+
+def _reference_theta_matrix(data, xs, ps):
+    """abelian_theta_cost over the grids as (K, D), in integer arithmetic.
+
+    With L the common denominator, each axis reduces the numerators into
+    [0, g*L), tabulates the closed form `_axis_minima` over the distinct
+    values on either side (no window search), and subtracts the table from
+    K in place, gathered one block of rows at a time: the n x m work is the
+    gather, and no n x m temporary is held besides K.
+    """
+    xs, dx, lx = _reference_lattice(xs, "source")
+    ps, dp, L = _reference_lattice(ps, "target", lx)
+    axes = data.axes[:min(dx, dp)]
+    dtype = _int_dtype(sum(co._axis_bound(a, L) for a in axes))
+    K = np.zeros((len(xs), len(ps)), dtype=dtype)
+    rows = max(1, co._GATHER_ENTRIES // max(len(ps), 1))
+    for k, a in enumerate(axes):
+        gL = a.period * L
+        (X, ix), (P, ip) = (np.unique(np.array(
+            [v % gL for v in over_lcm([c[k] for c in pts], L)[0]],
+            dtype=dtype), return_inverse=True) for pts in (xs, ps))
+        table, _ = co._axis_minima(a, X[:, None], P[None, :], L)
+        for r in range(0, len(xs), rows):
+            K[r:r + rows] -= table[np.ix_(ix[r:r + rows], ip)]
+    return K, L * L
+
+
+def _mixed_denominator_problem():
+    """A hand-built problem whose points and masses have mixed
+    denominators, under the pairing cost."""
+    xs = ((F(1, 2), F(-1, 3)), (F(2, 5), F(0)), (F(1, 6), F(7, 4)),
+          (F(-3, 2), F(1, 3)))
+    ps = ((F(0), F(1, 4)), (F(5, 3), F(-1, 2)), (F(1, 10), F(3)))
+    mu = DiscreteMeasure(xs, (F(1, 6), F(1, 3), F(3, 8), F(1, 8)), (0,) * 4, 1)
+    nu = DiscreteMeasure(ps, (F(2, 7), F(1, 2), F(3, 14)), (0,) * 3, 1)
+    cost = co.CostFunction(None, None, lambda x, p: F(0), lipschitz_x=1.0,
+                           exact_rows=co.pairing_rows)
+    return tp.TransportProblem(cost, mu, nu)
+
+
+REFERENCE_PROBLEMS = {
+    "mixed-denominators": _mixed_denominator_problem,
+    "intermediate-22": lambda: fm.intermediate_family(
+        INTERMEDIATE_22, resolution=F(1, 12)),
+    "intermediate-13": lambda: fm.intermediate_family(
+        fm.IntermediateData(n=3, m=1, d=(1, 3), hilbert_M=(1,)),
+        resolution=F(1, 18)),
+}
+
+
+def _drawn_problem(rng):
+    kind = rng.choice(["toric", "torus", "circle"])
+    l = rng.choice([2, 3, 4, 6, 8, 12, 16, 24])
+    if kind == "toric":
+        delta = rng.choice([[(-1, -1), (2, -1), (-1, 2)],
+                            [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                            [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+                            [(-1, -1), (1, -1), (1, 1), (-1, 1)]])
+        return fm.toric_pair(delta, resolution=F(1, l))[1], None
+    axes = (co.PhiAxis(base_slope=rng.randint(-2, 2), quad=rng.randint(1, 2),
+                       period=1 if kind == "torus" else rng.randint(1, 3)),)
+    if kind == "torus":
+        axes += (co.PhiAxis(),)
+    data = co.MumfordData(axes)
+    return fm.mumford_family(data, [1], resolution=F(1, l))[1], data
+
+
+def _assert_same_rows(problem, data=None):
+    """The integer grids' row source equals the Fraction builder's on the
+    measures' Fraction points (the theta cost's for `data`): same bytes,
+    dtype, bound and D."""
+    rows, D = problem._rows()
+    xs, ps = problem.mu0.points, problem.nu0.points
+    if isinstance(rows, ProductRows):
+        ref, ref_D = _reference_pairing_rows(xs, ps)
+        pairs = ((rows.X, ref.X), (rows._PT, ref._PT))
+        assert rows.bound == ref.bound
+    else:
+        ref_K, ref_D = _reference_theta_matrix(data, xs, ps)
+        pairs = ((rows.K, ref_K),)
+    assert D == ref_D
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_levels(problem):
+    got, want = tp._coarse_levels(problem), _reference_coarse_levels(problem)
+    assert len(got) == len(want)
+    for level, ref in zip(got, want):
+        for a, b in zip(level, ref):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PROBLEMS))
+def test_integer_grids_match_the_fraction_builders(name):
+    problem = REFERENCE_PROBLEMS[name]()
+    _assert_same_rows(problem)
+    _assert_same_levels(problem)
+
+
+def test_integer_grids_match_the_fraction_builders_on_drawn_problems():
+    """Drawn toric, torus and circle problems: the row source and every
+    coarse level (rows, columns, integer masses) are the Fraction
+    builders'."""
+    rng = random.Random(3501)
+    kinds = set()
+    for _ in range(12):
+        problem, data = _drawn_problem(rng)
+        kinds.add(data.rank if data else "toric")
+        _assert_same_rows(problem, data)
+        _assert_same_levels(problem)
+    assert kinds == {"toric", 1, 2}
 
 
 INTERMEDIATE_22 = fm.IntermediateData(n=3, m=1, d=(2, 2), hilbert_M=tuple(
