@@ -53,8 +53,9 @@ class CostFunction:
     evaluator: Callable[[Sequence, Sequence], Fraction]
     lipschitz_x: float
     metadata: dict = field(default_factory=dict)
-    # (source_points, target_points) -> (rows of K, D), a `_linalg` row
-    # source with entries c = K[i, j] / D; None means the entrywise builder
+    # (source grid, target grid) -> (rows of K, D), a `_linalg` row source
+    # with entries c = K[i, j] / D, each grid a DiscreteMeasure (read as
+    # its integers) or exact points; None means the entrywise builder
     exact_rows: Optional[Callable] = None
 
     def __post_init__(self):

@@ -399,18 +399,21 @@ def _mixed_denominator_problem():
     ps = ((F(0), F(1, 4)), (F(5, 3), F(-1, 2)), (F(1, 10), F(3)))
     mu = DiscreteMeasure(xs, (F(1, 6), F(1, 3), F(3, 8), F(1, 8)), (0,) * 4, 1)
     nu = DiscreteMeasure(ps, (F(2, 7), F(1, 2), F(3, 14)), (0,) * 3, 1)
-    cost = co.CostFunction(None, None, lambda x, p: F(0), lipschitz_x=1.0,
+    cost = co.CostFunction(None, None, PAIR.evaluator, lipschitz_x=1.0,
                            exact_rows=co.pairing_rows)
     return tp.TransportProblem(cost, mu, nu)
 
 
 REFERENCE_PROBLEMS = {
-    "mixed-denominators": _mixed_denominator_problem,
-    "intermediate-22": lambda: fm.intermediate_family(
-        INTERMEDIATE_22, resolution=F(1, 12)),
-    "intermediate-13": lambda: fm.intermediate_family(
+    "mixed-denominators": lambda: (_mixed_denominator_problem(), None),
+    "intermediate-22": lambda: (fm.intermediate_family(
+        INTERMEDIATE_22, resolution=F(1, 12)), None),
+    "intermediate-13": lambda: (fm.intermediate_family(
         fm.IntermediateData(n=3, m=1, d=(1, 3), hilbert_M=(1,)),
-        resolution=F(1, 18)),
+        resolution=F(1, 18)), None),
+    # source and target on different levels, so the theta cost puts the
+    # source's numerators over the target's finer denominator
+    "circle-1/6-to-1/4": lambda: (abelian_problem(6, 4), RANK1),
 }
 
 
@@ -460,8 +463,8 @@ def _assert_same_levels(problem):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_PROBLEMS))
 def test_integer_grids_match_the_fraction_builders(name):
-    problem = REFERENCE_PROBLEMS[name]()
-    _assert_same_rows(problem)
+    problem, data = REFERENCE_PROBLEMS[name]()
+    _assert_same_rows(problem, data)
     _assert_same_levels(problem)
 
 
