@@ -194,11 +194,16 @@ def intermediate_family(data: IntermediateData,
     target_cx = _target_union(data)
     mu0 = quadrature(source_cx, resolution, normalize=True)
     raw = quadrature(target_cx, resolution)
-    total = sum(w * data.weight(p) for p, w in zip(raw.points, raw.weights))
+    # at x = N / l, l^(n-m) W(x) = (l + d.N)^(n-m): the weighted mass is
+    # total / (denominator l^(n-m)), and nu0 takes raw's masses over it
+    l, k = raw.level, data.n - data.m
+    total = sum(m * (l + sum(di * c for di, c in zip(data.d, N))) ** k
+                for N, m in zip(raw.numerators.tolist(), raw.masses.tolist()))
     if total <= 0:
         raise ResolutionTooCoarse("weighted target mass vanished")
-    nu0 = DiscreteMeasure(raw.points, tuple(w / total for w in raw.weights),
-                          raw.face_tags, raw.total_mass / total)
+    nu0 = DiscreteMeasure.from_integers(
+        raw.numerators, l, [m * l ** k for m in raw.masses.tolist()], total,
+        raw.face_tags)
     cost = pairing_cost(source_cx, target_cx)
     return TransportProblem(cost, mu0, nu0, weight=data.weight,
                             ln_norm=data.ln_norm)

@@ -161,9 +161,10 @@ class DiscreteMeasure:
 
     Held as integers in lowest terms: `numerators`, the (N, d) array of l·x
     over the `level` l, and `masses` over one `denominator` (`_int_dtype`
-    of their sum).  The constructor puts Fractions over their lcm once;
-    `quadrature` hands over integers.  `points` and `weights` are made
-    once, when first read.
+    of their sum), both read-only.  The constructor puts Fractions over
+    their lcm once; `quadrature` hands over integers (`from_integers`).
+    `points` and `weights` are made once, when first read.  Measures
+    compare by value.
     """
 
     def __init__(self, points: Sequence, weights: Sequence,
@@ -177,14 +178,39 @@ class DiscreteMeasure:
             raise ValueError("weights, as Fractions, do not sum exactly to total_mass")
         self._set(*grid_numerators(pts), *_linalg.over_lcm(w), face_tags, pts, w)
 
+    @classmethod
+    def from_integers(cls, numerators, level: int, masses: Sequence[int],
+                      denominator: int, face_tags: Sequence[int]) -> "DiscreteMeasure":
+        """The measure at the points `numerators` / `level` (an (N, d)
+        array in lowest terms) with masses the integers `masses` over
+        `denominator`."""
+        return cls.__new__(cls)._set(numerators, level, masses, denominator,
+                                     face_tags)
+
     def _set(self, numerators, level, masses, denominator, face_tags,
              points=None, weights=None) -> "DiscreteMeasure":
         self.numerators, self.level, self.face_tags = numerators, level, tuple(face_tags)
         masses, self.denominator = _linalg.lowest_terms(masses, denominator)
         self.masses = _linalg._int_array(masses, sum(masses))
+        # the cached Fractions and shared row sources read these in place
+        numerators.flags.writeable = self.masses.flags.writeable = False
         self.total_mass = Fraction(sum(masses), self.denominator)
         self._points, self._weights = points, weights
         return self
+
+    def _key(self) -> tuple:
+        return (self.level, self.numerators.tolist(), self.denominator,
+                self.masses.tolist(), self.face_tags)
+
+    def __eq__(self, other):
+        """Equal points, weights and face tags: the integer form is in
+        lowest terms, so equal measures hold equal integers."""
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self.level, self.denominator, self.face_tags, self.total_mass))
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -214,21 +240,6 @@ class IntegralPolyhedralComplex:
 
     def top_faces(self) -> list[int]:
         return [i for i, f in enumerate(self.faces) if f.dim == self.dim]
-
-    def canonical_point(self, point: Sequence) -> Point:
-        """Smallest representative of the gluing orbit of a point."""
-        start = as_point(point)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            pt = frontier.pop()
-            for g in self.gluings:
-                if self.faces[g.source].contains(pt):
-                    img = g.apply(pt)
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-        return min(orbit)
 
 
 def build_complex(spec: dict) -> IntegralPolyhedralComplex:
@@ -389,7 +400,7 @@ def quadrature(complex: IntegralPolyhedralComplex, h,
         if den <= 0:
             raise ValueError("cannot normalize a zero measure")
     # the integer form, handed over as it is
-    return DiscreteMeasure.__new__(DiscreteMeasure)._set(*_linalg.int_grid(
+    return DiscreteMeasure.from_integers(*_linalg.int_grid(
         [c for p in points for c in p], l, len(points), complex.ambient_dim),
         masses, den, tags)
 

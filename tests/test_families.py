@@ -12,9 +12,10 @@ from skelot import tropical as tr
 from skelot.errors import (
     InvariantViolation,
     NotReflexive,
+    ResolutionTooCoarse,
     SeriesDepthExceeded,
 )
-from skelot.polyhedral import Face, quadrature
+from skelot.polyhedral import DiscreteMeasure, Face, quadrature
 
 F = Fraction
 
@@ -96,6 +97,42 @@ def test_target_union_is_two_axis_segments():
         assert all(-F(1, 2) <= c <= 0 for c in p)
     assert sum(prob.target_mass) == 1
     assert prob.mu0.total_mass == 1
+
+
+def _reference_target(data, resolution):
+    """intermediate_family's nu0 as it was built: W summed and each weight
+    divided in Fractions, then put over the lcm by the constructor."""
+    raw = quadrature(fm._target_union(data), resolution)
+    total = sum(w * data.weight(p) for p, w in zip(raw.points, raw.weights))
+    return DiscreteMeasure(raw.points, tuple(w / total for w in raw.weights),
+                           raw.face_tags, raw.total_mass / total)
+
+
+@pytest.mark.parametrize("data", [
+    QUARTIC,
+    fm.IntermediateData(n=3, m=1, d=(1, 3), hilbert_M=(1,)),
+    fm.IntermediateData(n=3, m=2, d=(1, 1, 1), hilbert_M=(1,)),
+    fm.IntermediateData(n=5, m=1, d=(3, 2), hilbert_M=(1,)),
+], ids=["d22", "d13", "m2", "n5-d32"])
+def test_intermediate_target_matches_the_fraction_build(data):
+    """nu0, built from the quadrature's integers, equals the Fraction
+    build: points, weights, tags, total mass and integer form."""
+    built = 0
+    for steps in (1, 2, 3, 5, 6, 8, 12):
+        try:
+            want = _reference_target(data, F(1, steps))
+        except ResolutionTooCoarse:
+            with pytest.raises(ResolutionTooCoarse):
+                fm.intermediate_family(data, resolution=F(1, steps))
+            continue
+        got = fm.intermediate_family(data, resolution=F(1, steps)).nu0
+        built += 1
+        assert got == want, steps
+        assert (got.points, got.weights, got.total_mass) == (
+            want.points, want.weights, want.total_mass)
+        assert got.numerators.dtype == want.numerators.dtype
+        assert got.masses.dtype == want.masses.dtype
+    assert built >= 2
 
 
 def test_intermediate_continuum_weighted_mass():

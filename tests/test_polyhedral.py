@@ -49,7 +49,8 @@ def test_build_unit_segment_and_circle():
     assert seg.dim == 1 and seg.ambient_dim == 1
     circ = ph.circle_complex()
     assert circ.dim == 1
-    assert circ.canonical_point((F(1),)) == (F(0),)
+    # the gluing takes 1 to 0
+    assert ph.rational_points(circ, 1) == [(F(0),)]
 
 
 def test_build_standard_2_simplex():
@@ -254,7 +255,7 @@ def _reference_quadrature_2d(cx, l):
     acc, tags = {}, {}
 
     def add(face_idx, pt, w):
-        cp = cx.canonical_point(pt)
+        cp = _canonical_point(cx, pt)
         acc[cp] = acc.get(cp, Fraction(0)) + w
         tags.setdefault(cp, face_idx)
 
@@ -490,6 +491,23 @@ def test_quadrature_holds_integers_in_lowest_terms():
                             (0, 1), 1)
     assert mu.level == 6 and mu.numerators.tolist() == [[3, 0], [2, 12]]
     assert mu.denominator == 4 and mu.masses.tolist() == [1, 3]
+
+
+def test_measures_are_read_only_and_compare_by_value():
+    """The integer arrays cannot be written under the cached Fractions;
+    a measure equals (and hashes as) one with the same points, weights
+    and tags, however it was built."""
+    cx = ph.polygon_boundary_complex([(-1, -1), (2, -1), (-1, 2)])
+    q = ph.quadrature(cx, F(1, 4), normalize=True)
+    for arr in (q.numerators, q.masses):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    same = ph.DiscreteMeasure(q.points, q.weights, q.face_tags, 1)
+    assert same == q and hash(same) == hash(q) and len({same, q}) == 1
+    assert same.numerators is not q.numerators
+    assert ph.quadrature(cx, F(1, 4)) != q
+    moved = ph.DiscreteMeasure(q.points, q.weights, (0,) * len(q.points), 1)
+    assert moved != q and q != "measure"
 
 
 SKEWED_TRIANGLE = ph.IntegralPolyhedralComplex((
